@@ -24,7 +24,6 @@ from .broadcasts import (
     is_dominating,
     is_hearing_independent,
     is_maximal_bn,
-    make_broadcast,
     parse_broadcast,
 )
 from .corpus import (
@@ -65,7 +64,6 @@ from .solve import (
     BoundsReport,
     OptimaReport,
     SolveLimits,
-    SolveMode,
     SolveResult,
     bn_number,
     bn_number_enum,
@@ -90,9 +88,7 @@ from .trees import (
     branch_leaf_representation,
     branch_representation,
     branch_subtree,
-    build_tree,
     classify_shape,
     induced_subgraph,
-    interior_subgraph,
     leaf_set,
 )

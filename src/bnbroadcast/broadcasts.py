@@ -65,10 +65,6 @@ class Broadcast:
         return f"Broadcast({format_broadcast(self)!r}, weight={self.weight})"
 
 
-def make_broadcast(host: Forest, strengths) -> Broadcast:
-    return Broadcast(host, strengths)
-
-
 def hears(f: Broadcast, u: int, v: int) -> bool:
     """Does u hear the broadcast from v?  False when v is silent or unreachable."""
     s = f.strengths[v]
@@ -201,17 +197,15 @@ def _next_toward(host, w, v):
     raise AssertionError("unreachable: w and v share a component")
 
 
-def bn_violation(f: Broadcast) -> Optional[BnViolation]:
-    """First boundary-independence violation in scan order, or None.
+def overlap_scan(strengths, dist) -> Optional[tuple]:
+    """Definitional scan of a raw strength vector over a distance matrix.
 
-    The certificate carries the offending broadcaster pair, a vertex heard
-    inside at least one of the two balls, and an edge covered by both.
+    Returns the first (u, v, w) in scan order where broadcasters u < v both
+    hear w and w is off the boundary of at least one of them, or None when
+    the strengths are boundary independent.
     """
-    host = f.host
-    n = host.n
-    dist = host.distances
-    strengths = f.strengths
-    bs = f.broadcasters
+    n = len(strengths)
+    bs = [v for v in range(n) if strengths[v] > 0]
     for i, u in enumerate(bs):
         su = strengths[u]
         du = dist[u]
@@ -224,16 +218,32 @@ def bn_violation(f: Broadcast) -> Optional[BnViolation]:
                     continue
                 if dwu == su and dwv == sv:
                     continue
-                # w is interior to one ball; exhibit a doubly covered edge
-                if dwu < su and dwv < sv:
-                    x = _next_toward(host, w, u) if w != u else _next_toward(host, w, v)
-                elif dwu < su:
-                    x = _next_toward(host, w, v)
-                else:
-                    x = _next_toward(host, w, u)
-                edge = (w, x) if w < x else (x, w)
-                return BnViolation(u=u, v=v, vertex=w, edge=edge)
+                return u, v, w
     return None
+
+
+def bn_violation(f: Broadcast) -> Optional[BnViolation]:
+    """First boundary-independence violation in scan order, or None.
+
+    The certificate carries the offending broadcaster pair, a vertex heard
+    inside at least one of the two balls, and an edge covered by both.
+    """
+    host = f.host
+    hit = overlap_scan(f.strengths, host.distances)
+    if hit is None:
+        return None
+    u, v, w = hit
+    inside_u = host.distances[u][w] < f.strengths[u]
+    inside_v = host.distances[v][w] < f.strengths[v]
+    # w is interior to one ball; exhibit a doubly covered edge
+    if inside_u and inside_v:
+        x = _next_toward(host, w, u) if w != u else _next_toward(host, w, v)
+    elif inside_u:
+        x = _next_toward(host, w, v)
+    else:
+        x = _next_toward(host, w, u)
+    edge = (w, x) if w < x else (x, w)
+    return BnViolation(u=u, v=v, vertex=w, edge=edge)
 
 
 def is_bn_independent(f: Broadcast) -> bool:
@@ -251,17 +261,21 @@ def is_bn_independent(f: Broadcast) -> bool:
     return verdict
 
 
-def hearing_violation(f: Broadcast) -> Optional[tuple]:
-    """First pair of broadcasters where one hears the other, or None."""
-    dist = f.host.distances
-    bs = f.broadcasters
-    strengths = f.strengths
+def hearing_scan(strengths, dist) -> Optional[tuple]:
+    """First pair of broadcasters u < v in a raw strength vector where one
+    hears the other, or None."""
+    bs = [v for v in range(len(strengths)) if strengths[v] > 0]
     for i, u in enumerate(bs):
         for v in bs[i + 1 :]:
             d = dist[u][v]
             if 0 <= d <= max(strengths[u], strengths[v]):
                 return (u, v)
     return None
+
+
+def hearing_violation(f: Broadcast) -> Optional[tuple]:
+    """First pair of broadcasters where one hears the other, or None."""
+    return hearing_scan(f.strengths, f.host.distances)
 
 
 def is_hearing_independent(f: Broadcast) -> bool:

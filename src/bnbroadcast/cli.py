@@ -24,7 +24,11 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
+from itertools import islice
 
 from . import __version__
 from .broadcasts import (
@@ -75,7 +79,7 @@ from .trees import Shape, classify_shape
 
 log = logging.getLogger("bnbroadcast")
 
-SCHEMA = 1
+SCHEMA = 2
 
 PROVEN_CHECKS = ("sandwich", "characterization", "chain")
 ALL_CHECKS = ("question1",) + PROVEN_CHECKS
@@ -256,10 +260,7 @@ def cmd_bounds(args):
         "tool": _tool(),
         "input": desc,
         "report": _report_dict(report),
-        "flags": {
-            "budget_exceeded": report.exact_status == "budget_exceeded",
-            "optima_cap_hit": False,
-        },
+        "flags": {"budget_exceeded": report.exact_status == "budget_exceeded"},
         "timings": {"total_ms": round(elapsed, 3)},
     }
     _emit(data, args)
@@ -374,22 +375,15 @@ def cmd_export_dot(args):
 # corpus search
 
 
-def _solve_or_budget(tree, limits):
-    try:
-        res = bn_number(tree, limits)
-        return res.value, res.nodes, None
-    except BudgetExceeded as exc:
-        return None, exc.nodes, exc
+def _over_budget(rec, exc):
+    rec.update(status="budget_exceeded", best_found=exc.best_value,
+               reason=exc.reason)
+    return rec
 
 
-def _search_one(payload):
-    """Evaluate one check on one tree; returns a picklable record."""
-    g6, check, max_nodes, time_ms = payload
-    tree = parse_graph6(g6)
-    limits = None
-    if max_nodes is not None or time_ms is not None:
-        limits = SolveLimits(max_nodes=max_nodes, time_ms=time_ms)
-    rec = {"n": tree.n, "id": g6, "status": "solved", "violation": None}
+def _check_tree(tree, check, limits):
+    """One check on one tree: the search record, without its id."""
+    rec = {"n": tree.n, "status": "solved", "violation": None}
     p = tree.profile
 
     if check in ("question1", "sandwich") and not p.branch:
@@ -399,14 +393,13 @@ def _search_one(payload):
         rec["status"] = "not_applicable"
         return rec
 
-    exact, nodes, budget = _solve_or_budget(tree, limits)
-    rec["nodes"] = nodes
-    if budget is not None:
-        rec["status"] = "budget_exceeded"
-        rec["best_found"] = budget.best_value
-        rec["reason"] = budget.reason
-        return rec
-    rec["exact"] = exact
+    try:
+        res = bn_number(tree, limits)
+    except BudgetExceeded as exc:
+        rec["nodes"] = exc.nodes
+        return _over_budget(rec, exc)
+    rec["nodes"] = res.nodes
+    exact = rec["exact"] = res.value
 
     if check == "question1":
         conjectured = conjectured_upper_bound(tree)
@@ -434,10 +427,7 @@ def _search_one(payload):
         try:
             hres = hearing_number(tree, limits)
         except BudgetExceeded as exc:
-            rec["status"] = "budget_exceeded"
-            rec["best_found"] = exc.best_value
-            rec["reason"] = exc.reason
-            return rec
+            return _over_budget(rec, exc)
         rec["alpha"], rec["hearing"] = alpha, hres.value
         if not (alpha <= exact <= hres.value < 2 * exact):
             rec["violation"] = {
@@ -448,41 +438,66 @@ def _search_one(payload):
     return rec
 
 
+def _search_one(tree, check, limits):
+    """Evaluate one check on one tree; returns a picklable record.
+
+    Only the records that get printed (budget exceeded or violation) carry
+    the tree's graph6 id.
+    """
+    rec = _check_tree(tree, check, limits)
+    if rec["status"] == "budget_exceeded" or rec["violation"] is not None:
+        rec["id"] = emit_graph6(tree)
+    return rec
+
+
+def _pool_map(pool, fn, trees):
+    """pool.map over a stream of trees in batches of 1024.
+
+    Executor.map submits its whole input at once; batching keeps the trees
+    held by the pool bounded however large an order is.
+    """
+    while chunk := list(islice(trees, 1024)):
+        yield from pool.map(fn, chunk, chunksize=8)
+
+
+def _print_record(rec):
+    print(json.dumps(rec, sort_keys=True))
+
+
 def cmd_search(args):
     if args.min_n < 1 or args.max_n < args.min_n:
         raise BadSpec("need 1 <= min-n <= max-n")
     if args.jobs < 1:
         raise BadSpec("--jobs must be at least 1")
-    limits = _parse_limits(args.limits)
-    max_nodes = limits.max_nodes if limits else None
-    time_ms = limits.time_ms if limits else None
-
-    payloads = []
-    for n in range(args.min_n, args.max_n + 1):
-        count = 0
-        for tree in enumerate_trees(n):
-            payloads.append((emit_graph6(tree), args.check, max_nodes, time_ms))
-            count += 1
-        log.info("order %d: %d trees queued", n, count)
+    work = partial(_search_one, check=args.check,
+                   limits=_parse_limits(args.limits))
 
     t0 = time.perf_counter()
-    counts = {"solved": 0, "budget_exceeded": 0, "not_applicable": 0}
-    violations = 0
-    if args.jobs == 1:
-        results = map(_search_one, payloads)
-    else:
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
-        results = pool.map(_search_one, payloads, chunksize=8)
-    for rec in results:
-        counts[rec["status"]] += 1
-        if rec["status"] == "budget_exceeded":
-            print(json.dumps({"type": "budget_exceeded", **rec}, sort_keys=True))
-        if rec["violation"] is not None:
-            violations += 1
-            print(json.dumps({"type": "violation", "check": args.check, **rec},
-                             sort_keys=True))
-    if args.jobs > 1:
-        pool.shutdown()
+    keys = ("trees", "solved", "budget_exceeded", "not_applicable", "violations")
+    totals = dict.fromkeys(keys, 0)
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        mapper = partial(_pool_map, pool) if pool else map
+        for n in range(args.min_n, args.max_n + 1):
+            order = {"type": "order", "n": n, **dict.fromkeys(keys, 0)}
+            margins = Counter()
+            for rec in mapper(work, enumerate_trees(n)):
+                order["trees"] += 1
+                order[rec["status"]] += 1
+                if rec["status"] == "budget_exceeded":
+                    _print_record({"type": "budget_exceeded", **rec})
+                if rec["violation"] is not None:
+                    order["violations"] += 1
+                    _print_record({"type": "violation", "check": args.check, **rec})
+                if args.check == "question1" and rec["status"] == "solved":
+                    margins[str(rec["conjectured"] - rec["exact"])] += 1
+            if args.check == "question1":
+                order["margins"] = dict(margins)
+            _print_record(order)
+            log.info("order %d: %d trees, %d solved, %d over budget, %d violations",
+                     n, order["trees"], order["solved"],
+                     order["budget_exceeded"], order["violations"])
+            for key in keys:
+                totals[key] += order[key]
     elapsed = (time.perf_counter() - t0) * 1000.0
 
     summary = {
@@ -492,15 +507,12 @@ def cmd_search(args):
         "check": args.check,
         "min_n": args.min_n,
         "max_n": args.max_n,
-        "trees": len(payloads),
-        "solved": counts["solved"],
-        "budget_exceeded": counts["budget_exceeded"],
-        "not_applicable": counts["not_applicable"],
-        "violations": violations,
+        **totals,
         "elapsed_ms": round(elapsed, 3),
     }
-    print(json.dumps(summary, sort_keys=True))
+    _print_record(summary)
 
+    violations = totals["violations"]
     if violations and args.check in PROVEN_CHECKS:
         print(
             f"error: {violations} violation(s) of proven result "

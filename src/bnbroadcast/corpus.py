@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import BadSpec, NotATree, ParseError, UnsupportedLongForm
-from .trees import Tree, build_tree
+from .trees import Tree
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def parse_edge_list(text: str) -> Tree:
         seen.add(key)
         edges.append(key)
     n = 1 + max((max(e) for e in edges), default=0)
-    return build_tree(n, edges)
+    return Tree(n, edges)
 
 
 def emit_edge_list(t: Tree) -> str:
@@ -396,4 +396,4 @@ def parse_graph6(text: str) -> Tree:
             if bits[k]:
                 edges.append((i, j))
             k += 1
-    return build_tree(n, edges)
+    return Tree(n, edges)

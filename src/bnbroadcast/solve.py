@@ -4,8 +4,9 @@ Two fully independent routes compute the maximum weight of a
 boundary-independent broadcast:
 
 * bn_number_enum walks the complete strength space and keeps whatever
-  passes a direct definitional validity scan.  It shares no pruning logic
-  with anything else and serves as the ground-truth oracle on small trees.
+  passes the definitional scan (broadcasts.overlap_scan).  It shares no
+  pruning logic with anything else and serves as the ground-truth oracle on
+  small trees.
 
 * bn_number runs a depth-first search over vertices in order of decreasing
   eccentricity with three individually switchable pruning rules: pairwise
@@ -35,10 +36,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
-from .broadcasts import Broadcast, is_bn_independent
+from .broadcasts import Broadcast, hearing_scan, is_bn_independent, overlap_scan
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -50,19 +50,12 @@ from .trees import Forest, Shape, Tree, classify_shape, induced_subgraph
 OPTIMA_CAP = 1_000_000
 
 
-class SolveMode(Enum):
-    ENUM = "enum"
-    PRUNED = "pruned"
-    RESTRICTED = "restricted"
-
-
 @dataclass(frozen=True)
 class SolveLimits:
     """Budgets for the exact solvers; None means unlimited."""
 
     max_nodes: Optional[int] = None
     time_ms: Optional[float] = None
-    mode: SolveMode = SolveMode.PRUNED
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
@@ -162,32 +155,6 @@ class _Budget:
                 )
 
 
-def _overlap_off_boundaries(strengths, dist, n):
-    """Definitional scan: some vertex heard strictly inside two balls?"""
-    bs = [v for v in range(n) if strengths[v] > 0]
-    for i, u in enumerate(bs):
-        su = strengths[u]
-        du = dist[u]
-        for v in bs[i + 1 :]:
-            sv = strengths[v]
-            dv = dist[v]
-            for w in range(n):
-                dwu, dwv = du[w], dv[w]
-                if 0 <= dwu <= su and 0 <= dwv <= sv and (dwu < su or dwv < sv):
-                    return True
-    return False
-
-
-def _hears_another(strengths, dist, n):
-    bs = [v for v in range(n) if strengths[v] > 0]
-    for i, u in enumerate(bs):
-        for v in bs[i + 1 :]:
-            d = dist[u][v]
-            if 0 <= d <= max(strengths[u], strengths[v]):
-                return True
-    return False
-
-
 def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None,
                    collect_optima: bool = False, optima_cap: int = OPTIMA_CAP) -> SolveResult:
     """Ground-truth oracle: enumerate every broadcast, filter, take the max.
@@ -195,16 +162,15 @@ def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None,
     Feasible up to seven or so vertices.  With collect_optima the result
     carries every optimum (capped at optima_cap, flagged when the cap hits).
     """
-    n = tree.n
     dist = tree.distances
     budget = _Budget(limits)
     best = 0
-    best_arr = (0,) * n
+    best_arr = (0,) * tree.n
     optima = [best_arr] if collect_optima else None
     capped = False
     for arr in itertools.product(*(range(e + 1) for e in tree.eccentricities)):
         budget.spend(best, best_arr, tree)
-        if _overlap_off_boundaries(arr, dist, n):
+        if overlap_scan(arr, dist) is not None:
             continue
         w = sum(arr)
         if w > best:
@@ -263,15 +229,14 @@ def _max_weight_dfs(tree, caps, limits, hearing, prune_pairs, prune_edges, prune
     best_arr = [0] * n
     cur = [0] * n
     assigned = []  # (vertex, strength) for broadcasters in the prefix
+    leaf_scan = hearing_scan if hearing else overlap_scan
 
     def visit(k, weight, edges_used):
         nonlocal best, best_arr
         budget.spend(best, best_arr, tree)
         if k == n:
             if weight > best:
-                bad = (_hears_another(cur, dist, n) if hearing
-                       else _overlap_off_boundaries(cur, dist, n))
-                if bad:
+                if leaf_scan(cur, dist) is not None:
                     # only reachable with the pair rule toggled off; with it
                     # on, the rule is exact on trees and filters these early
                     assert not prune_pairs
@@ -475,13 +440,6 @@ class BoundsReport:
     conjecture_ok: Optional[bool]
 
 
-_SOLVERS = {
-    SolveMode.ENUM: bn_number_enum,
-    SolveMode.PRUNED: bn_number,
-    SolveMode.RESTRICTED: bn_number_restricted,
-}
-
-
 def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
                    exact: bool = False) -> BoundsReport:
     """Bounds, applicable formula, and optionally the exact value of one tree.
@@ -517,9 +475,8 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
     witness_exact = None
     status = "not_run"
     if exact:
-        mode = limits.mode if limits else SolveMode.PRUNED
         try:
-            res = _SOLVERS[mode](tree, limits)
+            res = bn_number(tree, limits)
             exact_value = res.value
             witness_exact = res.witness
             nodes = res.nodes

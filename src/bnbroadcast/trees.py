@@ -205,11 +205,6 @@ class Tree(Forest):
         return _compute_profile(self)
 
 
-def build_tree(n: int, edges: Iterable) -> Tree:
-    """Validating constructor; provided as a function for symmetry with parsers."""
-    return Tree(n, edges)
-
-
 class Shape(Enum):
     PATH = "path"
     SPIDER = "spider"
@@ -386,11 +381,6 @@ def branch_representation(tree: Tree) -> Forest:
             if end in p.branch and v < end:
                 edges.add((index[v], index[end]))
     return Forest(len(kept), edges, labels=tuple(kept))
-
-
-def interior_subgraph(tree: Tree) -> Forest:
-    """Forest induced by branch01 and the internal degree-2 vertices."""
-    return tree.profile.interior
 
 
 def classify_shape(tree: Tree) -> frozenset:

@@ -3,9 +3,9 @@ from hypothesis import HealthCheck, settings
 
 from bnbroadcast import (
     SolveLimits,
+    Tree,
     bn_number,
     build_family,
-    build_tree,
     emit_graph6,
     enumerate_trees,
     parse_family_spec,
@@ -44,7 +44,7 @@ T26_EDGES = [
 
 @pytest.fixture(scope="session")
 def t26():
-    return build_tree(26, T26_EDGES)
+    return Tree(26, T26_EDGES)
 
 
 # Order-18 fixture: no internal degree-2 vertices, exactly one branch vertex
@@ -59,7 +59,7 @@ T18_EDGES = [
 
 @pytest.fixture(scope="session")
 def t18():
-    return build_tree(18, T18_EDGES)
+    return Tree(18, T18_EDGES)
 
 
 class SolveCache:

@@ -21,7 +21,6 @@ from bnbroadcast import (
     is_hearing_independent,
     is_maximal_bn,
     lower_bound_witness,
-    make_broadcast,
     parse_broadcast,
     parse_family_spec,
 )
@@ -33,40 +32,40 @@ def path(n):
 
 class TestConstruction:
     def test_valid(self):
-        f = make_broadcast(path(3), (2, 0, 0))
+        f = Broadcast(path(3), (2, 0, 0))
         assert f.weight == 2 and f.broadcasters == (0,)
 
     def test_exceeds_eccentricity(self):
         with pytest.raises(StrengthExceedsEccentricity):
-            make_broadcast(path(3), (3, 0, 0))
+            Broadcast(path(3), (3, 0, 0))
 
     def test_negative(self):
         with pytest.raises(NegativeStrength):
-            make_broadcast(path(3), (-1, 0, 0))
+            Broadcast(path(3), (-1, 0, 0))
 
     def test_wrong_length(self):
         with pytest.raises(InvalidBroadcast):
-            make_broadcast(path(3), (1, 0))
+            Broadcast(path(3), (1, 0))
 
     def test_non_integer(self):
         with pytest.raises(InvalidBroadcast):
-            make_broadcast(path(3), (1.5, 0, 0))
+            Broadcast(path(3), (1.5, 0, 0))
 
     def test_star_leaf_characteristic(self):
         star = build_family(parse_family_spec("spider:1,1,1"))
-        f = make_broadcast(star, (0, 1, 1, 1))
+        f = Broadcast(star, (0, 1, 1, 1))
         assert f.weight == 3
         assert is_bn_independent(f) and is_hearing_independent(f)
 
     def test_hears(self):
-        f = make_broadcast(path(4), (2, 0, 0, 0))
+        f = Broadcast(path(4), (2, 0, 0, 0))
         assert hears(f, 2, 0) and not hears(f, 3, 0)
         assert not hears(f, 0, 1)  # silent vertex
 
 
 class TestAnalyze:
     def test_p5_two_ends(self):
-        f = make_broadcast(path(5), (2, 0, 0, 0, 2))
+        f = Broadcast(path(5), (2, 0, 0, 0, 2))
         a = analyze(f)
         assert a.v_plus == (0, 4)
         assert a.heard[0] == {0, 1, 2} and a.boundary[0] == {2}
@@ -76,29 +75,29 @@ class TestAnalyze:
         assert not a.undominated and not a.uncovered_edges
 
     def test_p3_private_boundary_reduction(self):
-        f = make_broadcast(path(3), (0, 1, 0))
+        f = Broadcast(path(3), (0, 1, 0))
         a = analyze(f)
         assert a.private_boundary[1] == {0, 1, 2}
 
     def test_single_broadcaster_private_is_all(self):
-        f = make_broadcast(path(5), (0, 0, 2, 0, 0))
+        f = Broadcast(path(5), (0, 0, 2, 0, 0))
         a = analyze(f)
         assert a.private_heard[2] == a.heard[2]
 
     def test_v_one_v_plusplus_partition(self):
-        f = make_broadcast(path(5), (1, 0, 0, 0, 2))
+        f = Broadcast(path(5), (1, 0, 0, 0, 2))
         a = analyze(f)
         assert a.v_one == {0} and a.v_plusplus == {4}
 
     def test_plusplus_private_boundary_identity(self):
-        f = make_broadcast(path(5), (2, 0, 0, 0, 2))
+        f = Broadcast(path(5), (2, 0, 0, 0, 2))
         a = analyze(f)
         for v in a.v_plusplus:
             private = a.boundary[v] & a.private_heard[v]
             assert a.private_boundary[v] == private
 
     def test_pure(self):
-        f = make_broadcast(path(5), (2, 0, 0, 0, 2))
+        f = Broadcast(path(5), (2, 0, 0, 0, 2))
         a1, a2 = analyze(f), analyze(f)
         assert a1.covered_by == a2.covered_by
         assert a1.private_boundary == a2.private_boundary
@@ -106,17 +105,17 @@ class TestAnalyze:
 
 class TestDominating:
     def test_examples(self):
-        assert is_dominating(make_broadcast(path(4), (3, 0, 0, 0)))
-        assert not is_dominating(make_broadcast(path(4), (1, 0, 0, 0)))
-        assert not is_dominating(make_broadcast(path(2), (0, 0)))
+        assert is_dominating(Broadcast(path(4), (3, 0, 0, 0)))
+        assert not is_dominating(Broadcast(path(4), (1, 0, 0, 0)))
+        assert not is_dominating(Broadcast(path(2), (0, 0)))
 
 
 class TestBnIndependence:
     def test_p5_boundary_meeting(self):
-        assert is_bn_independent(make_broadcast(path(5), (2, 0, 0, 0, 2)))
+        assert is_bn_independent(Broadcast(path(5), (2, 0, 0, 0, 2)))
 
     def test_p4_violation_edge(self):
-        f = make_broadcast(path(4), (2, 0, 0, 2))
+        f = Broadcast(path(4), (2, 0, 0, 2))
         v = bn_violation(f)
         assert v is not None
         assert (v.u, v.v) == (0, 3)
@@ -130,48 +129,48 @@ class TestBnIndependence:
 
     def test_forest_components_do_not_hear(self):
         g = Forest(5, [(0, 1), (2, 3), (3, 4)])
-        f = make_broadcast(g, (1, 0, 1, 0, 0))
+        f = Broadcast(g, (1, 0, 1, 0, 0))
         assert is_bn_independent(f)
         assert not is_dominating(f)  # vertex 4 hears nobody
 
 
 class TestHearingIndependence:
     def test_examples(self):
-        assert is_hearing_independent(make_broadcast(path(5), (2, 0, 0, 0, 2)))
-        assert is_hearing_independent(make_broadcast(path(4), (2, 0, 0, 2)))
-        f = make_broadcast(path(4), (3, 0, 0, 1))
+        assert is_hearing_independent(Broadcast(path(5), (2, 0, 0, 0, 2)))
+        assert is_hearing_independent(Broadcast(path(4), (2, 0, 0, 2)))
+        f = Broadcast(path(4), (3, 0, 0, 1))
         assert not is_hearing_independent(f)
         assert hearing_violation(f) == (0, 3)
-        assert is_hearing_independent(make_broadcast(path(4), (3, 0, 0, 0)))
+        assert is_hearing_independent(Broadcast(path(4), (3, 0, 0, 0)))
 
 
 class TestMaximality:
     def test_singleton_center(self):
-        assert is_maximal_bn(make_broadcast(path(3), (0, 1, 0)))
+        assert is_maximal_bn(Broadcast(path(3), (0, 1, 0)))
 
     def test_singleton_end(self):
-        assert is_maximal_bn(make_broadcast(path(3), (2, 0, 0)))
+        assert is_maximal_bn(Broadcast(path(3), (2, 0, 0)))
 
     def test_not_dominating(self):
-        f = make_broadcast(path(6), (1, 0, 0, 0, 0, 1))
+        f = Broadcast(path(6), (1, 0, 0, 0, 0, 1))
         assert not is_maximal_bn(f)
 
     def test_two_ends_p5_maximal(self):
-        assert is_maximal_bn(make_broadcast(path(5), (2, 0, 0, 0, 2)))
+        assert is_maximal_bn(Broadcast(path(5), (2, 0, 0, 0, 2)))
 
     def test_requires_bn_independent(self):
         with pytest.raises(NotBnIndependent):
-            is_maximal_bn(make_broadcast(path(4), (2, 0, 0, 2)))
+            is_maximal_bn(Broadcast(path(4), (2, 0, 0, 2)))
 
 
 class TestSerialization:
     def test_format_skips_zeros(self):
-        f = make_broadcast(path(5), (2, 0, 0, 0, 1))
+        f = Broadcast(path(5), (2, 0, 0, 0, 1))
         assert format_broadcast(f) == "0:2 4:1"
 
     def test_round_trip(self):
         t = path(6)
-        f = make_broadcast(t, (3, 0, 0, 1, 0, 1))
+        f = Broadcast(t, (3, 0, 0, 1, 0, 1))
         g = parse_broadcast(format_broadcast(f), t)
         assert g.strengths == f.strengths
 

@@ -3,10 +3,13 @@
 import io
 import json
 import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from bnbroadcast.cli import main
+from bnbroadcast import bn_number_restricted, conjectured_upper_bound, enumerate_trees
+from bnbroadcast.cli import _pool_map, main
 
 D14 = "dspider:2,2/5/2,2"
 
@@ -36,7 +39,7 @@ def jsonl(out):
 class TestAnalyze:
     def test_double_spider_profile(self, run):
         d = run_json(run, ["analyze", D14])
-        assert d["schema"] == 1 and d["tool"]["name"] == "bnbroadcast"
+        assert d["schema"] == 2 and d["tool"]["name"] == "bnbroadcast"
         assert d["input"] == {"kind": "family", "value": D14}
         assert d["n"] == 14
         assert d["shapes"] == ["other"]
@@ -75,7 +78,7 @@ class TestBounds:
         assert r["conjecture_ok"] is True
         assert r["witness_lower"]["weight"] == 10
         assert r["witness_exact"]["weight"] == 11
-        assert d["flags"] == {"budget_exceeded": False, "optima_cap_hit": False}
+        assert d["flags"] == {"budget_exceeded": False}
         assert "total_ms" in d["timings"]
 
     def test_deterministic_apart_from_timings(self, run):
@@ -192,6 +195,9 @@ class TestExportDot:
         assert code == 2
 
 
+COUNT_KEYS = ("trees", "solved", "budget_exceeded", "not_applicable", "violations")
+
+
 class TestSearch:
     def summary_of(self, out):
         recs = jsonl(out)
@@ -208,7 +214,11 @@ class TestSearch:
         # one pure path per order carries no branch vertex
         assert summary["not_applicable"] == 7
         assert summary["solved"] == 18
-        assert not rest
+        assert [r["type"] for r in rest] == ["order"] * 7
+        assert [r["n"] for r in rest] == list(range(1, 8))
+        assert all(set(r) == {"type", "n", *COUNT_KEYS} for r in rest)
+        for key in COUNT_KEYS:
+            assert sum(r[key] for r in rest) == summary[key]
 
     def test_characterization_clean(self, run):
         code, out, _ = run(["search", "--max-n", "7", "--check", "characterization"])
@@ -229,11 +239,39 @@ class TestSearch:
         assert "FINDING" not in err
         summary, _ = self.summary_of(out)
         assert summary["check"] == "question1"
-        assert summary["schema"] == 1 and summary["tool"]["name"] == "bnbroadcast"
+        assert summary["schema"] == 2 and summary["tool"]["name"] == "bnbroadcast"
         assert summary["min_n"] == 1 and summary["max_n"] == 7
         total = summary["solved"] + summary["budget_exceeded"] + summary["not_applicable"]
         assert summary["trees"] == total
         assert "elapsed_ms" in summary
+
+    def test_question1_order_records(self, run):
+        code, out, _ = run(["search", "--max-n", "8", "--check", "question1"])
+        assert code == 0
+        summary, rest = self.summary_of(out)
+        orders = [r for r in rest if r["type"] == "order"]
+        assert [r["n"] for r in orders] == list(range(1, 9))
+        for rec in orders:
+            trees = list(enumerate_trees(rec["n"]))
+            margins = Counter()
+            for t in trees:
+                if any(t.degree(v) >= 3 for v in range(t.n)):
+                    exact = bn_number_restricted(t).value
+                    margins[str(conjectured_upper_bound(t) - exact)] += 1
+            solved = sum(margins.values())
+            assert rec == {
+                "type": "order",
+                "n": rec["n"],
+                "trees": len(trees),
+                "solved": solved,
+                "budget_exceeded": 0,
+                "not_applicable": len(trees) - solved,
+                "violations": sum(c for m, c in margins.items() if int(m) < 0),
+                "margins": dict(margins),
+            }
+        assert sum(r["margins"].get("0", 0) for r in orders) > 0
+        for key in COUNT_KEYS:
+            assert summary[key] == sum(r[key] for r in orders)
 
     def test_jobs_match_serial(self, run):
         _, out1, _ = run(["search", "--max-n", "6", "--jobs", "1"])
@@ -244,6 +282,11 @@ class TestSearch:
         s1.pop("elapsed_ms")
         s2.pop("elapsed_ms")
         assert s1 == s2
+
+    def test_pool_map_keeps_order_across_batches(self):
+        with ThreadPoolExecutor(2) as pool:
+            out = list(_pool_map(pool, abs, iter(range(-2500, 0))))
+        assert out == list(range(2500, 0, -1))
 
     def test_budget_records(self, run):
         code, out, _ = run(

@@ -11,9 +11,9 @@ from bnbroadcast import (
     ParseError,
     PathSpec,
     SpiderSpec,
+    Tree,
     UnsupportedLongForm,
     build_family,
-    build_tree,
     emit_edge_list,
     emit_graph6,
     enumerate_trees,
@@ -177,8 +177,8 @@ class TestEdgeList:
 
 class TestGraph6:
     def test_known_strings(self):
-        assert emit_graph6(build_tree(3, [(0, 1), (1, 2)])) == "Bg"
-        assert emit_graph6(build_tree(1, [])) == "@"
+        assert emit_graph6(Tree(3, [(0, 1), (1, 2)])) == "Bg"
+        assert emit_graph6(Tree(1, [])) == "@"
         t = parse_graph6("Bg")
         assert (t.n, t.edges) == (3, ((0, 1), (1, 2)))
 
@@ -197,7 +197,7 @@ class TestGraph6:
     def test_long_form_unsupported(self):
         with pytest.raises(UnsupportedLongForm):
             parse_graph6(chr(126) + "??")
-        big = build_tree(63, [(i, i + 1) for i in range(62)])
+        big = Tree(63, [(i, i + 1) for i in range(62)])
         with pytest.raises(UnsupportedLongForm):
             emit_graph6(big)
 

@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 import oracles
 from bnbroadcast import (
+    Broadcast,
     Forest,
+    Tree,
     analyze,
     bn_violation,
     branch_representation,
-    build_tree,
     independence_number,
     is_bn_independent,
     is_hearing_independent,
     lower_bound_witness,
-    make_broadcast,
 )
 
 
@@ -23,7 +23,7 @@ def trees(draw, min_n=1, max_n=9):
     # parent arrays with parent < child reach every labeled tree shape
     n = draw(st.integers(min_n, max_n))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    return build_tree(n, edges)
+    return Tree(n, edges)
 
 
 @st.composite
@@ -41,7 +41,7 @@ def forests(draw, max_n=9):
 def broadcasts(draw, min_n=1, max_n=8):
     t = draw(trees(min_n, max_n))
     s = [draw(st.integers(0, t.eccentricities[v])) for v in range(t.n)]
-    return make_broadcast(t, s)
+    return Broadcast(t, s)
 
 
 class TestProfileInvariants:
@@ -99,7 +99,7 @@ class TestProfileInvariants:
     def test_relabeling_invariance(self, t, rng):
         perm = list(range(t.n))
         rng.shuffle(perm)
-        mapped = build_tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+        mapped = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
         sig = lambda g: sorted(
             (g.degree(v), g.eccentricities[v]) for v in range(g.n)
         )
@@ -121,7 +121,7 @@ class TestIndependenceInvariants:
     @given(trees(min_n=2, max_n=9))
     def test_characteristic_broadcast_is_independent(self, t):
         alpha, ws = independence_number(t)
-        f = make_broadcast(t, [1 if v in ws else 0 for v in range(t.n)])
+        f = Broadcast(t, [1 if v in ws else 0 for v in range(t.n)])
         assert f.weight == alpha
         assert is_bn_independent(f) and is_hearing_independent(f)
 
@@ -150,7 +150,7 @@ class TestBroadcastInvariants:
             )
             for w in range(t.n)
         ]
-        g = make_broadcast(t, grown)
+        g = Broadcast(t, grown)
         assert not is_bn_independent(g)
         # the original pair still overlaps somewhere off a boundary
         du, dv = t.distances[v.u], t.distances[v.v]

@@ -16,12 +16,11 @@ from bnbroadcast import (
     NoBranchVertices,
     ShapeMismatch,
     SolveLimits,
-    SolveMode,
+    Tree,
     bn_number,
     bn_number_enum,
     bn_number_restricted,
     build_family,
-    build_tree,
     caterpillar_value,
     compute_bounds,
     conjectured_upper_bound,
@@ -81,7 +80,7 @@ class TestEnumSolver:
         assert bn_number_enum(fam("path:5")).value == 4
 
     def test_k1(self):
-        res = bn_number_enum(build_tree(1, []))
+        res = bn_number_enum(Tree(1, []))
         assert res.value == 0 and res.witness.strengths == (0,)
 
     def test_witness_is_valid_and_optimal(self):
@@ -285,12 +284,6 @@ class TestComputeBounds:
         assert r.exact is None and r.exact_status == "budget_exceeded"
         assert r.best_found is not None and r.witness_exact is not None
         assert r.conjecture_ok is None
-
-    def test_enum_mode(self):
-        r = compute_bounds(
-            fam("spider:1,1,2"), SolveLimits(mode=SolveMode.ENUM), exact=True
-        )
-        assert r.exact == 4 and r.exact_status == "solved"
 
     def test_caterpillar_formula_dispatch(self):
         r = compute_bounds(fam("cat:leafcounts=2,1,2"))

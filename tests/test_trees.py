@@ -16,10 +16,8 @@ from bnbroadcast import (
     branch_representation,
     branch_subtree,
     build_family,
-    build_tree,
     classify_shape,
     induced_subgraph,
-    interior_subgraph,
     leaf_set,
     parse_family_spec,
 )
@@ -35,28 +33,28 @@ def spider(*legs):
 
 class TestConstruction:
     def test_p2(self):
-        t = build_tree(2, [(0, 1)])
+        t = Tree(2, [(0, 1)])
         assert t.n == 2 and t.edges == ((0, 1),)
 
     def test_p3_adjacency_sorted(self):
-        t = build_tree(3, [(2, 1), (1, 0)])
+        t = Tree(3, [(2, 1), (1, 0)])
         assert t.neighbors(1) == (0, 2)
 
     def test_cycle_rejected(self):
         with pytest.raises(NotATree):
-            build_tree(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+            Tree(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
 
     def test_disconnected_rejected(self):
         with pytest.raises(NotATree):
-            build_tree(4, [(0, 1), (2, 3)])
+            Tree(4, [(0, 1), (2, 3)])
 
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(NotATree):
-            build_tree(3, [(0, 1)])
+            Tree(3, [(0, 1)])
 
     def test_bad_vertex(self):
         with pytest.raises(BadVertexIndex):
-            build_tree(2, [(0, 2)])
+            Tree(2, [(0, 2)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(NotAForest):
@@ -206,12 +204,12 @@ class TestRepresentations:
         assert 0 in sub.labels and 1 not in sub.labels
 
     def test_interior_d14(self, d14):
-        inner = interior_subgraph(d14)
+        inner = d14.profile.interior
         assert inner.labels == (2, 3, 4, 5)
         assert len(inner.edges) == 3
 
     def test_interior_spider_empty(self):
-        assert interior_subgraph(spider(2, 2, 2)).n == 0
+        assert spider(2, 2, 2).profile.interior.n == 0
 
 
 class TestInducedSubgraph:
