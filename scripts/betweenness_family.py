@@ -17,7 +17,7 @@ import itertools
 import sys
 
 from bnbroadcast import (
-    bn_number,
+    bn_number_dp,
     build_family,
     conjectured_upper_bound,
     lower_bound_witness,
@@ -60,7 +60,7 @@ def main():
                 upper = upper_bound(tree)
                 conj = conjectured_upper_bound(tree)
                 if args.verify:
-                    solved = bn_number(tree).value
+                    solved = bn_number_dp(tree).value
                     if solved != value:
                         print(f"MISMATCH {spec}: formula {value}, solver {solved}",
                               file=sys.stderr)

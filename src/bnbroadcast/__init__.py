@@ -66,6 +66,7 @@ from .solve import (
     SolveLimits,
     SolveResult,
     bn_number,
+    bn_number_dp,
     bn_number_enum,
     bn_number_restricted,
     caterpillar_value,

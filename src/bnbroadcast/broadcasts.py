@@ -293,7 +293,12 @@ def is_maximal_bn(f: Broadcast) -> bool:
     """
     if bn_violation(f) is not None:
         raise NotBnIndependent("maximality requires a boundary-independent broadcast")
-    a = analyze(f)
+    return _maximal_verdict(f, analyze(f))
+
+
+def _maximal_verdict(f, a):
+    """is_maximal_bn for a broadcast already known to be boundary independent,
+    given its analysis `a`."""
     dominating = not a.undominated
     if not dominating:
         verdict = False

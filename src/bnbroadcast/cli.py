@@ -33,12 +33,12 @@ from itertools import islice
 from . import __version__
 from .broadcasts import (
     Broadcast,
+    _maximal_verdict,
     analyze,
     bn_violation,
     format_broadcast,
     hearing_violation,
     is_dominating,
-    is_maximal_bn,
     parse_broadcast,
 )
 from .corpus import (
@@ -67,7 +67,7 @@ from .errors import (
 )
 from .solve import (
     SolveLimits,
-    bn_number,
+    bn_number_dp,
     compute_bounds,
     conjectured_upper_bound,
     hearing_number,
@@ -294,7 +294,7 @@ def cmd_verify(args):
     maximal = None
     maximal_cert = None
     if bn_ok:
-        maximal = is_maximal_bn(f)
+        maximal = _maximal_verdict(f, a)
         if not maximal:
             if not dominating:
                 maximal_cert = {
@@ -394,7 +394,7 @@ def _check_tree(tree, check, limits):
         return rec
 
     try:
-        res = bn_number(tree, limits)
+        res = bn_number_dp(tree, limits)
     except BudgetExceeded as exc:
         rec["nodes"] = exc.nodes
         return _over_budget(rec, exc)

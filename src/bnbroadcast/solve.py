@@ -1,7 +1,16 @@
 """Exact solvers, bounds, witness construction, and closed formulas.
 
-Two fully independent routes compute the maximum weight of a
-boundary-independent broadcast:
+On a tree a broadcast is boundary independent exactly when no edge is
+covered by two broadcasters, so its maximum weight is the largest total
+radius of edge-disjoint balls B(v, s) with 1 <= s <= ecc(v).
+
+* bn_number_dp computes that value with a rooted DP in O(n * diameter)
+  states and reads an optimal broadcast back from it.  It is the solver
+  compute_bounds and the corpus search call, and its `nodes` counts DP
+  states.
+
+The other solvers are slower, independent routes that the tests compare the
+DP against:
 
 * bn_number_enum walks the complete strength space and keeps whatever
   passes the definitional scan (broadcasts.overlap_scan).  It shares no
@@ -18,11 +27,11 @@ boundary-independent broadcast:
   Every improving assignment is re-validated against the definitional scan
   when assertions are enabled.
 
-bn_number_restricted caps non-leaf strengths at one; for trees this loses
-nothing, which is itself one of the facts the test suite checks, and the
-smaller domains make it the fastest exact route.  hearing_number maximizes
-the weaker hearing-independence predicate with the pruning rules that remain
-sound for it (no edge budget).
+* bn_number_restricted caps non-leaf strengths at one; for trees this loses
+  nothing, which is itself one of the facts the test suite checks.
+
+hearing_number maximizes the weaker hearing-independence predicate with the
+branch-and-bound rules that remain sound for it (no edge budget).
 
 The lower-bound witness assigns, for a maximum independent set X of the
 interior forest: full leaf-set distances for branch vertices with two or
@@ -139,13 +148,15 @@ class _Budget:
         if limits and limits.time_ms is not None:
             self.deadline = time.monotonic() + limits.time_ms / 1000.0
 
-    def spend(self, best_value, best_arr, host):
-        self.nodes += 1
+    def spend(self, best_value, best_arr, host, count=1):
+        before = self.nodes
+        self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceeded(
                 best_value, Broadcast(host, best_arr), self.nodes
             )
-        if self.deadline is not None and self.nodes % 1024 == 0:
+        # the clock is read once per 1024 nodes spent
+        if self.deadline is not None and before >> 10 != self.nodes >> 10:
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded(
                     best_value,
@@ -296,6 +307,9 @@ def bn_number(tree: Tree, limits: Optional[SolveLimits] = None, *,
               prune_bound: bool = True) -> SolveResult:
     """Exact maximum boundary-independent broadcast weight (pruned search).
 
+    A recursive oracle for small trees: the search recurses once per
+    vertex, so it exhausts the interpreter's recursion limit near a
+    thousand vertices.  bn_number_dp is the solver for every tree size.
     The pruning switches exist so tests can run every subset of rules
     against each other; all subsets return the same value and witness.
     """
@@ -314,6 +328,117 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
     """Exact maximum hearing-independent broadcast weight."""
     caps = list(tree.eccentricities)
     return _max_weight_dfs(tree, caps, limits, True, True, False, True)
+
+
+def _bfs(adj, src):
+    """(distances from src, vertices in BFS order) of a tree."""
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    order = [src]
+    for u in order:
+        du = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = du
+                order.append(w)
+    return dist, order
+
+
+def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
+    """Exact maximum boundary-independent broadcast weight by a tree DP.
+
+    The value is the largest total radius of edge-disjoint balls B(v, s),
+    1 <= s <= ecc(v).  Rooted at a centre, every vertex v keeps three
+    families of states about the edge to its parent:
+
+    * g[v]: no ball from below crosses the edge;
+    * out[v][r], r >= 1: a ball from above reaches v with r to spare, so
+      it covers every child edge (out[v][0] is g[v]; zero from height(v));
+    * inn[v][k], k < ecc(v): a ball centred at v or below crosses the edge
+      and reaches the parent with k to spare.
+
+    The states are filled in one iterative post-order and an optimal
+    broadcast is read back top-down; `nodes` counts the states filled.  The
+    witness is checked against the definitional scan before it is returned.
+    The DP keeps no partial optimum, so running out of budget reports 0 and
+    the empty broadcast.
+    """
+    n = tree.n
+    adj = [tree.neighbors(v) for v in range(n)]
+    _, order = _bfs(adj, 0)
+    da, order = _bfs(adj, order[-1])
+    db, _ = _bfs(adj, order[-1])
+    ecc = [max(x, y) for x, y in zip(da, db)]
+    root = min(range(n), key=ecc.__getitem__)
+    depth, order = _bfs(adj, root)
+
+    budget = _Budget(limits)
+    silent = (0,) * n
+    kids = [[c for c in adj[v] if depth[c] > depth[v]] for v in range(n)]
+    height = [0] * n
+    out = [None] * n
+    inn = [None] * n
+    # what the traceback needs once a child's lists are dropped: whether a
+    # ball ending at the parent beats an empty edge, and per inn state the
+    # child passing the ball up (-1: v is the centre)
+    ends = [False] * n
+    pick = [None] * n
+    for v in reversed(order):
+        e = ecc[v]
+        # S[k]: the children under a ball that reaches v with k+1 to spare;
+        # bonus[k]: the ball's own radius, from v as centre or passed up
+        S = [0] * e
+        bonus = list(range(1, e + 1))
+        up = [-1] * e
+        g = 0
+        for c in kids[v]:
+            ic, oc = inn[c], out[c]
+            for k, x in enumerate(oc):
+                S[k] += x
+            lo = len(oc)
+            for k in range(min(e, len(ic) - 1)):
+                t = ic[k + 1] - (oc[k] if k < lo else 0)
+                if t > bonus[k] or (t == bonus[k] and up[k] < 0):
+                    bonus[k] = t
+                    up[k] = c
+            height[v] = max(height[v], height[c] + 1)
+            ends[c] = ic[0] >= oc[0]
+            g += max(oc[0], ic[0])
+            out[c] = inn[c] = None
+        out[v] = [g] + S[: height[v] - 1] if kids[v] else [g]
+        inn[v] = [s + b for s, b in zip(S, bonus)]
+        pick[v] = up
+        budget.spend(0, silent, tree, len(out[v]) + len(inn[v]))
+
+    # traceback: state r >= 0 is out[v][r], state -(k+1) is inn[v][k]; ties
+    # go to the larger ball, which keeps the witness's broadcasters few
+    value = out[root][0]
+    state = 0
+    for k in range(ecc[root] - 1, -1, -1):
+        if inn[root][k] > value or (inn[root][k] == value and state == 0):
+            value, state = inn[root][k], -(k + 1)
+    strengths = [0] * n
+    stack = [(root, state)]
+    while stack:
+        v, state = stack.pop()
+        if state == 0:
+            stack.extend((c, -1 if ends[c] else 0) for c in kids[v])
+        elif state > 0:
+            # r >= height(v): the ball from above covers the whole subtree
+            if state < height[v]:
+                stack.extend((c, state - 1) for c in kids[v])
+        else:
+            k = -state - 1
+            c0 = pick[v][k]
+            if c0 < 0:
+                strengths[v] = k + 1
+            stack.extend((c, -(k + 2) if c == c0 else k) for c in kids[v])
+
+    if sum(strengths) != value or overlap_scan(strengths, tree.distances) is not None:
+        raise InternalInconsistency(
+            f"DP witness {strengths} does not realise the value {value}"
+        )
+    return SolveResult(value=value, witness=Broadcast(tree, strengths), nodes=budget.nodes)
 
 
 def lower_bound_witness(tree: Tree) -> tuple:
@@ -476,7 +601,7 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
     status = "not_run"
     if exact:
         try:
-            res = bn_number(tree, limits)
+            res = bn_number_dp(tree, limits)
             exact_value = res.value
             witness_exact = res.witness
             nodes = res.nodes

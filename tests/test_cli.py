@@ -8,7 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from bnbroadcast import bn_number_restricted, conjectured_upper_bound, enumerate_trees
+from bnbroadcast import (
+    bn_number_restricted,
+    broadcasts,
+    cli,
+    conjectured_upper_bound,
+    enumerate_trees,
+)
 from bnbroadcast.cli import _pool_map, main
 
 D14 = "dspider:2,2/5/2,2"
@@ -104,6 +110,13 @@ class TestBounds:
         code, _, err = run(["bounds", D14, "--limits", "nodes=lots"])
         assert code == 2 and "error" in err
 
+    def test_large_path_exact(self, run):
+        code, out, err = run(["bounds", "path:1100", "--exact", "--json"])
+        assert code == 0 and err == ""
+        r = json.loads(out)["report"]
+        assert r["exact"] == 1099 and r["exact_status"] == "solved"
+        assert r["witness_exact"]["weight"] == 1099
+
 
 class TestWitness:
     def test_double_spider(self, run):
@@ -169,6 +182,63 @@ class TestVerify:
         bpath = self.write(tmp_path, "0:x\n")
         code, _, _ = run(["verify", "path:3", "--broadcast", bpath])
         assert code == 2
+
+    @pytest.mark.parametrize("text, want", [
+        ("7:7 11:2 13:2", {
+            "dominating": True, "undominated": [],
+            "bn_independent": True, "bn_violation": None,
+            "maximal_bn": True, "maximal_certificate": None,
+        }),
+        ("4:2 7:2 9:2 11:1 13:1", {
+            "dominating": True, "undominated": [],
+            "bn_independent": True, "bn_violation": None,
+            "maximal_bn": False,
+            "maximal_certificate": {"kind": "expandable_broadcaster", "vertex": 4},
+        }),
+        ("7:3 9:2", {
+            "dominating": False, "undominated": [1, 3, 4, 5, 10, 11, 12, 13],
+            "bn_independent": False,
+            "bn_violation": {"edge": [0, 8], "u": 7, "v": 9, "vertex": 0},
+            "maximal_bn": None, "maximal_certificate": None,
+        }),
+    ])
+    def test_d14_reports(self, run, tmp_path, text, want):
+        d = run_json(run, ["verify", D14, "--broadcast", self.write(tmp_path, text)])
+        strengths = [0] * 14
+        for token in text.split():
+            v, s = map(int, token.split(":"))
+            strengths[v] = s
+        assert d == {
+            "schema": 2,
+            "tool": d["tool"],
+            "input": {"kind": "family", "value": D14},
+            "broadcast": {
+                "broadcasters": [v for v in range(14) if strengths[v]],
+                "strengths": strengths,
+                "text": text,
+                "weight": sum(strengths),
+            },
+            "valid": True,
+            "hearing_independent": True,
+            "hearing_violation": None,
+            **want,
+        }
+
+    def test_one_scan_per_verify(self, run, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("bn_violation", "analyze"):
+            original = getattr(broadcasts, name)
+
+            def counted(f, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(f)
+
+            monkeypatch.setattr(broadcasts, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        bpath = self.write(tmp_path, "7:7 11:2 13:2\n")
+        d = run_json(run, ["verify", D14, "--broadcast", bpath])
+        assert d["maximal_bn"] is True
+        assert calls == {"bn_violation": 1, "analyze": 1}
 
 
 class TestExportDot:

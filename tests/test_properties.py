@@ -1,14 +1,18 @@
 """Randomized invariants over trees, forests, and broadcasts."""
 
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from bnbroadcast import (
     Broadcast,
+    BudgetExceeded,
     Forest,
+    SolveLimits,
     Tree,
     analyze,
+    bn_number,
+    bn_number_dp,
     bn_violation,
     branch_representation,
     independence_number,
@@ -198,3 +202,18 @@ class TestWitnessInvariants:
         assert weight == t.n - len(p.branch) - len(p.deg2_internal) + alpha_int
         assert f.weight == weight
         assert is_bn_independent(f)
+
+
+class TestDpInvariants:
+    @settings(max_examples=50)
+    @given(trees(max_n=30))
+    def test_dp_matches_budgeted_search(self, t):
+        res = bn_number_dp(t)
+        assert res.witness.weight == res.value
+        assert is_bn_independent(res.witness)
+        try:
+            ref = bn_number(t, SolveLimits(max_nodes=30_000))
+        except BudgetExceeded as exc:
+            assert exc.best_value <= res.value
+            assume(False)
+        assert res.value == ref.value

@@ -18,6 +18,7 @@ from bnbroadcast import (
     SolveLimits,
     Tree,
     bn_number,
+    bn_number_dp,
     bn_number_enum,
     bn_number_restricted,
     build_family,
@@ -143,6 +144,42 @@ class TestPrunedSolver:
         for n in range(1, 7):
             for t in enumerate_trees(n):
                 assert bn_number_restricted(t).value == bn_number(t).value
+
+
+class TestDpSolver:
+    def test_matches_pruned_on_corpus(self):
+        for n in range(1, 12):
+            for t in enumerate_trees(n):
+                res = bn_number_dp(t)
+                assert res.value == bn_number(t).value, t.edges
+                assert res.witness.weight == res.value
+                assert is_bn_independent(res.witness)
+
+    def test_matches_enum_small(self):
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                assert bn_number_dp(t).value == bn_number_enum(t).value, t.edges
+
+    def test_large_trees(self):
+        # the pruned search recurses once per vertex and cannot reach these
+        for spec, value in (("path:1100", 1099), ("spider:200,200,200", 600)):
+            res = bn_number_dp(fam(spec))
+            assert res.value == res.witness.weight == value
+
+    def test_nodes_deterministic(self, d14):
+        assert bn_number_dp(d14).nodes == bn_number_dp(d14).nodes > 0
+
+    def test_node_budget(self, d14):
+        with pytest.raises(BudgetExceeded) as exc:
+            bn_number_dp(d14, SolveLimits(max_nodes=50))
+        e = exc.value
+        assert e.nodes > 50
+        assert e.best_value == e.best_broadcast.weight == 0
+
+    def test_time_budget(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            bn_number_dp(fam("path:300"), SolveLimits(time_ms=1e-6))
+        assert exc.value.reason == "time budget exhausted"
 
 
 class TestHearingSolver:
