@@ -52,18 +52,12 @@ from .corpus import (
 )
 from .errors import (
     BadSpec,
-    BadVertexIndex,
     BudgetExceeded,
-    DegeneratePath,
+    GraphError,
     InternalInconsistency,
     InvalidBroadcast,
-    NoBranchVertices,
-    NotAForest,
-    NotATree,
     NotBnIndependent,
-    NotBranchVertex,
     ParseError,
-    ShapeMismatch,
 )
 from .solve import (
     SolveLimits,
@@ -90,10 +84,13 @@ def _tool():
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _load_tree(args):
@@ -169,7 +166,10 @@ def _parse_limits(text):
                 raise ValueError
         except ValueError:
             raise BadSpec(f"bad --limits entry {piece!r} (want nodes=N,ms=M)") from None
-    return SolveLimits(max_nodes=nodes, time_ms=ms)
+    try:
+        return SolveLimits(max_nodes=nodes, time_ms=ms)
+    except ValueError as exc:
+        raise BadSpec(f"bad --limits {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -609,23 +609,12 @@ def main(argv=None) -> int:
     except (InvalidBroadcast, NotBnIndependent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ParseError,
-        BadSpec,
-        NotATree,
-        NotAForest,
-        BadVertexIndex,
-        DegeneratePath,
-        NoBranchVertices,
-        NotBranchVertex,
-        ShapeMismatch,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except (GraphError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -18,14 +18,13 @@ DP against:
   small trees.
 
 * bn_number runs a depth-first search over vertices in order of decreasing
-  eccentricity with three individually switchable pruning rules: pairwise
-  compatibility of the assigned prefix, a disjoint covered-edge budget, and
-  an optimistic completion bound.  On a tree two broadcasters overlap
-  somewhere off both boundaries exactly when the sum of their strengths
-  exceeds their distance, and a broadcaster of strength s covers the
-  ball(v, s) subtree's edges, which is where the edge budget comes from.
-  Every improving assignment is re-validated against the definitional scan
-  when assertions are enabled.
+  eccentricity with three pruning rules: pairwise compatibility of the
+  assigned prefix, a disjoint covered-edge budget, and an optimistic
+  completion bound.  On a tree two broadcasters overlap somewhere off both
+  boundaries exactly when the sum of their strengths exceeds their
+  distance, and a broadcaster of strength s covers the ball(v, s) subtree's
+  edges, which is where the edge budget comes from.  Every improving
+  assignment is re-validated against the definitional scan.
 
 * bn_number_restricted caps non-leaf strengths at one; for trees this loses
   nothing, which is itself one of the facts the test suite checks.
@@ -54,9 +53,7 @@ from .errors import (
     NoBranchVertices,
     ShapeMismatch,
 )
-from .trees import Forest, Shape, Tree, classify_shape, induced_subgraph
-
-OPTIMA_CAP = 1_000_000
+from .trees import Forest, Shape, Tree, _bfs, classify_shape, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class SolveLimits:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_ms is not None and self.time_ms <= 0:
+        if self.time_ms is not None and not self.time_ms > 0:
             raise ValueError("time_ms must be positive")
 
 
@@ -79,7 +76,6 @@ class SolveResult:
     witness: Broadcast
     nodes: int
     optima: Optional[tuple] = None
-    optima_capped: bool = False
 
 
 def _alpha_value(adj, alive):
@@ -167,18 +163,17 @@ class _Budget:
 
 
 def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None,
-                   collect_optima: bool = False, optima_cap: int = OPTIMA_CAP) -> SolveResult:
+                   collect_optima: bool = False) -> SolveResult:
     """Ground-truth oracle: enumerate every broadcast, filter, take the max.
 
     Feasible up to seven or so vertices.  With collect_optima the result
-    carries every optimum (capped at optima_cap, flagged when the cap hits).
+    carries every optimum.
     """
     dist = tree.distances
     budget = _Budget(limits)
     best = 0
     best_arr = (0,) * tree.n
     optima = [best_arr] if collect_optima else None
-    capped = False
     for arr in itertools.product(*(range(e + 1) for e in tree.eccentricities)):
         budget.spend(best, best_arr, tree)
         if overlap_scan(arr, dist) is not None:
@@ -189,23 +184,18 @@ def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None,
             best_arr = arr
             if collect_optima:
                 optima = [arr]
-                capped = False
         elif collect_optima and w == best:
-            if len(optima) < optima_cap:
-                optima.append(arr)
-            else:
-                capped = True
+            optima.append(arr)
     witness = Broadcast(tree, best_arr)
     return SolveResult(
         value=best,
         witness=witness,
         nodes=budget.nodes,
         optima=tuple(Broadcast(tree, a) for a in optima) if collect_optima else None,
-        optima_capped=capped,
     )
 
 
-def _max_weight_dfs(tree, caps, limits, hearing, prune_pairs, prune_edges, prune_bound):
+def _max_weight_dfs(tree, caps, limits, hearing):
     """Shared branch-and-bound engine for the two pairwise predicates.
 
     caps bounds the strength domain per vertex.  hearing switches the pair
@@ -247,17 +237,17 @@ def _max_weight_dfs(tree, caps, limits, hearing, prune_pairs, prune_edges, prune
         budget.spend(best, best_arr, tree)
         if k == n:
             if weight > best:
+                # the pair rule is exact on trees and filters these early
                 if leaf_scan(cur, dist) is not None:
-                    # only reachable with the pair rule toggled off; with it
-                    # on, the rule is exact on trees and filters these early
-                    assert not prune_pairs
-                    return
+                    raise InternalInconsistency(
+                        f"search reached a dependent assignment {cur}"
+                    )
                 best = weight
                 best_arr = cur[:]
             return
         v = order[k]
         cap = caps[v]
-        if prune_pairs and cap > 0:
+        if cap > 0:
             dv = dist[v]
             for u, su in assigned:
                 d = dv[u]
@@ -272,76 +262,56 @@ def _max_weight_dfs(tree, caps, limits, hearing, prune_pairs, prune_edges, prune
                 new_edges = edges_used
                 if not hearing:
                     ce = bev[s]
-                    if prune_edges and edges_used + ce > edge_total:
+                    if edges_used + ce > edge_total:
                         continue
                     new_edges = edges_used + ce
-                if prune_bound:
-                    future = suffix[k + 1]
-                    if not hearing:
-                        room = edge_total - new_edges
-                        if room < future:
-                            future = room
-                    if weight + s + future <= best:
-                        continue
+                future = suffix[k + 1]
+                if not hearing:
+                    room = edge_total - new_edges
+                    if room < future:
+                        future = room
+                if weight + s + future <= best:
+                    continue
                 cur[v] = s
                 assigned.append((v, s))
                 visit(k + 1, weight + s, new_edges)
                 assigned.pop()
                 cur[v] = 0
-        if prune_bound:
-            future = suffix[k + 1]
-            if not hearing:
-                room = edge_total - edges_used
-                if room < future:
-                    future = room
-            if weight + future <= best:
-                return
+        future = suffix[k + 1]
+        if not hearing:
+            room = edge_total - edges_used
+            if room < future:
+                future = room
+        if weight + future <= best:
+            return
         visit(k + 1, weight, edges_used)
 
     visit(0, 0, 0)
     return SolveResult(value=best, witness=Broadcast(tree, best_arr), nodes=budget.nodes)
 
 
-def bn_number(tree: Tree, limits: Optional[SolveLimits] = None, *,
-              prune_pairs: bool = True, prune_edges: bool = True,
-              prune_bound: bool = True) -> SolveResult:
+def bn_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     """Exact maximum boundary-independent broadcast weight (pruned search).
 
     A recursive oracle for small trees: the search recurses once per
     vertex, so it exhausts the interpreter's recursion limit near a
     thousand vertices.  bn_number_dp is the solver for every tree size.
-    The pruning switches exist so tests can run every subset of rules
-    against each other; all subsets return the same value and witness.
     """
     caps = list(tree.eccentricities)
-    return _max_weight_dfs(tree, caps, limits, False, prune_pairs, prune_edges, prune_bound)
+    return _max_weight_dfs(tree, caps, limits, False)
 
 
 def bn_number_restricted(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     """Exact value under the loss-free restriction: non-leaf strengths <= 1."""
     leaves = tree.profile.leaves
     caps = [e if v in leaves else min(e, 1) for v, e in enumerate(tree.eccentricities)]
-    return _max_weight_dfs(tree, caps, limits, False, True, True, True)
+    return _max_weight_dfs(tree, caps, limits, False)
 
 
 def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     """Exact maximum hearing-independent broadcast weight."""
     caps = list(tree.eccentricities)
-    return _max_weight_dfs(tree, caps, limits, True, True, False, True)
-
-
-def _bfs(adj, src):
-    """(distances from src, vertices in BFS order) of a tree."""
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    order = [src]
-    for u in order:
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                order.append(w)
-    return dist, order
+    return _max_weight_dfs(tree, caps, limits, True)
 
 
 def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
@@ -365,10 +335,7 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     """
     n = tree.n
     adj = [tree.neighbors(v) for v in range(n)]
-    _, order = _bfs(adj, 0)
-    da, order = _bfs(adj, order[-1])
-    db, _ = _bfs(adj, order[-1])
-    ecc = [max(x, y) for x, y in zip(da, db)]
+    ecc = tree.eccentricities
     root = min(range(n), key=ecc.__getitem__)
     depth, order = _bfs(adj, root)
 
@@ -660,14 +627,13 @@ class OptimaReport:
 
     weight: int
     optima_count: int
-    capped: bool
     leaf_hears_nonleaf: tuple
     low_strength_exists: bool
     low_strength_count: int
     overdominated_by2_count: int
 
 
-def optima_properties(tree: Tree, optima, capped: bool = False) -> OptimaReport:
+def optima_properties(tree: Tree, optima) -> OptimaReport:
     """Scan a collection of optimal broadcasts for the structural facts above."""
     p = tree.profile
     dist = tree.distances
@@ -696,7 +662,6 @@ def optima_properties(tree: Tree, optima, capped: bool = False) -> OptimaReport:
     return OptimaReport(
         weight=weight,
         optima_count=len(optima),
-        capped=capped,
         leaf_hears_nonleaf=tuple(violations),
         low_strength_exists=low_count > 0,
         low_strength_count=low_count,

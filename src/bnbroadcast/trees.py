@@ -19,14 +19,16 @@ The decomposition vocabulary used throughout the package:
   vertices.
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
-Distance queries are answered from an n x n matrix built by one BFS per
-vertex (O(n^2) time and space), which is the right trade-off for the tree
-orders this package targets (tens to a few hundred vertices).
+Construction, components and the structural profile take near-linear
+time, and eccentricities three BFS runs per component.  Pairwise distance
+queries are answered from an n x n matrix of one BFS row per vertex
+(O(n^2) time and space), built on the first pairwise read: by the broadcast
+predicates, the solvers' witness checks and oracles, and the Graphviz
+export.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -40,6 +42,29 @@ from .errors import (
     NotATree,
     NotBranchVertex,
 )
+
+
+def _bfs(adj, src):
+    """(distances from src, vertices in BFS order) in src's component; -1
+    marks the vertices of other components."""
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    order = [src]
+    for u in order:
+        du = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = du
+                order.append(w)
+    return dist, order
+
+
+def _root(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _check_edges(n, edges):
@@ -78,15 +103,8 @@ class Forest:
         self._edges = _check_edges(n, edges)
         adj = [[] for _ in range(n)]
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self._edges:
-            ru, rv = find(u), find(v)
+            ru, rv = _root(parent, u), _root(parent, v)
             if ru == rv:
                 raise NotAForest(f"edge ({u}, {v}) closes a cycle")
             parent[ru] = rv
@@ -126,42 +144,18 @@ class Forest:
     @cached_property
     def components(self) -> tuple:
         """Vertex sets of the connected components, each sorted, ordered by minimum."""
-        seen = [False] * self._n
-        comps = []
-        for s in range(self._n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        parent = list(range(self._n))
+        for u, v in self._edges:
+            parent[_root(parent, u)] = _root(parent, v)
+        comps = {}
+        for v in range(self._n):
+            comps.setdefault(_root(parent, v), []).append(v)
+        return tuple(tuple(c) for c in comps.values())
 
     @cached_property
     def distances(self) -> tuple:
         """Full distance matrix; -1 marks vertex pairs in different components."""
-        n = self._n
-        rows = []
-        for s in range(n):
-            row = [-1] * n
-            row[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                du = row[u]
-                for w in self._adj[u]:
-                    if row[w] < 0:
-                        row[w] = du + 1
-                        queue.append(w)
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(tuple(_bfs(self._adj, s)[0]) for s in range(self._n))
 
     def distance(self, u: int, v: int) -> int:
         self._check_vertex(u)
@@ -170,8 +164,21 @@ class Forest:
 
     @cached_property
     def eccentricities(self) -> tuple:
-        """Per-vertex eccentricity measured inside the vertex's own component."""
-        return tuple(max(d for d in row if d >= 0) if row else 0 for row in self.distances)
+        """Per-vertex eccentricity measured inside the vertex's own component.
+
+        Per component, a BFS from any vertex ends at a and one from a ends at
+        b, so a and b are the ends of a longest path and every vertex is
+        farthest from one of them: ecc(v) = max(d(v, a), d(v, b)).
+        """
+        ecc = [-1] * self._n
+        for s in range(self._n):
+            if ecc[s] < 0:
+                _, order = _bfs(self._adj, s)
+                da, order = _bfs(self._adj, order[-1])
+                db, _ = _bfs(self._adj, order[-1])
+                for v in order:
+                    ecc[v] = max(da[v], db[v])
+        return tuple(ecc)
 
     def eccentricity(self, v: int) -> int:
         self._check_vertex(v)
@@ -191,10 +198,9 @@ class Tree(Forest):
             super().__init__(n, edges, labels)
         except NotAForest as exc:
             raise NotATree(str(exc)) from None
+        # acyclic with n - 1 edges, hence connected
         if len(self._edges) != n - 1:
             raise NotATree(f"order {n} needs {n - 1} edges, got {len(self._edges)}")
-        if len(self.components) != 1:
-            raise NotATree("graph is disconnected")
 
     @cached_property
     def diameter(self) -> int:
@@ -283,7 +289,8 @@ def _compute_profile(tree: Tree) -> TreeProfile:
     stems = frozenset(w for v in leaves if deg[v] == 1 for w in tree.neighbors(v))
     branch = frozenset(v for v in range(n) if deg[v] >= 3)
 
-    leaf_sets = {b: set() for b in branch}
+    # leaf_sets[b] maps each leaf of b's endpaths to its distance from b
+    leaf_sets = {b: {} for b in branch}
     external = set()
     for l in sorted(leaves):
         if deg[l] == 0:
@@ -291,7 +298,7 @@ def _compute_profile(tree: Tree) -> TreeProfile:
         end, chain = _walk_past_deg2(tree, l, tree.neighbors(l)[0])
         external.update(chain)
         if end in branch:
-            leaf_sets[end].add(l)
+            leaf_sets[end][l] = len(chain) + 1
     deg2_external = frozenset(external)
     deg2_internal = frozenset(v for v in range(n) if deg[v] == 2) - deg2_external
 
@@ -301,7 +308,7 @@ def _compute_profile(tree: Tree) -> TreeProfile:
 
     loss_table = {}
     for b in branch:
-        ds = sorted(tree.distance(b, l) for l in leaf_sets[b])
+        ds = sorted(leaf_sets[b].values())
         farthest = ds[-1] if ds else 0
         total = sum(ds)
         loss_table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)

@@ -95,3 +95,20 @@ def brute_independence(n, edges):
         if ok:
             best = s.bit_count()
     return best
+
+
+def distance_rows(n, edges):
+    """All-pairs distances by Floyd-Warshall; -1 across components."""
+    inf = n + 1
+    d = [[0 if u == v else inf for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        d[u][v] = d[v][u] = 1
+    for k in range(n):
+        dk = d[k]
+        for row in d:
+            via = row[k]
+            if via < inf:
+                for j in range(n):
+                    if via + dk[j] < row[j]:
+                        row[j] = via + dk[j]
+    return [[x if x < inf else -1 for x in row] for row in d]

@@ -142,9 +142,7 @@ def test_criterion_08_optimum_broadcast_properties(trees_up_to):
     by2 = 0
     for n, t in trees_up_to(2, 7):
         res = bn_number_enum(t, collect_optima=True)
-        rep = optima_properties(t, res.optima, res.optima_capped)
-        if res.optima_capped:
-            continue
+        rep = optima_properties(t, res.optima)
         assert not rep.leaf_hears_nonleaf, t.edges
         assert rep.low_strength_exists, t.edges
         by2 += rep.overdominated_by2_count

@@ -14,6 +14,7 @@ from bnbroadcast import (
     cli,
     conjectured_upper_bound,
     enumerate_trees,
+    trees,
 )
 from bnbroadcast.cli import _pool_map, main
 
@@ -106,9 +107,16 @@ class TestBounds:
         assert d["report"]["exact_status"] == "not_run"
         assert d["report"]["exact"] is None
 
-    def test_bad_limits(self, run):
-        code, _, err = run(["bounds", D14, "--limits", "nodes=lots"])
-        assert code == 2 and "error" in err
+    @pytest.mark.parametrize("argv", [
+        ["bounds", D14, "--limits", "nodes=lots"],
+        ["bounds", "path:5", "--exact", "--limits", "nodes=0"],
+        ["bounds", "path:5", "--exact", "--limits", "ms=-1"],
+        ["bounds", "path:5", "--exact", "--limits", "ms=nan"],
+        ["search", "--max-n", "3", "--limits", "nodes=0"],
+    ], ids=["nodes=lots", "nodes=0", "ms=-1", "ms=nan", "search-nodes=0"])
+    def test_bad_limits(self, run, argv):
+        code, _, err = run(argv)
+        assert code == 2 and err.startswith("error: bad --limits")
 
     def test_large_path_exact(self, run):
         code, out, err = run(["bounds", "path:1100", "--exact", "--json"])
@@ -182,6 +190,12 @@ class TestVerify:
         bpath = self.write(tmp_path, "0:x\n")
         code, _, _ = run(["verify", "path:3", "--broadcast", bpath])
         assert code == 2
+
+    def test_binary_broadcast_exits_2(self, run, tmp_path):
+        p = tmp_path / "f.bin"
+        p.write_bytes(b"0:1 \xff\xfe\n")
+        code, _, err = run(["verify", "path:3", "--broadcast", str(p)])
+        assert code == 2 and "not UTF-8" in err
 
     @pytest.mark.parametrize("text, want", [
         ("7:7 11:2 13:2", {
@@ -400,6 +414,12 @@ class TestInputs:
     def test_missing_file(self, run):
         assert run(["analyze", "/no/such/file"])[0] == 2
 
+    def test_binary_file(self, run, tmp_path):
+        p = tmp_path / "t.edges"
+        p.write_bytes(b"0 1\n\x80\x81\n")
+        code, _, err = run(["analyze", str(p)])
+        assert code == 2 and "not UTF-8" in err
+
     def test_no_input(self, run):
         assert run(["analyze"])[0] == 2
 
@@ -408,6 +428,34 @@ class TestInputs:
 
     def test_bad_g6(self, run):
         assert run(["analyze", "--g6", "B"])[0] == 2
+
+
+class TestLargeInputs:
+    """Commands that read no pairwise distance never build the n x n matrix."""
+
+    @pytest.fixture
+    def no_matrix(self, monkeypatch):
+        def refuse(tree):
+            raise AssertionError(f"distance matrix built for order {tree.n}")
+
+        monkeypatch.setattr(trees.Forest, "distances", property(refuse))
+
+    def test_analyze_large_spider(self, run, no_matrix):
+        d = run_json(run, ["analyze", "spider:1000,1000,1000"])
+        assert d["n"] == 3001 and d["branch"] == [0]
+        assert d["leaf_sets"] == {"0": [1000, 2000, 3000]}
+        assert d["loss"]["0"] == {"farthest": 1000, "loss": 2000, "total": 3000}
+        assert d["interior"]["order"] == 0
+
+    def test_bounds_large_path(self, run, no_matrix):
+        r = run_json(run, ["bounds", "path:3000"])["report"]
+        assert r["formula"] == {"name": "path_spider", "value": 2999}
+        assert r["lower"] is None and r["exact_status"] == "not_run"
+
+    def test_export_dot_large_path(self, run, no_matrix):
+        code, out, _ = run(["export-dot", "path:3000"])
+        assert code == 0 and out.count(" -- ") == 2999
+        assert "  2998 -- 2999;" in out
 
 
 class TestTopLevel:

@@ -114,6 +114,14 @@ class TestProfileInvariants:
         assert losses(t) == losses(mapped)
 
 
+class TestGeometryInvariants:
+    @given(st.one_of(forests(), trees(max_n=30)))
+    def test_eccentricities_match_distance_rows(self, g):
+        rows = oracles.distance_rows(g.n, g.edges)
+        assert [list(r) for r in g.distances] == rows
+        assert list(g.eccentricities) == [max(r) for r in rows]
+
+
 class TestIndependenceInvariants:
     @given(forests())
     def test_matches_brute_force(self, g):

@@ -147,6 +147,15 @@ class TestProfile:
         assert total == d14.n - len(p.branch) - len(p.deg2_internal)
 
 
+    def test_large_spider_builds_no_distance_matrix(self):
+        t = spider(1000, 1000, 1000)
+        p = t.profile
+        assert p.leaf_sets[0] == {1000, 2000, 3000}
+        assert p.loss_table[0].farthest == 1000 and p.loss_table[0].loss == 2000
+        assert t.eccentricity(0) == 1000 and t.diameter == 2000
+        assert "distances" not in vars(t)
+
+
 class TestRepresentations:
     def test_bl_spider(self):
         t = spider(1, 2, 3)
