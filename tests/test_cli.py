@@ -107,6 +107,10 @@ class TestBounds:
         assert d["report"]["exact_status"] == "not_run"
         assert d["report"]["exact"] is None
 
+    def test_bad_limits(self, run):
+        code, _, err = run(["bounds", D14, "--limits", "nodes=lots"])
+        assert code == 2 and "error" in err
+
     @pytest.mark.parametrize("argv", [
         ["bounds", D14, "--limits", "nodes=lots"],
         ["bounds", "path:5", "--exact", "--limits", "nodes=0"],
@@ -114,7 +118,7 @@ class TestBounds:
         ["bounds", "path:5", "--exact", "--limits", "ms=nan"],
         ["search", "--max-n", "3", "--limits", "nodes=0"],
     ], ids=["nodes=lots", "nodes=0", "ms=-1", "ms=nan", "search-nodes=0"])
-    def test_bad_limits(self, run, argv):
+    def test_bad_limits_exit_2(self, run, argv):
         code, _, err = run(argv)
         assert code == 2 and err.startswith("error: bad --limits")
 
