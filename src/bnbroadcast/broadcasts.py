@@ -10,12 +10,23 @@ heard by two broadcasters lies on the boundary of both.  The equivalent
 edge-level reading (no edge covered twice) is computed independently and the
 two verdicts are cross-checked whenever assertions are enabled.
 
+The predicates read distances only from the balls B(v, f(v)) of the
+broadcasters, each found by a BFS that stops at the boundary
+(`Forest.ball`), and from one sweep per component (`_reach`); none builds
+the n x n distance matrix.  The balls of a boundary-independent broadcast
+share no edge, so together they hold at most n - 1 + b vertices for b
+broadcasters, and every predicate is linear on such a broadcast;
+bn_violation stops at the first ball that overlaps an earlier one, so its
+verdict is linear on any broadcast.  overlap_scan and hearing_scan are the
+definitional scans over a distance matrix, kept for the oracle solvers.
+
 Hosts may be forests: eccentricity is measured inside a vertex's component
 and nothing is heard across components.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -70,8 +81,8 @@ def hears(f: Broadcast, u: int, v: int) -> bool:
     s = f.strengths[v]
     if s <= 0:
         return False
-    d = f.host.distance(u, v)
-    return 0 <= d <= s
+    f.host._check_vertex(u)
+    return u in f.host.ball(v, s)
 
 
 class BnViolation(NamedTuple):
@@ -105,62 +116,74 @@ class BroadcastAnalysis:
     uncovered_edges: frozenset
 
 
+def _balls(f):
+    """The ball B(v, f(v)) of every broadcaster v, in increasing order of v:
+    a dict from each vertex hearing v to its distance from v."""
+    host, strengths = f.host, f.strengths
+    return {v: host.ball(v, strengths[v]) for v in f.broadcasters}
+
+
+def _reach(host, sources):
+    """Per vertex x, the largest s - d(v, x) over the pairs (v, s) in
+    `sources`: what the strongest of these broadcasts has left at x, so
+    x hears one of them exactly when it is >= 0.  -n - 1 in components
+    without a source.
+
+    One BFS per component, an upward pass and a downward pass: a best route
+    into x through x's parent never comes from x's own subtree.
+    """
+    n = host.n
+    reach = [-n - 1] * n
+    for v, s in sources:
+        reach[v] = s
+    for comp in host.components:
+        depth = host.ball(comp[0])
+        for x in reversed(depth):
+            for y in host.neighbors(x):
+                if depth[y] < depth[x] and reach[x] - 1 > reach[y]:
+                    reach[y] = reach[x] - 1
+        for x in depth:
+            for y in host.neighbors(x):
+                if depth[y] > depth[x] and reach[x] - 1 > reach[y]:
+                    reach[y] = reach[x] - 1
+    return reach
+
+
 def analyze(f: Broadcast) -> BroadcastAnalysis:
-    """Compute every derived set of the broadcast by direct definition.
+    """Compute every derived set of the broadcast from the broadcasters' balls.
 
     The private boundary uses the reduction form: u is privately bounded by v
     when u hears v but hears nobody once v's strength is lowered by one.
+    That is u hears v alone and, unless f(v) = 1 silences v, sits on v's
+    boundary.  Edge (a, b) is covered by x when both ends lie in x's ball:
+    in a forest the ends of an edge are at distances from x that differ by
+    one, so they never both lie on x's boundary.
     """
     host = f.host
-    n = host.n
-    dist = host.distances
     strengths = f.strengths
-    v_plus = f.broadcasters
+    balls = _balls(f)
+    v_plus = tuple(balls)
+    hearers = Counter(u for ball in balls.values() for u in ball)
 
     heard = {}
     boundary = {}
-    for v in v_plus:
-        s = strengths[v]
-        row = dist[v]
-        heard[v] = frozenset(u for u in range(n) if 0 <= row[u] <= s)
-        boundary[v] = frozenset(u for u in range(n) if row[u] == s)
-
-    private_heard = {
-        v: frozenset(
-            u
-            for u in heard[v]
-            if not any(u in heard[w] for w in v_plus if w != v)
-        )
-        for v in v_plus
-    }
-
+    private_heard = {}
     private_boundary = {}
-    for v in v_plus:
-        reduced = list(strengths)
-        reduced[v] -= 1
-        private_boundary[v] = frozenset(
-            u
-            for u in heard[v]
-            if not any(
-                0 <= dist[w][u] <= reduced[w] for w in range(n) if reduced[w] > 0
-            )
+    covered_by = {e: [] for e in host.edges}
+    for v, ball in balls.items():
+        s = strengths[v]
+        heard[v] = frozenset(ball)
+        boundary[v] = frozenset(u for u, d in ball.items() if d == s)
+        private_heard[v] = frozenset(u for u in ball if hearers[u] == 1)
+        private_boundary[v] = (
+            private_heard[v] if s == 1 else private_heard[v] & boundary[v]
         )
-
-    undominated = frozenset(
-        u for u in range(n) if not any(u in heard[v] for v in v_plus)
-    )
-
-    covered_by = {}
-    for e in host.edges:
-        a, b = e
-        covering = tuple(
-            x
-            for x in v_plus
-            if a in heard[x]
-            and b in heard[x]
-            and not (a in boundary[x] and b in boundary[x])
-        )
-        covered_by[e] = covering
+        for a, d in ball.items():
+            if d < s:
+                for b in host.neighbors(a):
+                    if ball[b] > d:
+                        covered_by[(a, b) if a < b else (b, a)].append(v)
+    covered_by = {e: tuple(xs) for e, xs in covered_by.items()}
     uncovered = frozenset(e for e, xs in covered_by.items() if not xs)
 
     return BroadcastAnalysis(
@@ -172,7 +195,7 @@ def analyze(f: Broadcast) -> BroadcastAnalysis:
         boundary=boundary,
         private_heard=private_heard,
         private_boundary=private_boundary,
-        undominated=undominated,
+        undominated=frozenset(u for u in range(host.n) if u not in hearers),
         covered_by=covered_by,
         uncovered_edges=uncovered,
     )
@@ -180,21 +203,19 @@ def analyze(f: Broadcast) -> BroadcastAnalysis:
 
 def is_dominating(f: Broadcast) -> bool:
     """Every vertex hears at least one broadcaster."""
-    host = f.host
-    dist = host.distances
-    bs = f.broadcasters
-    return all(
-        any(0 <= dist[v][u] <= f.strengths[v] for v in bs) for u in range(host.n)
-    )
+    s = f.strengths
+    reach = _reach(f.host, ((v, s[v]) for v in f.broadcasters))
+    return all(r >= 0 for r in reach)
 
 
-def _next_toward(host, w, v):
-    """Neighbour of w on the unique w-v path (w and v in one component, w != v)."""
-    dw = host.distances[v]
+def _next_toward(host, w, dist):
+    """Neighbour of w one step closer to the centre of `dist`, a ball (vertex
+    -> distance from its centre) that holds w and is not centred at w."""
+    d = dist[w] - 1
     for nb in host.neighbors(w):
-        if dw[nb] == dw[w] - 1:
+        if dist.get(nb) == d:
             return nb
-    raise AssertionError("unreachable: w and v share a component")
+    raise AssertionError("unreachable: the ball holds w's path to its centre")
 
 
 def overlap_scan(strengths, dist) -> Optional[tuple]:
@@ -222,26 +243,59 @@ def overlap_scan(strengths, dist) -> Optional[tuple]:
     return None
 
 
+def _first_overlapping(f):
+    """First broadcaster whose ball shares a vertex with an earlier ball off
+    the boundary of one of them, or None.
+
+    Sweeps the balls in increasing order of their centres, noting for each
+    vertex heard whether some ball hears it inside its boundary, and stops
+    at the first clash: it reads the balls of an independent prefix, at most
+    n - 1 + b vertices, and one ball more.
+    """
+    host, strengths = f.host, f.strengths
+    inside = {}
+    for t in f.broadcasters:
+        s = strengths[t]
+        for w, d in host.ball(t, s).items():
+            was = inside.get(w)
+            if was is not None and (was or d < s):
+                return t
+            inside[w] = d < s
+    return None
+
+
 def bn_violation(f: Broadcast) -> Optional[BnViolation]:
     """First boundary-independence violation in scan order, or None.
 
     The certificate carries the offending broadcaster pair, a vertex heard
-    inside at least one of the two balls, and an edge covered by both.
+    inside at least one of the two balls, and an edge covered by both.  It
+    is the one overlap_scan finds first over the distance matrix: the least
+    pair u < v, then the least vertex.
     """
-    host = f.host
-    hit = overlap_scan(f.strengths, host.distances)
-    if hit is None:
+    t = _first_overlapping(f)
+    if t is None:
         return None
-    u, v, w = hit
-    inside_u = host.distances[u][w] < f.strengths[u]
-    inside_v = host.distances[v][w] < f.strengths[v]
+    host, s = f.host, f.strengths
+    # the balls before t are independent, so every clash involves one from t
+    # on; the balls of u and v share a vertex off a boundary exactly when
+    # d(u, v) < f(u) + f(v), and some u < t clashes with t
+    later = {v: s[v] for v in f.broadcasters if v >= t}
+    reach = _reach(host, later.items())
+    u = next(u for u in f.broadcasters if s[u] + reach[u] > 0)
+    du = host.ball(u)
+    v = next(v for v, sv in later.items() if v in du and du[v] < s[u] + sv)
+    su, sv = s[u], s[v]
+    dv = host.ball(v, sv)
+    w = min(x for x, d in dv.items() if du[x] <= su and (du[x] < su or d < sv))
+    inside_u = du[w] < su
+    inside_v = dv[w] < sv
     # w is interior to one ball; exhibit a doubly covered edge
     if inside_u and inside_v:
-        x = _next_toward(host, w, u) if w != u else _next_toward(host, w, v)
+        x = _next_toward(host, w, du) if w != u else _next_toward(host, w, dv)
     elif inside_u:
-        x = _next_toward(host, w, v)
+        x = _next_toward(host, w, dv)
     else:
-        x = _next_toward(host, w, u)
+        x = _next_toward(host, w, du)
     edge = (w, x) if w < x else (x, w)
     return BnViolation(u=u, v=v, vertex=w, edge=edge)
 
@@ -274,8 +328,19 @@ def hearing_scan(strengths, dist) -> Optional[tuple]:
 
 
 def hearing_violation(f: Broadcast) -> Optional[tuple]:
-    """First pair of broadcasters where one hears the other, or None."""
-    return hearing_scan(f.strengths, f.host.distances)
+    """First pair of broadcasters u < v where one hears the other, or None.
+
+    u and v clash when either lies in the other's ball, so this reads every
+    ball once: linear on a boundary-independent broadcast.
+    """
+    s = f.strengths
+    clashes = (
+        (min(u, v), max(u, v))
+        for u, ball in _balls(f).items()
+        for v in ball
+        if v != u and s[v] > 0
+    )
+    return min(clashes, default=None)
 
 
 def is_hearing_independent(f: Broadcast) -> bool:

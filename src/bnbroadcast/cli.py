@@ -38,7 +38,6 @@ from .broadcasts import (
     bn_violation,
     format_broadcast,
     hearing_violation,
-    is_dominating,
     parse_broadcast,
 )
 from .corpus import (
@@ -340,11 +339,7 @@ def dot_source(tree, f=None):
     strengths = f.strengths if f is not None else (0,) * tree.n
     boundary = set()
     if f is not None:
-        dist = tree.distances
-        for v in f.broadcasters:
-            boundary.update(
-                u for u in range(tree.n) if dist[v][u] == strengths[v]
-            )
+        boundary.update(*analyze(f).boundary.values())
     lines = ["graph tree {", "  node [shape=circle];"]
     for v in range(tree.n):
         attrs = []

@@ -218,7 +218,7 @@ def build_family(spec: FamilySpec) -> Tree:
         for l in legs2:
             nxt = _grow_leg(edges, 1, l, nxt)
         t = Tree(2 + sum(legs1) + sum(legs2) + spec.bridge - 1, edges)
-        assert t.distance(0, 1) == spec.bridge
+        assert t.ball(0)[1] == spec.bridge
         assert t.degree(0) == len(legs1) + 1 and t.degree(1) == len(legs2) + 1
         return t
 
@@ -245,8 +245,9 @@ def build_family(spec: FamilySpec) -> Tree:
                 edges.append((i, nxt))
                 nxt += 1
         t = Tree(m + sum(spacing) - (m - 1) + sum(counts), edges)
-        for i, gap in enumerate(spacing):
-            assert t.distance(i, i + 1) == gap
+        if __debug__:
+            d0 = t.ball(0)
+            assert all(d0[i + 1] - d0[i] == gap for i, gap in enumerate(spacing))
         return t
 
     raise BadSpec(f"unknown family spec {spec!r}")

@@ -37,6 +37,12 @@ interior forest: full leaf-set distances for branch vertices with two or
 more leaves and for one-leaf branch vertices outside X, distance plus one
 for the single leaf of one-leaf branch vertices in X, and strength one to
 the remaining X vertices.  The result is verified before being returned.
+
+The DP, the bounds, the witnesses and the closed formulas read distances
+only from BFS balls (`Forest.ball`) and from the structural profile, so
+none of them builds the O(n^2) distance matrix; bn_number_enum,
+_max_weight_dfs (bn_number, bn_number_restricted, hearing_number) and
+their definitional scans read it, and serve only as oracles.
 """
 
 from __future__ import annotations
@@ -46,14 +52,20 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .broadcasts import Broadcast, hearing_scan, is_bn_independent, overlap_scan
+from .broadcasts import (
+    Broadcast,
+    bn_violation,
+    hearing_scan,
+    is_bn_independent,
+    overlap_scan,
+)
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
     NoBranchVertices,
     ShapeMismatch,
 )
-from .trees import Forest, Shape, Tree, _bfs, classify_shape, induced_subgraph
+from .trees import Forest, Shape, Tree, classify_shape, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -329,7 +341,8 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
 
     The states are filled in one iterative post-order and an optimal
     broadcast is read back top-down; `nodes` counts the states filled.  The
-    witness is checked against the definitional scan before it is returned.
+    witness is checked by bn_violation, linear on an independent broadcast,
+    before it is returned.
     The DP keeps no partial optimum, so running out of budget reports 0 and
     the empty broadcast.
     """
@@ -337,7 +350,7 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     adj = [tree.neighbors(v) for v in range(n)]
     ecc = tree.eccentricities
     root = min(range(n), key=ecc.__getitem__)
-    depth, order = _bfs(adj, root)
+    depth = tree.ball(root)
 
     budget = _Budget(limits)
     silent = (0,) * n
@@ -350,7 +363,7 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     # child passing the ball up (-1: v is the centre)
     ends = [False] * n
     pick = [None] * n
-    for v in reversed(order):
+    for v in reversed(depth):
         e = ecc[v]
         # S[k]: the children under a ball that reaches v with k+1 to spare;
         # bonus[k]: the ball's own radius, from v as centre or passed up
@@ -401,11 +414,12 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
                 strengths[v] = k + 1
             stack.extend((c, -(k + 2) if c == c0 else k) for c in kids[v])
 
-    if sum(strengths) != value or overlap_scan(strengths, tree.distances) is not None:
+    witness = Broadcast(tree, strengths)
+    if witness.weight != value or bn_violation(witness) is not None:
         raise InternalInconsistency(
             f"DP witness {strengths} does not realise the value {value}"
         )
-    return SolveResult(value=value, witness=Broadcast(tree, strengths), nodes=budget.nodes)
+    return SolveResult(value=value, witness=witness, nodes=budget.nodes)
 
 
 def lower_bound_witness(tree: Tree) -> tuple:
@@ -426,10 +440,10 @@ def lower_bound_witness(tree: Tree) -> tuple:
     strengths = [0] * tree.n
     for b in p.branch2plus | (p.branch1 - x):
         for l in p.leaf_sets[b]:
-            strengths[l] = tree.distance(b, l)
+            strengths[l] = p.leaf_distance[l]
     for b in p.branch1 & x:
         (l,) = p.leaf_sets[b]
-        strengths[l] = tree.distance(b, l) + 1
+        strengths[l] = p.leaf_distance[l] + 1
     for v in x & (p.branch0 | p.deg2_internal):
         strengths[v] = 1
 
@@ -478,7 +492,7 @@ def two_branch_value(tree: Tree) -> int:
     if len(p.branch) != 2:
         raise ShapeMismatch(f"tree has {len(p.branch)} branch vertices, not 2")
     b1, b2 = sorted(p.branch)
-    d = tree.distance(b1, b2)
+    d = tree.ball(b1)[b2]
     half_up = (d + 1) // 2
     return tree.n - 1 - min(half_up, p.loss_table[b1].loss, p.loss_table[b2].loss)
 
@@ -636,7 +650,6 @@ class OptimaReport:
 def optima_properties(tree: Tree, optima) -> OptimaReport:
     """Scan a collection of optimal broadcasts for the structural facts above."""
     p = tree.profile
-    dist = tree.distances
     leaves = p.leaves
     violations = []
     low_count = 0
@@ -646,17 +659,17 @@ def optima_properties(tree: Tree, optima) -> OptimaReport:
         for v in f.broadcasters:
             if v in leaves:
                 continue
-            s = f.strengths[v]
+            ball = tree.ball(v, f.strengths[v])
             for l in leaves:
-                if 0 <= dist[v][l] <= s:
+                if l in ball:
                     violations.append((idx, l, v))
         if all(f.strengths[v] <= 1 for v in range(tree.n) if v not in leaves):
             low_count += 1
             if any(
-                dist[l][b] == f.strengths[l] - 2
+                d == f.strengths[l] - 2 and b in p.branch
                 for l in f.broadcasters
                 if l in leaves
-                for b in p.branch
+                for b, d in tree.ball(l, f.strengths[l]).items()
             ):
                 by2 += 1
     return OptimaReport(

@@ -20,11 +20,14 @@ The decomposition vocabulary used throughout the package:
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
 Construction, components and the structural profile take near-linear
-time, and eccentricities three BFS runs per component.  Pairwise distance
-queries are answered from an n x n matrix of one BFS row per vertex
-(O(n^2) time and space), built on the first pairwise read: by the broadcast
-predicates, the solvers' witness checks and oracles, and the Graphviz
-export.
+time, and eccentricities three BFS runs per component.  `Forest.ball`
+returns the vertices within a radius of one vertex with their distances,
+by a BFS that stops at the radius, so it costs the size of the ball, not
+the order of the forest; the broadcast predicates, the witnesses and the
+closed formulas read distances only this way.  `Forest.distance` and
+`Forest.distances` answer pairwise queries from an n x n matrix of one BFS
+row per vertex (O(n^2) time and space), built on the first pairwise read:
+only the oracle solvers and the tests make one.
 """
 
 from __future__ import annotations
@@ -44,19 +47,26 @@ from .errors import (
 )
 
 
-def _bfs(adj, src):
-    """(distances from src, vertices in BFS order) in src's component; -1
-    marks the vertices of other components."""
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    order = [src]
-    for u in order:
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                order.append(w)
-    return dist, order
+def _bfs(adj, src, radius=None):
+    """Distances from src to the vertices within `radius` of it (its whole
+    component when radius is None), as a dict in BFS order.
+
+    Only the neighbours of vertices strictly inside the radius are read, so
+    the cost is linear in the size of the ball, not in the order of the graph.
+    """
+    dist = {src: 0}
+    frontier = [src]
+    d = 0
+    while frontier and d != radius:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def _root(parent, x):
@@ -152,10 +162,19 @@ class Forest:
             comps.setdefault(_root(parent, v), []).append(v)
         return tuple(tuple(c) for c in comps.values())
 
+    def ball(self, v: int, radius: Optional[int] = None) -> dict:
+        """Distance from v of every vertex within `radius` of v (all of v's
+        component when radius is None), in BFS order; O(size of the ball)."""
+        self._check_vertex(v)
+        if radius is not None and radius < 0:
+            raise ValueError(f"radius {radius} is negative")
+        return _bfs(self._adj, v, radius)
+
     @cached_property
     def distances(self) -> tuple:
         """Full distance matrix; -1 marks vertex pairs in different components."""
-        return tuple(tuple(_bfs(self._adj, s)[0]) for s in range(self._n))
+        rows = (_bfs(self._adj, s) for s in range(self._n))
+        return tuple(tuple(r.get(v, -1) for v in range(self._n)) for r in rows)
 
     def distance(self, u: int, v: int) -> int:
         self._check_vertex(u)
@@ -173,11 +192,11 @@ class Forest:
         ecc = [-1] * self._n
         for s in range(self._n):
             if ecc[s] < 0:
-                _, order = _bfs(self._adj, s)
-                da, order = _bfs(self._adj, order[-1])
-                db, _ = _bfs(self._adj, order[-1])
-                for v in order:
-                    ecc[v] = max(da[v], db[v])
+                a = next(reversed(_bfs(self._adj, s)))
+                da = _bfs(self._adj, a)
+                db = _bfs(self._adj, next(reversed(da)))
+                for v, d in da.items():
+                    ecc[v] = max(d, db[v])
         return tuple(ecc)
 
     def eccentricity(self, v: int) -> int:
@@ -231,10 +250,12 @@ class LeafDistances:
 class TreeProfile:
     """Structural decomposition of one tree; all fields are read-only.
 
-    leaf_sets maps each branch vertex to the leaves its endpaths reach, and
-    loss_table to that leaf set's distance statistics.  interior is the
-    forest induced by branch01 union the internal degree-2 vertices; its
-    `labels` map interior indices back to tree vertices.
+    leaf_sets maps each branch vertex to the leaves its endpaths reach,
+    leaf_distance each of those leaves to its distance from that branch
+    vertex, and loss_table each branch vertex to its leaf set's distance
+    statistics.  interior is the forest induced by branch01 union the
+    internal degree-2 vertices; its `labels` map interior indices back to
+    tree vertices.
     """
 
     tree: Tree
@@ -244,6 +265,7 @@ class TreeProfile:
     deg2_external: frozenset
     deg2_internal: frozenset
     leaf_sets: dict
+    leaf_distance: dict
     branch0: frozenset
     branch1: frozenset
     branch2plus: frozenset
@@ -323,6 +345,7 @@ def _compute_profile(tree: Tree) -> TreeProfile:
         deg2_external=deg2_external,
         deg2_internal=deg2_internal,
         leaf_sets={b: frozenset(s) for b, s in leaf_sets.items()},
+        leaf_distance={l: d for s in leaf_sets.values() for l, d in s.items()},
         branch0=branch0,
         branch1=branch1,
         branch2plus=branch2plus,

@@ -2,13 +2,17 @@
 
 Nothing here imports from the package's enumeration or solver internals:
 tree counting goes through Prüfer sequences and an AHU-style canonical form
-minimized over all rootings, and the independence number is brute force
-over vertex subsets.  Agreement between these and the shipped code is the
+minimized over all rootings, the independence number is brute force over
+vertex subsets, distances come from Floyd-Warshall, and the broadcast
+analysis and violation certificate are read off a distance matrix by
+direct definition.  Agreement between these and the shipped code is the
 point of the tests that use them.
 """
 
 import bisect
 from itertools import combinations_with_replacement, product
+
+from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
 
 
 def prufer_decode(seq, n):
@@ -112,3 +116,95 @@ def distance_rows(n, edges):
                     if via + dk[j] < row[j]:
                         row[j] = via + dk[j]
     return [[x if x < inf else -1 for x in row] for row in d]
+
+
+def analyze_by_matrix(f, dist):
+    """Every field of `broadcasts.analyze(f)` by direct definition over the
+    distance matrix `dist` (-1 across components)."""
+    host = f.host
+    n = host.n
+    strengths = f.strengths
+    v_plus = f.broadcasters
+
+    heard = {}
+    boundary = {}
+    for v in v_plus:
+        s = strengths[v]
+        row = dist[v]
+        heard[v] = frozenset(u for u in range(n) if 0 <= row[u] <= s)
+        boundary[v] = frozenset(u for u in range(n) if row[u] == s)
+
+    private_heard = {
+        v: frozenset(
+            u
+            for u in heard[v]
+            if not any(u in heard[w] for w in v_plus if w != v)
+        )
+        for v in v_plus
+    }
+
+    # reduction form: u hears v but nobody once v's strength drops by one
+    private_boundary = {}
+    for v in v_plus:
+        reduced = list(strengths)
+        reduced[v] -= 1
+        private_boundary[v] = frozenset(
+            u
+            for u in heard[v]
+            if not any(
+                0 <= dist[w][u] <= reduced[w] for w in range(n) if reduced[w] > 0
+            )
+        )
+
+    undominated = frozenset(
+        u for u in range(n) if not any(u in heard[v] for v in v_plus)
+    )
+
+    covered_by = {}
+    for e in host.edges:
+        a, b = e
+        covered_by[e] = tuple(
+            x
+            for x in v_plus
+            if a in heard[x]
+            and b in heard[x]
+            and not (a in boundary[x] and b in boundary[x])
+        )
+    uncovered = frozenset(e for e, xs in covered_by.items() if not xs)
+
+    return BroadcastAnalysis(
+        broadcast=f,
+        v_plus=v_plus,
+        v_one=frozenset(v for v in v_plus if strengths[v] == 1),
+        v_plusplus=frozenset(v for v in v_plus if strengths[v] >= 2),
+        heard=heard,
+        boundary=boundary,
+        private_heard=private_heard,
+        private_boundary=private_boundary,
+        undominated=undominated,
+        covered_by=covered_by,
+        uncovered_edges=uncovered,
+    )
+
+
+def bn_certificate(f, dist):
+    """`broadcasts.bn_violation(f)` over the distance matrix `dist`: the first
+    (u, v, w) of the definitional scan, and the edge at w toward the centre
+    of a ball that holds w inside its boundary (toward v when w is u)."""
+    hit = overlap_scan(f.strengths, dist)
+    if hit is None:
+        return None
+    u, v, w = hit
+
+    def toward(c):
+        return next(x for x in f.host.neighbors(w) if dist[c][x] == dist[c][w] - 1)
+
+    inside_u = dist[u][w] < f.strengths[u]
+    inside_v = dist[v][w] < f.strengths[v]
+    if inside_u and inside_v:
+        x = toward(u) if w != u else toward(v)
+    elif inside_u:
+        x = toward(v)
+    else:
+        x = toward(u)
+    return BnViolation(u=u, v=v, vertex=w, edge=(min(w, x), max(w, x)))

@@ -122,6 +122,12 @@ class TestBnIndependence:
         assert v.edge == (1, 2)
         assert not is_bn_independent(f)
 
+    def test_certificate_skips_vertex_on_both_boundaries(self):
+        # leaf 0 lies on both boundaries, so the scan's first vertex is 1
+        star = Forest(4, [(0, 3), (1, 3), (2, 3)])
+        v = bn_violation(Broadcast(star, (0, 2, 2, 0)))
+        assert v == (1, 2, 1, (1, 3))
+
     def test_construction_witness(self, t26):
         lower, f = lower_bound_witness(t26)
         assert lower == 20 and f.weight == 20

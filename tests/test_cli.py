@@ -2,9 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -434,8 +437,13 @@ class TestInputs:
         assert run(["analyze", "--g6", "B"])[0] == 2
 
 
+SPIDER_3K = "spider:1000,1000,1000"
+SPIDER_3K_WITNESS = "1000:1000 2000:1000 3000:1000"
+
+
 class TestLargeInputs:
-    """Commands that read no pairwise distance never build the n x n matrix."""
+    """No command builds the n x n distance matrix; the broadcast checks
+    read balls, the formulas and witnesses the profile and one BFS."""
 
     @pytest.fixture
     def no_matrix(self, monkeypatch):
@@ -460,6 +468,113 @@ class TestLargeInputs:
         code, out, _ = run(["export-dot", "path:3000"])
         assert code == 0 and out.count(" -- ") == 2999
         assert "  2998 -- 2999;" in out
+
+    def test_export_dot_large_path_with_broadcast(self, run, no_matrix, tmp_path):
+        p = tmp_path / "b.txt"
+        p.write_text("0:1000 2000:999\n")
+        code, out, _ = run(["export-dot", "path:3000", "--broadcast", str(p)])
+        assert code == 0
+        dashed = [line for line in out.splitlines() if "style=dashed" in line]
+        assert dashed == [
+            '  1000 [label="1000", style=dashed];',
+            '  1001 [label="1001", style=dashed];',
+            '  2999 [label="2999", style=dashed];',
+        ]
+        assert '  2000 [label="2000/999", penwidth=2];' in out
+
+    def test_analyze_large_double_spider(self, run, no_matrix):
+        d = run_json(run, ["analyze", "dspider:1000,1000/5/1000,1000"])
+        assert d["n"] == 4006 and d["branch"] == [0, 1]
+        assert d["deg2_internal"] == [2, 3, 4, 5]
+        assert d["leaf_sets"] == {"0": [1005, 2005], "1": [3005, 4005]}
+
+    def test_analyze_large_spaced_caterpillar(self, run, no_matrix):
+        d = run_json(run, ["analyze", "cat:leafcounts=2,1,2;spacing=700,900"])
+        assert d["n"] == 1606 and d["branch"] == [0, 1, 2]
+        assert d["deg2_internal_count"] == 1598
+        assert d["interior"]["order"] == 1599
+        assert d["interior"]["independence"] == 800
+
+    def test_bounds_large_spider(self, run, no_matrix):
+        r = run_json(run, ["bounds", SPIDER_3K])["report"]
+        assert (r["lower"], r["upper"], r["conjectured"]) == (3000, 3000, 3000)
+        assert r["formula"] == {"name": "path_spider", "value": 3000}
+        assert r["witness_lower"]["text"] == SPIDER_3K_WITNESS
+
+    def test_witness_and_verify_large_spider(self, run, no_matrix, tmp_path):
+        d = run_json(run, ["witness", SPIDER_3K])
+        assert d["weight"] == 3000
+        assert d["broadcast"]["text"] == SPIDER_3K_WITNESS
+        p = tmp_path / "w.txt"
+        p.write_text(d["broadcast"]["text"] + "\n")
+        v = run_json(run, ["verify", SPIDER_3K, "--broadcast", str(p)])
+        assert v["bn_independent"] and v["hearing_independent"]
+        assert v["dominating"] and v["maximal_bn"] is True
+
+    def test_verify_violating_broadcast_large_spider(self, run, no_matrix, tmp_path):
+        # the certificate the definitional scan finds over the distance matrix
+        p = tmp_path / "bad.txt"
+        p.write_text(SPIDER_3K_WITNESS + " 1500:2\n")
+        v = run_json(run, ["verify", SPIDER_3K, "--broadcast", str(p)])
+        assert v["bn_independent"] is False
+        assert v["bn_violation"] == {
+            "u": 1500, "v": 2000, "vertex": 1498, "edge": [1498, 1499],
+        }
+        assert v["hearing_violation"] == [1500, 2000]
+        assert v["maximal_bn"] is None and v["dominating"] is True
+
+    def test_bounds_exact_large_path(self, run, no_matrix):
+        r = run_json(run, ["bounds", "path:1100", "--exact"])["report"]
+        assert r["exact"] == 1099 and r["exact_status"] == "solved"
+        assert r["witness_exact"]["text"] == "0:1099"
+
+    def test_bounds_two_branch_formula_large(self, run, no_matrix):
+        r = run_json(run, ["bounds", "dspider:500,500/9/500,500"])["report"]
+        assert r["formula"] == {"name": "two_branch", "value": 2004}
+        assert (r["lower"], r["upper"]) == (2004, 2008)
+
+
+class TestOptimizedMode:
+    """Under `python -O` the assertion cross-checks are gone; the output must
+    not change, so no result rests on them."""
+
+    SPECS = (D14, "spider:5,1,6", "cat:leafcounts=2,1,2,0,3")
+
+    def cli(self, flags, args):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bnbroadcast.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        out = json.loads(proc.stdout)
+        out.pop("timings", None)
+        return proc.returncode, out, proc.stderr
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_same_output_without_assertions(self, spec, tmp_path):
+        witness = self.cli([], ["witness", spec, "--json"])[1]
+        assert 0 not in witness["broadcast"]["broadcasters"]
+        good = tmp_path / "good.txt"
+        good.write_text(witness["broadcast"]["text"] + "\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(witness["broadcast"]["text"] + " 0:1\n")
+        commands = [
+            ["bounds", spec, "--exact", "--json"],
+            ["witness", spec, "--json"],
+            ["verify", spec, "--broadcast", str(good), "--json"],
+            ["verify", spec, "--broadcast", str(bad), "--json"],
+        ]
+        plain = [self.cli([], args) for args in commands]
+        assert all(code == 0 for code, _, _ in plain), plain
+        # one independent broadcast and one with a violation
+        assert plain[2][1]["bn_independent"]
+        assert plain[3][1]["bn_violation"] is not None
+        for args, want in zip(commands, plain):
+            assert self.cli(["-O"], args) == want, args
 
 
 class TestTopLevel:

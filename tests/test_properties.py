@@ -1,5 +1,7 @@
 """Randomized invariants over trees, forests, and broadcasts."""
 
+from dataclasses import fields
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +15,18 @@ from bnbroadcast import (
     analyze,
     bn_number,
     bn_number_dp,
+    BroadcastAnalysis,
     bn_violation,
     branch_representation,
+    hearing_violation,
+    hears,
     independence_number,
     is_bn_independent,
+    is_dominating,
     is_hearing_independent,
     lower_bound_witness,
 )
+from bnbroadcast.broadcasts import hearing_scan
 
 
 @st.composite
@@ -46,6 +53,18 @@ def broadcasts(draw, min_n=1, max_n=8):
     t = draw(trees(min_n, max_n))
     s = [draw(st.integers(0, t.eccentricities[v])) for v in range(t.n)]
     return Broadcast(t, s)
+
+
+@st.composite
+def forest_broadcasts(draw, max_n=12):
+    # about half the vertices silent, so independent broadcasts turn up
+    # next to overlapping ones
+    g = draw(forests(max_n))
+    s = [
+        draw(st.one_of(st.just(0), st.integers(0, g.eccentricities[v])))
+        for v in range(g.n)
+    ]
+    return Broadcast(g, s)
 
 
 class TestProfileInvariants:
@@ -120,6 +139,16 @@ class TestGeometryInvariants:
         rows = oracles.distance_rows(g.n, g.edges)
         assert [list(r) for r in g.distances] == rows
         assert list(g.eccentricities) == [max(r) for r in rows]
+
+    @given(st.one_of(forests(), trees(max_n=30)), st.data())
+    def test_balls_match_distance_rows(self, g, data):
+        assume(g.n)
+        v = data.draw(st.integers(0, g.n - 1))
+        r = data.draw(st.integers(0, g.n))
+        row = oracles.distance_rows(g.n, g.edges)[v]
+        ball = g.ball(v, r)
+        assert ball == {u: d for u, d in enumerate(row) if 0 <= d <= r}
+        assert list(ball.values()) == sorted(ball.values())  # BFS order
 
 
 class TestIndependenceInvariants:
@@ -198,6 +227,29 @@ class TestBroadcastInvariants:
         a = analyze(f)
         for v in a.v_plusplus:
             assert a.private_boundary[v] == a.boundary[v] & a.private_heard[v]
+
+
+class TestPredicatesMatchMatrix:
+    """The ball-based predicates against definitions over a Floyd-Warshall
+    distance matrix, on forests (several components) and trees."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(forest_broadcasts(), broadcasts(max_n=12)))
+    def test_predicates_match_matrix_oracles(self, f):
+        g, s = f.host, f.strengths
+        dist = oracles.distance_rows(g.n, g.edges)
+        assert bn_violation(f) == oracles.bn_certificate(f, dist)
+        assert hearing_violation(f) == hearing_scan(s, dist)
+        assert is_dominating(f) == all(
+            any(0 <= dist[v][u] <= s[v] for v in f.broadcasters)
+            for u in range(g.n)
+        )
+        for u in range(g.n):
+            for v in range(g.n):
+                assert hears(f, u, v) == (s[v] > 0 and 0 <= dist[u][v] <= s[v])
+        a, want = analyze(f), oracles.analyze_by_matrix(f, dist)
+        for field in fields(BroadcastAnalysis):
+            assert getattr(a, field.name) == getattr(want, field.name), field.name
 
 
 class TestWitnessInvariants:

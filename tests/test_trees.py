@@ -89,6 +89,17 @@ class TestDistances:
     def test_d14_heads(self, d14):
         assert d14.distance(0, 1) == 5
 
+    def test_ball(self):
+        f = Forest(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        assert f.ball(1, 0) == {1: 0}
+        assert f.ball(1, 1) == {1: 0, 0: 1, 2: 1}
+        assert list(f.ball(0).items()) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+        assert f.ball(5) == {5: 0, 4: 1}
+        with pytest.raises(ValueError):
+            f.ball(0, -1)
+        with pytest.raises(BadVertexIndex):
+            f.ball(6, 1)
+
 
 class TestProfile:
     def test_sp123(self):
@@ -98,6 +109,7 @@ class TestProfile:
         assert leaf_set(t, 0) == {1, 3, 6}
         lt = p.loss_table[0]
         assert (lt.farthest, lt.total, lt.loss) == (3, 6, 3)
+        assert p.leaf_distance == {1: 1, 3: 2, 6: 3}
         assert not p.branch01 and not p.deg2_internal
 
     def test_p6_path_convention(self):
