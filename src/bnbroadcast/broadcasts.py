@@ -201,11 +201,17 @@ def analyze(f: Broadcast) -> BroadcastAnalysis:
     )
 
 
-def is_dominating(f: Broadcast) -> bool:
-    """Every vertex hears at least one broadcaster."""
+def _undominated(f: Broadcast) -> frozenset:
+    """The vertices that hear no broadcaster, from one `_reach` sweep: O(n)
+    however much the balls overlap."""
     s = f.strengths
     reach = _reach(f.host, ((v, s[v]) for v in f.broadcasters))
-    return all(r >= 0 for r in reach)
+    return frozenset(x for x, r in enumerate(reach) if r < 0)
+
+
+def is_dominating(f: Broadcast) -> bool:
+    """Every vertex hears at least one broadcaster."""
+    return not _undominated(f)
 
 
 def _next_toward(host, w, dist):

@@ -34,6 +34,7 @@ from . import __version__
 from .broadcasts import (
     Broadcast,
     _maximal_verdict,
+    _undominated,
     analyze,
     bn_violation,
     format_broadcast,
@@ -284,21 +285,21 @@ def cmd_witness(args):
 def cmd_verify(args):
     tree, desc = _load_tree(args)
     f = parse_broadcast(_read_text(args.broadcast), tree)
-    a = analyze(f)
     violation = bn_violation(f)
     bn_ok = violation is None
     hearing = hearing_violation(f)
-    dominating = not a.undominated
 
     maximal = None
     maximal_cert = None
     if bn_ok:
+        a = analyze(f)
+        undominated = a.undominated
         maximal = _maximal_verdict(f, a)
         if not maximal:
-            if not dominating:
+            if undominated:
                 maximal_cert = {
                     "kind": "undominated_vertex",
-                    "vertex": min(a.undominated),
+                    "vertex": min(undominated),
                 }
             else:
                 v = next(
@@ -307,6 +308,9 @@ def cmd_verify(args):
                     if not (a.boundary[v] - a.private_boundary[v])
                 )
                 maximal_cert = {"kind": "expandable_broadcaster", "vertex": v}
+    else:
+        # the balls overlap, so reading them all could take O(n^2)
+        undominated = _undominated(f)
 
     data = {
         "schema": SCHEMA,
@@ -314,8 +318,8 @@ def cmd_verify(args):
         "input": desc,
         "broadcast": _broadcast_dict(f),
         "valid": True,
-        "dominating": dominating,
-        "undominated": sorted(a.undominated),
+        "dominating": not undominated,
+        "undominated": sorted(undominated),
         "bn_independent": bn_ok,
         "bn_violation": None
         if bn_ok

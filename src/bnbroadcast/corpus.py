@@ -1,13 +1,16 @@
 """Tree corpora: exhaustive non-isomorphic enumeration, parametric
 families, and text interchange formats.
 
-Enumeration generates canonical level sequences of rooted trees with the
-successor rule of Beyer and Hedetniemi (start at the path [1, 2, ..., n],
-repeatedly truncate the last level > 2 and tile the tail periodically from
-the previous occurrence of its parent level).  A rooted tree is kept as the
-representative of its free isomorphism class when its root is a centroid
-and its canonical sequence is the lexicographically minimal one among all
-centroid rootings, so every free tree appears exactly once.
+Enumeration follows Wright, Richmond, Odlyzko and McKay, "Constant time
+generation of free trees" (SIAM J. Comput. 15, 1986).  It walks canonical
+level sequences of rooted trees with the successor rule of Beyer and
+Hedetniemi (drop the last level above 2 to its parent's level and tile the
+tail periodically from there), starting at the path rooted at its centre,
+and visits only the primary ones: those rooted at a centre, with a fixed
+choice between the two centres of a bicentral tree.  Every free tree comes
+out exactly once, and no sequence is generated only to be rejected.  The
+paper's in-place version takes constant amortized time per tree; the list
+version here takes O(n), no more than building the `Tree` does.
 
 Family builders use documented labelings: heads and spine vertices take the
 lowest indices, then bridge or spacing chains, then leaves, each group in
@@ -30,23 +33,85 @@ from .trees import Tree
 # exhaustive enumeration
 
 
-def _successor(seq):
-    """Next canonical rooted level sequence, or None after the star."""
+def _successor(seq, p=None):
+    """The canonical rooted level sequence after `seq` in Beyer-Hedetniemi
+    order (decreasing lexicographic), or None after the star.
+
+    Position p (by default the last one above level 2) drops to the level of
+    its parent q, and the tail repeats seq[q:p] periodically.  Given p, with
+    seq[p] >= 3, this skips every sequence that keeps seq[:p + 1].
+    """
     n = len(seq)
-    p = max((i for i in range(n) if seq[i] > 2), default=None)
     if p is None:
-        return None
-    q = next(i for i in range(p - 1, -1, -1) if seq[i] == seq[p] - 1)
-    out = list(seq[:p])
+        p = n - 1
+        while p > 0 and seq[p] <= 2:
+            p -= 1
+        if p == 0:
+            return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
     period = p - q
-    for i in range(p, n):
-        out.append(out[i - period])
-    return out
+    return seq[:p] + (seq[q:p] * ((n - p) // period + 1))[: n - p]
 
 
-def _rooted_sequences(n: int) -> Iterator[list]:
-    seq = list(range(1, n + 1))
+def _second_branch(seq):
+    """Index of the root's second child in a level sequence, or its length."""
+    try:
+        return seq.index(2, 2)
+    except ValueError:
+        return len(seq)
+
+
+def _is_primary(seq, m):
+    """Whether the canonical rooted sequence `seq`, whose root's second child
+    is at m, is the centre rooting that represents its free tree.
+
+    The first branch seq[1:m] is the deepest.  The root is a centre when the
+    rest of the tree reaches to within one level of it.  When it reaches
+    exactly one level less, the root and its first child are both centres,
+    and the edge between them splits the tree into two parts of equal
+    height; the rooting kept is the one whose first branch is the smaller
+    part: fewer vertices, then the lexicographically smaller sequence.
+    """
+    n = len(seq)
+    deep = max(seq) - 1
+    rest = max(seq[m:], default=1)
+    if rest < deep:
+        return False
+    if rest > deep:
+        return True
+    size = m - 1
+    if size != n - size:
+        return size < n - size
+    return [x - 1 for x in seq[1:m]] <= [1] + seq[m:]
+
+
+def _free_sequences(n: int) -> Iterator[list]:
+    """Level sequences of the free trees of order n, one per isomorphism
+    class, each rooted at a centre (Wright, Richmond, Odlyzko and McKay).
+
+    The walk is the Beyer-Hedetniemi one from the path rooted at its centre.
+    A sequence that is not primary jumps past every sequence with the same
+    first branch, which are all not primary either.  If the jump leaves the
+    root a single child, the last max(seq) - 1 levels become a path hanging
+    from the root, as deep as the first branch: the next primary sequence.
+    """
+    if n <= 2:
+        yield list(range(1, n + 1))
+        return
+    seq = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
     while seq is not None:
+        m = _second_branch(seq)
+        if not _is_primary(seq, m):
+            # the jump tiles the tail with copies of a block that hangs from
+            # the last vertex's parent; below level 2 every copy stays in
+            # the first branch, and the root is left with one child
+            one_branch = seq[m - 1] > 3
+            seq = _successor(seq, m - 1)
+            if one_branch:
+                top = max(seq)
+                seq[n - top + 1 :] = range(2, top + 1)
         yield seq
         seq = _successor(seq)
 
@@ -63,67 +128,18 @@ def _seq_to_parents(seq):
     return parents
 
 
-def _centroids(n, adj):
-    """The one or two vertices minimizing the largest component of T - v."""
-    if n == 1:
-        return [0]
-    size = [1] * n
-    order = [0]
-    parent = [-1] * n
-    for u in order:
-        for w in adj[u]:
-            if w != parent[u]:
-                parent[w] = u
-                order.append(w)
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-    best = n
-    out = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if w != parent[v] and size[w] > heaviest:
-                heaviest = size[w]
-        if heaviest < best:
-            best, out = heaviest, [v]
-        elif heaviest == best:
-            out.append(v)
-    return out
-
-
-def _canon_levels(adj, root, parent=-1):
-    """Canonical level sequence of (T, root): child blocks sorted high first."""
-    blocks = sorted(
-        (_canon_levels(adj, w, root) for w in adj[root] if w != parent),
-        reverse=True,
-    )
-    seq = [1]
-    for b in blocks:
-        seq.extend(x + 1 for x in b)
-    return tuple(seq)
-
-
 def enumerate_trees(n: int) -> Iterator[Tree]:
     """All non-isomorphic trees of order n, one per class, fixed order.
 
-    Practical up to n around 16.  Vertices are numbered in level order of
-    the surviving centroid rooting.
+    Trees come in the order of `_free_sequences`, with nothing generated and
+    rejected.  Vertices are numbered in the order of the level sequence of
+    the centre rooting (a preorder), so vertex 0 is a centre.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    for seq in _rooted_sequences(n):
+    for seq in _free_sequences(n):
         parents = _seq_to_parents(seq)
-        edges = [(parents[v], v) for v in range(1, n)]
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        cents = _centroids(n, adj)
-        if 0 not in cents:
-            continue
-        forms = {c: _canon_levels(adj, c) for c in cents}
-        if forms[0] == min(forms.values()):
-            yield Tree(n, edges)
+        yield Tree(n, [(parents[v], v) for v in range(1, n)])
 
 
 # ---------------------------------------------------------------------------

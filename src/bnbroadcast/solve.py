@@ -65,7 +65,7 @@ from .errors import (
     NoBranchVertices,
     ShapeMismatch,
 )
-from .trees import Forest, Shape, Tree, classify_shape, induced_subgraph
+from .trees import Forest, Shape, Tree, classify_shape
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ class SolveResult:
 
 
 def _alpha_value(adj, alive):
-    """Independence number of the forest induced on `alive` (tree DP)."""
+    """Independence number of the forest induced on `alive` (tree DP);
+    `adj[v]` is read only for v in `alive`."""
     seen = set()
     total = 0
     for r in sorted(alive):
@@ -475,7 +476,8 @@ def conjectured_upper_bound(tree: Tree) -> int:
     p = tree.profile
     if not p.branch:
         raise NoBranchVertices("the conjectured bound needs a branch vertex")
-    alpha_r, _ = independence_number(induced_subgraph(tree, p.branch01))
+    r = p.branch01
+    alpha_r = _alpha_value({v: tree.neighbors(v) for v in r}, r)
     return tree.n - len(p.branch) + alpha_r
 
 

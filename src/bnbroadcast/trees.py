@@ -253,9 +253,9 @@ class TreeProfile:
     leaf_sets maps each branch vertex to the leaves its endpaths reach,
     leaf_distance each of those leaves to its distance from that branch
     vertex, and loss_table each branch vertex to its leaf set's distance
-    statistics.  interior is the forest induced by branch01 union the
-    internal degree-2 vertices; its `labels` map interior indices back to
-    tree vertices.
+    statistics.  interior, built on first read, is the forest induced by
+    branch01 union the internal degree-2 vertices; its `labels` map interior
+    indices back to tree vertices.
     """
 
     tree: Tree
@@ -270,12 +270,15 @@ class TreeProfile:
     branch1: frozenset
     branch2plus: frozenset
     loss_table: dict
-    interior: Forest
 
     @property
     def branch01(self) -> frozenset:
         """Branch vertices with at most one endpath leaf."""
         return self.branch0 | self.branch1
+
+    @cached_property
+    def interior(self) -> Forest:
+        return induced_subgraph(self.tree, self.branch01 | self.deg2_internal)
 
 
 def induced_subgraph(tree: Forest, vertices) -> Forest:
@@ -335,8 +338,6 @@ def _compute_profile(tree: Tree) -> TreeProfile:
         total = sum(ds)
         loss_table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)
 
-    interior = induced_subgraph(tree, branch0 | branch1 | deg2_internal)
-
     return TreeProfile(
         tree=tree,
         leaves=leaves,
@@ -350,7 +351,6 @@ def _compute_profile(tree: Tree) -> TreeProfile:
         branch1=branch1,
         branch2plus=branch2plus,
         loss_table=loss_table,
-        interior=interior,
     )
 
 

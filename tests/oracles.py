@@ -1,18 +1,24 @@
 """Independent reference implementations used only by the test suite.
 
-Nothing here imports from the package's enumeration or solver internals:
-tree counting goes through Prüfer sequences and an AHU-style canonical form
-minimized over all rootings, the independence number is brute force over
-vertex subsets, distances come from Floyd-Warshall, and the broadcast
-analysis and violation certificate are read off a distance matrix by
-direct definition.  Agreement between these and the shipped code is the
-point of the tests that use them.
+Nothing here imports from the package's solver internals: tree counting
+goes through Prüfer sequences and an AHU-style canonical form minimized
+over all rootings, the independence number is brute force over vertex
+subsets, distances come from Floyd-Warshall, and the broadcast analysis and
+violation certificate are read off a distance matrix by direct definition.
+The enumeration internals used are the rooted successor
+(`corpus._successor`, counted against A000081 on its own) and the
+level-sequence decoder: the centroid generator walks every rooted tree and
+keeps representatives by centroid and canonical form, where the package
+picks centre rootings without generating the rest.  Agreement between
+these and the shipped code is the point of the tests that use them.
 """
 
 import bisect
 from itertools import combinations_with_replacement, product
 
+from bnbroadcast import Tree
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
+from bnbroadcast.corpus import _seq_to_parents, _successor
 
 
 def prufer_decode(seq, n):
@@ -39,12 +45,17 @@ def _rooted_form(adj, v, parent):
     )
 
 
-def free_canon(n, edges):
-    """Canonical form of a free tree: minimal rooted AHU form over all roots."""
+def _adjacency(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    return adj
+
+
+def free_canon(n, edges):
+    """Canonical form of a free tree: minimal rooted AHU form over all roots."""
+    adj = _adjacency(n, edges)
     return min(_rooted_form(adj, r, -1) for r in range(n))
 
 
@@ -76,6 +87,79 @@ def free_trees_by_prufer_full(n):
         free_canon(n, prufer_decode(seq, n))
         for seq in product(range(n), repeat=n - 2)
     }
+
+
+def rooted_sequences(n):
+    """Every canonical rooted level sequence of order n (A000081 of them),
+    from the path down to the star."""
+    seq = list(range(1, n + 1))
+    while seq is not None:
+        yield seq
+        seq = _successor(seq)
+
+
+def _centroids(n, adj):
+    """The one or two vertices minimizing the largest component of T - v."""
+    if n == 1:
+        return [0]
+    size = [1] * n
+    order = [0]
+    parent = [-1] * n
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    best = n
+    out = []
+    for v in range(n):
+        heaviest = n - size[v]
+        for w in adj[v]:
+            if w != parent[v] and size[w] > heaviest:
+                heaviest = size[w]
+        if heaviest < best:
+            best, out = heaviest, [v]
+        elif heaviest == best:
+            out.append(v)
+    return out
+
+
+def _canon_levels(adj, root, parent=-1):
+    """Canonical level sequence of (T, root): child blocks sorted high first."""
+    blocks = sorted(
+        (_canon_levels(adj, w, root) for w in adj[root] if w != parent),
+        reverse=True,
+    )
+    seq = [1]
+    for b in blocks:
+        seq.extend(x + 1 for x in b)
+    return tuple(seq)
+
+
+def centroid_canon(n, edges):
+    """Canonical form of a free tree: the least canonical level sequence
+    over its centroid rootings."""
+    adj = _adjacency(n, edges)
+    return min(_canon_levels(adj, c) for c in _centroids(n, adj))
+
+
+def enumerate_trees_by_centroid(n):
+    """All free trees of order n, one per class, by rejection: walk every
+    rooted level sequence and keep it when its root is a centroid whose
+    canonical sequence is the least among the centroid rootings.  Vertices
+    are numbered in level-sequence order."""
+    for seq in rooted_sequences(n):
+        parents = _seq_to_parents(seq)
+        edges = [(parents[v], v) for v in range(1, n)]
+        adj = _adjacency(n, edges)
+        cents = _centroids(n, adj)
+        if 0 not in cents:
+            continue
+        forms = {c: _canon_levels(adj, c) for c in cents}
+        if forms[0] == min(forms.values()):
+            yield Tree(n, edges)
 
 
 def brute_independence(n, edges):

@@ -261,6 +261,16 @@ class TestVerify:
         assert d["maximal_bn"] is True
         assert calls == {"bn_violation": 1, "analyze": 1}
 
+    def test_violating_verify_skips_analyze(self, run, tmp_path, monkeypatch):
+        def refuse(f):
+            raise AssertionError("analyze reads every ball")
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        bpath = self.write(tmp_path, "7:3 9:2\n")
+        d = run_json(run, ["verify", D14, "--broadcast", bpath])
+        assert d["bn_independent"] is False
+        assert d["undominated"] == [1, 3, 4, 5, 10, 11, 12, 13]
+
 
 class TestExportDot:
     def test_plain(self, run):
@@ -373,6 +383,19 @@ class TestSearch:
         s1.pop("elapsed_ms")
         s2.pop("elapsed_ms")
         assert s1 == s2
+
+    @pytest.mark.parametrize(
+        "case", json.loads((Path(__file__).parent / "search_records.json").read_text()),
+        ids=lambda case: " ".join(case["argv"]),
+    )
+    def test_records_frozen(self, run, case):
+        # order records and summaries of an earlier generator, which yielded
+        # the trees of each order in another order and labelling
+        code, out, _ = run(["search"] + case["argv"])
+        assert code == 0
+        recs = jsonl(out)
+        recs[-1].pop("elapsed_ms")
+        assert recs == case["records"]
 
     def test_pool_map_keeps_order_across_batches(self):
         with ThreadPoolExecutor(2) as pool:

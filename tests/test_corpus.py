@@ -22,16 +22,20 @@ from bnbroadcast import (
     parse_family_spec,
     parse_graph6,
 )
-from bnbroadcast.corpus import _rooted_sequences
+from bnbroadcast.corpus import _free_sequences
 
 FREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 ROOTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115, 9: 286, 10: 719}
+# A000055 beyond FREE_COUNTS
+MORE_FREE_COUNTS = {11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741,
+                    16: 19320, 17: 48629, 18: 123867}
+SLOW_FREE_COUNTS = {19: 317955, 20: 823065, 21: 2144505}
 
 
 class TestEnumeration:
     def test_rooted_counts(self):
         for n, want in ROOTED_COUNTS.items():
-            assert sum(1 for _ in _rooted_sequences(n)) == want
+            assert sum(1 for _ in oracles.rooted_sequences(n)) == want
 
     def test_free_counts(self):
         for n, want in FREE_COUNTS.items():
@@ -53,6 +57,28 @@ class TestEnumeration:
         for n in range(1, 11):
             ours = {oracles.free_canon(n, t.edges) for t in enumerate_trees(n)}
             assert ours == oracles.free_trees_by_prufer(n)
+
+    def test_matches_centroid_generator(self):
+        for n in range(1, 15):
+            ours = []
+            for t in enumerate_trees(n):
+                assert t.n == n
+                ours.append(oracles.centroid_canon(n, t.edges))
+            want = {
+                oracles.centroid_canon(n, t.edges)
+                for t in oracles.enumerate_trees_by_centroid(n)
+            }
+            assert len(ours) == len(set(ours)) == len(want)
+            assert set(ours) == want
+
+    def test_free_sequence_counts(self):
+        for n, want in MORE_FREE_COUNTS.items():
+            assert sum(1 for _ in _free_sequences(n)) == want
+
+    @pytest.mark.slow
+    def test_free_sequence_counts_slow(self):
+        for n, want in SLOW_FREE_COUNTS.items():
+            assert sum(1 for _ in _free_sequences(n)) == want
 
     def test_restricted_prufer_is_complete(self):
         for n in range(1, 8):

@@ -26,7 +26,7 @@ from bnbroadcast import (
     is_hearing_independent,
     lower_bound_witness,
 )
-from bnbroadcast.broadcasts import hearing_scan
+from bnbroadcast.broadcasts import _undominated, hearing_scan
 
 
 @st.composite
@@ -250,6 +250,7 @@ class TestPredicatesMatchMatrix:
         a, want = analyze(f), oracles.analyze_by_matrix(f, dist)
         for field in fields(BroadcastAnalysis):
             assert getattr(a, field.name) == getattr(want, field.name), field.name
+        assert _undominated(f) == want.undominated
 
 
 class TestWitnessInvariants:
