@@ -17,8 +17,9 @@ the n x n distance matrix.  The balls of a boundary-independent broadcast
 share no edge, so together they hold at most n - 1 + b vertices for b
 broadcasters, and every predicate is linear on such a broadcast;
 bn_violation stops at the first ball that overlaps an earlier one, so its
-verdict is linear on any broadcast.  overlap_scan and hearing_scan are the
-definitional scans over a distance matrix, kept for the oracle solvers.
+verdict is linear on any broadcast, and hearing_violation reads two sweeps
+and one BFS whatever the broadcast.  overlap_scan, the definitional scan
+over a distance matrix, stays for the oracle solvers.
 
 Hosts may be forests: eccentricity is measured inside a vertex's component
 and nothing is heard across components.
@@ -125,28 +126,39 @@ def _balls(f):
 
 def _reach(host, sources):
     """Per vertex x, the largest s - d(v, x) over the pairs (v, s) in
-    `sources`: what the strongest of these broadcasts has left at x, so
-    x hears one of them exactly when it is >= 0.  -n - 1 in components
-    without a source.
+    `sources`: what the strongest of these broadcasts has left at x, so x
+    hears one of them exactly when it is >= 0.  Returns three lists: that
+    value, the source v it comes from, and the largest value at x from any
+    other source; -n - 1 where there is none.
 
     One BFS per component, an upward pass and a downward pass: a best route
-    into x through x's parent never comes from x's own subtree.
+    into x through x's parent never comes from x's own subtree, and when a
+    source outside x's subtree is among the two best at x, it is among the
+    two best at x's parent.
     """
     n = host.n
-    reach = [-n - 1] * n
+    best = [-n - 1] * n
+    by = [-1] * n
+    second = [-n - 1] * n
+    by2 = [-1] * n
     for v, s in sources:
-        reach[v] = s
+        best[v], by[v] = s, v
     for comp in host.components:
         depth = host.ball(comp[0])
-        for x in reversed(depth):
-            for y in host.neighbors(x):
-                if depth[y] < depth[x] and reach[x] - 1 > reach[y]:
-                    reach[y] = reach[x] - 1
-        for x in depth:
-            for y in host.neighbors(x):
-                if depth[y] > depth[x] and reach[x] - 1 > reach[y]:
-                    reach[y] = reach[x] - 1
-    return reach
+        up = [(x, y) for x in reversed(depth) for y in host.neighbors(x)
+              if depth[y] < depth[x]]
+        # each (x, y): offer y the two best at x, one step further on
+        for x, y in up + [(y, x) for x, y in reversed(up)]:
+            for value, source in ((best[x] - 1, by[x]), (second[x] - 1, by2[x])):
+                if source == by[y]:
+                    if value > best[y]:
+                        best[y] = value
+                elif value > best[y]:
+                    second[y], by2[y] = best[y], by[y]
+                    best[y], by[y] = value, source
+                elif value > second[y]:
+                    second[y], by2[y] = value, source
+    return best, by, second
 
 
 def analyze(f: Broadcast) -> BroadcastAnalysis:
@@ -205,7 +217,7 @@ def _undominated(f: Broadcast) -> frozenset:
     """The vertices that hear no broadcaster, from one `_reach` sweep: O(n)
     however much the balls overlap."""
     s = f.strengths
-    reach = _reach(f.host, ((v, s[v]) for v in f.broadcasters))
+    reach, _, _ = _reach(f.host, ((v, s[v]) for v in f.broadcasters))
     return frozenset(x for x, r in enumerate(reach) if r < 0)
 
 
@@ -286,7 +298,7 @@ def bn_violation(f: Broadcast) -> Optional[BnViolation]:
     # on; the balls of u and v share a vertex off a boundary exactly when
     # d(u, v) < f(u) + f(v), and some u < t clashes with t
     later = {v: s[v] for v in f.broadcasters if v >= t}
-    reach = _reach(host, later.items())
+    reach, _, _ = _reach(host, later.items())
     u = next(u for u in f.broadcasters if s[u] + reach[u] > 0)
     du = host.ball(u)
     v = next(v for v, sv in later.items() if v in du and du[v] < s[u] + sv)
@@ -321,32 +333,33 @@ def is_bn_independent(f: Broadcast) -> bool:
     return verdict
 
 
-def hearing_scan(strengths, dist) -> Optional[tuple]:
-    """First pair of broadcasters u < v in a raw strength vector where one
-    hears the other, or None."""
-    bs = [v for v in range(len(strengths)) if strengths[v] > 0]
-    for i, u in enumerate(bs):
-        for v in bs[i + 1 :]:
-            d = dist[u][v]
-            if 0 <= d <= max(strengths[u], strengths[v]):
-                return (u, v)
-    return None
-
-
 def hearing_violation(f: Broadcast) -> Optional[tuple]:
     """First pair of broadcasters u < v where one hears the other, or None.
 
-    u and v clash when either lies in the other's ball, so this reads every
-    ball once: linear on a boundary-independent broadcast.
+    u clashes with another broadcaster v when v lies in u's ball (d(u, v)
+    <= f(u)) or u lies in v's ball (f(v) - d(u, v) >= 0).  A `_reach` sweep
+    of zeros gives every u the distance to the nearest other broadcaster,
+    which settles the first test, and some pair clashes exactly when one of
+    them holds the other in its ball.  Only then does a sweep of the
+    strengths settle the second test; the least u that clashes is the first
+    of the least pair, and one BFS from u finds its least partner.  Linear
+    on any broadcast.
     """
-    s = f.strengths
-    clashes = (
-        (min(u, v), max(u, v))
-        for u, ball in _balls(f).items()
-        for v in ball
-        if v != u and s[v] > 0
-    )
-    return min(clashes, default=None)
+    host, s = f.host, f.strengths
+    bs = f.broadcasters
+
+    def others(sources):
+        """Per vertex u, the best value at u from a source other than u."""
+        best, by, second = _reach(host, sources)
+        return [second[u] if by[u] == u else best[u] for u in range(host.n)]
+
+    near = others((v, 0) for v in bs)
+    if all(near[u] < -s[u] for u in bs):
+        return None
+    heard = others((v, s[v]) for v in bs)
+    u = next(u for u in bs if near[u] >= -s[u] or heard[u] >= 0)
+    du = host.ball(u)
+    return u, min(v for v in bs if v != u and v in du and du[v] <= max(s[u], s[v]))
 
 
 def is_hearing_independent(f: Broadcast) -> bool:

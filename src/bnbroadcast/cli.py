@@ -376,7 +376,7 @@ def cmd_export_dot(args):
 
 def _over_budget(rec, exc):
     rec.update(status="budget_exceeded", best_found=exc.best_value,
-               reason=exc.reason)
+               nodes=exc.nodes, reason=exc.reason)
     return rec
 
 
@@ -395,7 +395,6 @@ def _check_tree(tree, check, limits):
     try:
         res = bn_number_dp(tree, limits)
     except BudgetExceeded as exc:
-        rec["nodes"] = exc.nodes
         return _over_budget(rec, exc)
     rec["nodes"] = res.nodes
     exact = rec["exact"] = res.value

@@ -4,13 +4,23 @@ On a tree a broadcast is boundary independent exactly when no edge is
 covered by two broadcasters, so its maximum weight is the largest total
 radius of edge-disjoint balls B(v, s) with 1 <= s <= ecc(v).
 
-* bn_number_dp computes that value with a rooted DP in O(n * diameter)
-  states and reads an optimal broadcast back from it.  It is the solver
-  compute_bounds and the corpus search call, and its `nodes` counts DP
-  states.
+Every solver on a command-line path is an iterative rooted DP that reads an
+optimal broadcast back, checks it with the linear predicate of its rule and
+counts its states as `nodes`:
 
-The other solvers are slower, independent routes that the tests compare the
-DP against:
+* bn_number_dp computes the boundary-independence number in
+  O(n * diameter) states.  compute_bounds and the corpus search call it.
+
+* hearing_number computes the hearing-independence number (no broadcaster
+  in another's ball; the balls may overlap) over Pareto sets of (nearest
+  broadcaster, largest reach) states.  `search --check chain` calls it.
+
+* independence_number finds the lexicographically least maximum
+  independent set with one weighted DP (_max_independent_set), which
+  conjectured_upper_bound also runs on the branch01 vertices.
+
+The other solvers are slower, independent routes that the tests compare
+the boundary-independence DP against:
 
 * bn_number_enum walks the complete strength space and keeps whatever
   passes the definitional scan (broadcasts.overlap_scan).  It shares no
@@ -29,20 +39,17 @@ DP against:
 * bn_number_restricted caps non-leaf strengths at one; for trees this loses
   nothing, which is itself one of the facts the test suite checks.
 
-hearing_number maximizes the weaker hearing-independence predicate with the
-branch-and-bound rules that remain sound for it (no edge budget).
-
 The lower-bound witness assigns, for a maximum independent set X of the
 interior forest: full leaf-set distances for branch vertices with two or
 more leaves and for one-leaf branch vertices outside X, distance plus one
 for the single leaf of one-leaf branch vertices in X, and strength one to
 the remaining X vertices.  The result is verified before being returned.
 
-The DP, the bounds, the witnesses and the closed formulas read distances
+The DPs, the bounds, the witnesses and the closed formulas read distances
 only from BFS balls (`Forest.ball`) and from the structural profile, so
-none of them builds the O(n^2) distance matrix; bn_number_enum,
-_max_weight_dfs (bn_number, bn_number_restricted, hearing_number) and
-their definitional scans read it, and serve only as oracles.
+none of them builds the O(n^2) distance matrix; bn_number_enum and
+_max_weight_dfs (bn_number, bn_number_restricted) and their definitional
+scan read it, and serve only as oracles.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from typing import Optional
 from .broadcasts import (
     Broadcast,
     bn_violation,
-    hearing_scan,
+    hearing_violation,
     is_bn_independent,
     overlap_scan,
 )
@@ -90,59 +97,59 @@ class SolveResult:
     optima: Optional[tuple] = None
 
 
-def _alpha_value(adj, alive):
-    """Independence number of the forest induced on `alive` (tree DP);
-    `adj[v]` is read only for v in `alive`."""
-    seen = set()
-    total = 0
-    for r in sorted(alive):
-        if r in seen:
+def _max_independent_set(neighbors, vertices) -> tuple:
+    """Lexicographically least maximum independent set of the forest induced
+    on `vertices`, as (size, frozenset); `neighbors(v)` is read only for v in
+    `vertices`.
+
+    One weighted tree DP per component: the vertex of rank i among the k
+    vertices weighs 2^k + 2^(k-1-i).  The 2^k terms make every optimum a
+    maximum independent set, and the low bits, read as a binary number,
+    rank the sets of equal size lexicographically, least sorted tuple
+    highest.  Distinct sets have distinct weights, so the optimum is unique
+    and the traceback never meets a tie.
+    """
+    rank = {v: i for i, v in enumerate(sorted(vertices))}
+    k = len(rank)
+    top = 1 << k
+    parent = {}
+    chosen = []
+    for r in rank:
+        if r in parent:
             continue
         order = [r]
-        parent = {r: None}
-        seen.add(r)
+        parent[r] = None
         for u in order:
-            for w in adj[u]:
-                if w in alive and w not in parent:
+            for w in neighbors(u):
+                if w in rank and w not in parent:
                     parent[w] = u
-                    seen.add(w)
                     order.append(w)
-        incl = {}
+        # per vertex: the best weight without it and the best at all, kept
+        # only until its parent reads them; `better`: taking it beats not
         excl = {}
+        best = {}
+        better = {}
         for u in reversed(order):
-            i, e = 1, 0
-            for w in adj[u]:
-                if w in alive and w != parent[u]:
-                    i += excl[w]
-                    e += max(incl[w], excl[w])
-            incl[u], excl[u] = i, e
-        total += max(incl[r], excl[r])
-    return total
+            i = top | (1 << (k - 1 - rank[u]))
+            e = 0
+            for w in neighbors(u):
+                if w in rank and w != parent[u]:
+                    i += excl.pop(w)
+                    e += best.pop(w)
+            better[u] = i > e
+            excl[u], best[u] = e, max(i, e)
+        taken = set()
+        for u in order:
+            if better[u] and parent[u] not in taken:
+                taken.add(u)
+        chosen.extend(taken)
+    return len(chosen), frozenset(chosen)
 
 
 def independence_number(g: Forest) -> tuple:
-    """Maximum independent set size of a forest, with one witness set.
-
-    The witness is the lexicographically least maximum independent set:
-    greedily keep the lowest-indexed vertex whose inclusion still allows a
-    set of maximum size.
-    """
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
-    alive = set(range(g.n))
-    alpha = _alpha_value(adj, alive)
-    target = alpha
-    chosen = []
-    for v in range(g.n):
-        if v not in alive:
-            continue
-        rest = alive - {v} - adj[v]
-        if 1 + _alpha_value(adj, rest) == target:
-            chosen.append(v)
-            alive = rest
-            target -= 1
-        else:
-            alive.discard(v)
-    return alpha, frozenset(chosen)
+    """Maximum independent set size of a forest, with one witness set: the
+    lexicographically least maximum independent set."""
+    return _max_independent_set(g.neighbors, range(g.n))
 
 
 class _Budget:
@@ -208,31 +215,29 @@ def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None,
     )
 
 
-def _max_weight_dfs(tree, caps, limits, hearing):
-    """Shared branch-and-bound engine for the two pairwise predicates.
+def _max_weight_dfs(tree, caps, limits):
+    """Branch-and-bound engine of the two boundary-independence oracles.
 
-    caps bounds the strength domain per vertex.  hearing switches the pair
-    rule from strength-sum-vs-distance to neither-hears-the-other and turns
-    the edge budget off (hearing-independent balls may overlap).
+    caps bounds the strength domain per vertex.  Two broadcasters are
+    compatible when their distance is at least the sum of their strengths,
+    and the balls' covered edges are charged to a budget of n - 1 edges.
     """
     n = tree.n
     dist = tree.distances
     order = sorted(range(n), key=lambda v: (-tree.eccentricities[v], v))
     edge_total = n - 1
 
-    ball_edges = None
-    if not hearing:
-        ball_edges = []
-        for v in range(n):
-            counts = [0] * (tree.eccentricities[v] + 1)
-            for d in dist[v]:
-                counts[d] += 1
-            acc = []
-            run = 0
-            for c in counts:
-                run += c
-                acc.append(run - 1)
-            ball_edges.append(acc)
+    ball_edges = []
+    for v in range(n):
+        counts = [0] * (tree.eccentricities[v] + 1)
+        for d in dist[v]:
+            counts[d] += 1
+        acc = []
+        run = 0
+        for c in counts:
+            run += c
+            acc.append(run - 1)
+        ball_edges.append(acc)
 
     suffix = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -243,7 +248,6 @@ def _max_weight_dfs(tree, caps, limits, hearing):
     best_arr = [0] * n
     cur = [0] * n
     assigned = []  # (vertex, strength) for broadcasters in the prefix
-    leaf_scan = hearing_scan if hearing else overlap_scan
 
     def visit(k, weight, edges_used):
         nonlocal best, best_arr
@@ -251,7 +255,7 @@ def _max_weight_dfs(tree, caps, limits, hearing):
         if k == n:
             if weight > best:
                 # the pair rule is exact on trees and filters these early
-                if leaf_scan(cur, dist) is not None:
+                if overlap_scan(cur, dist) is not None:
                     raise InternalInconsistency(
                         f"search reached a dependent assignment {cur}"
                     )
@@ -263,26 +267,19 @@ def _max_weight_dfs(tree, caps, limits, hearing):
         if cap > 0:
             dv = dist[v]
             for u, su in assigned:
-                d = dv[u]
-                limit = (d - 1 if su < d else 0) if hearing else d - su
+                limit = dv[u] - su
                 if limit < cap:
                     cap = limit
                     if cap <= 0:
                         break
         if cap > 0:
-            bev = ball_edges[v] if not hearing else None
+            bev = ball_edges[v]
             for s in range(cap, 0, -1):
-                new_edges = edges_used
-                if not hearing:
-                    ce = bev[s]
-                    if edges_used + ce > edge_total:
-                        continue
-                    new_edges = edges_used + ce
-                future = suffix[k + 1]
-                if not hearing:
-                    room = edge_total - new_edges
-                    if room < future:
-                        future = room
+                ce = bev[s]
+                if edges_used + ce > edge_total:
+                    continue
+                new_edges = edges_used + ce
+                future = min(suffix[k + 1], edge_total - new_edges)
                 if weight + s + future <= best:
                     continue
                 cur[v] = s
@@ -290,12 +287,7 @@ def _max_weight_dfs(tree, caps, limits, hearing):
                 visit(k + 1, weight + s, new_edges)
                 assigned.pop()
                 cur[v] = 0
-        future = suffix[k + 1]
-        if not hearing:
-            room = edge_total - edges_used
-            if room < future:
-                future = room
-        if weight + future <= best:
+        if weight + min(suffix[k + 1], edge_total - edges_used) <= best:
             return
         visit(k + 1, weight, edges_used)
 
@@ -311,20 +303,14 @@ def bn_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     thousand vertices.  bn_number_dp is the solver for every tree size.
     """
     caps = list(tree.eccentricities)
-    return _max_weight_dfs(tree, caps, limits, False)
+    return _max_weight_dfs(tree, caps, limits)
 
 
 def bn_number_restricted(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     """Exact value under the loss-free restriction: non-leaf strengths <= 1."""
     leaves = tree.profile.leaves
     caps = [e if v in leaves else min(e, 1) for v, e in enumerate(tree.eccentricities)]
-    return _max_weight_dfs(tree, caps, limits, False)
-
-
-def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
-    """Exact maximum hearing-independent broadcast weight."""
-    caps = list(tree.eccentricities)
-    return _max_weight_dfs(tree, caps, limits, True)
+    return _max_weight_dfs(tree, caps, limits)
 
 
 def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
@@ -423,6 +409,119 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     return SolveResult(value=value, witness=witness, nodes=budget.nodes)
 
 
+def _pareto(cands):
+    """The states of `cands`, a dict (D, R) -> (weight, link), that no other
+    state beats: (D', R', w') beats (D, R, w) when D' >= D, R' <= R and
+    w' >= w."""
+    kept = {}
+    top = max(r for _, r in cands)
+    best = [-1] * (top + 1)  # best[r]: the largest weight kept with R <= r
+    for key in sorted(cands, key=lambda k: (-k[0], k[1])):
+        entry = cands[key]
+        w = entry[0]
+        r = key[1]
+        if best[r] >= w:
+            continue
+        kept[key] = entry
+        while r <= top and best[r] < w:
+            best[r] = w
+            r += 1
+    return kept
+
+
+def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
+    """Exact maximum hearing-independent broadcast weight by a tree DP.
+
+    Hearing independence asks that no broadcaster lies in another's ball;
+    the balls themselves may overlap.  Rooted at a centre, every vertex v
+    keeps a Pareto set of states (D, R) -> best weight of its subtree:
+
+    * D: the distance from v to the nearest broadcaster below or at v (n
+      when there is none);
+    * R: the largest f(w) - d(w, v) over those broadcasters w, floored at
+      0.  Every vertex outside the subtree is at least 1 from v, so no
+      outside broadcaster hears one inside when R is 0 or less.
+
+    A subtree fits an outside part (D', R') exactly when R < D' and R' < D,
+    so at a silent v the children's states, shifted one step up, merge in
+    pairs that pass that test into (min D, max R).  v broadcasts with
+    strength s <= ecc(v) over children whose shifted states have D > s and
+    no broadcaster reaching v, giving the state (0, s).  A state beaten by
+    another with a larger or equal D, a smaller or equal R and a larger or
+    equal weight is dropped.
+
+    The states are filled in one iterative post-order and an optimal
+    broadcast is read back top-down; `nodes` counts the states kept.  The
+    witness is checked by hearing_violation before it is returned.  The DP
+    keeps no partial optimum, so running out of budget reports 0 and the
+    empty broadcast.
+    """
+    n = tree.n
+    ecc = tree.eccentricities
+    root = min(range(n), key=ecc.__getitem__)
+    depth = tree.ball(root)
+    kids = [[c for c in tree.neighbors(v) if depth[c] > depth[v]] for v in range(n)]
+
+    budget = _Budget(limits)
+    silent = (0,) * n
+    # states[v]: (D, R) -> (weight, link); a silent v links the children's
+    # states it merged as (last child's key, (previous child's key, ...))
+    states = [None] * n
+    for v in reversed(depth):
+        acc = {(n, 0): (0, None)}
+        for c in kids[v]:
+            shifted = {}
+            for (d, r), (w, _) in states[c].items():
+                key = (d + 1 if d < n else n, r - 1 if r else 0)
+                if key not in shifted or shifted[key][0] < w:
+                    shifted[key] = (w, (d, r))
+            merged = {}
+            for (da, ra), (wa, link) in acc.items():
+                for (db, rb), (wb, ck) in shifted.items():
+                    if db > ra and da > rb:
+                        key = (da if da < db else db, ra if ra > rb else rb)
+                        w = wa + wb
+                        if key not in merged or merged[key][0] < w:
+                            merged[key] = (w, (ck, link))
+            acc = _pareto(merged)
+        # v broadcasts with strength s: every child keeps its best state with
+        # R = 0 and D >= s, which is the one with the least such D
+        quiet = [sorted((d, w) for (d, r), (w, _) in states[c].items() if r == 0)
+                 for c in kids[v]]
+        at = [0] * len(quiet)
+        for s in range(1, ecc[v] + 1):
+            w = s
+            for i, q in enumerate(quiet):
+                while q[at[i]][0] < s:
+                    at[i] += 1
+                w += q[at[i]][1]
+            acc[(0, s)] = (w, None)
+        states[v] = _pareto(acc)
+        budget.spend(0, silent, tree, len(states[v]))
+
+    value, key = max((w, k) for k, (w, _) in states[root].items())
+    strengths = [0] * n
+    stack = [(root, key)]
+    while stack:
+        v, (d, r) = stack.pop()
+        if d == 0:
+            strengths[v] = r
+            for c in kids[v]:
+                stack.append((c, min(k for k in states[c] if k[1] == 0 and k[0] >= r)))
+        else:
+            link = states[v][(d, r)][1]
+            for c in reversed(kids[v]):
+                ck, link = link
+                stack.append((c, ck))
+
+    witness = Broadcast(tree, strengths)
+    if witness.weight != value or hearing_violation(witness) is not None:
+        raise InternalInconsistency(
+            f"hearing DP witness {strengths} does not realise the value {value}"
+        )
+    return SolveResult(value=value, witness=witness, nodes=budget.nodes)
+
+
 def lower_bound_witness(tree: Tree) -> tuple:
     """Constructive lower bound for trees with a branch vertex.
 
@@ -434,9 +533,15 @@ def lower_bound_witness(tree: Tree) -> tuple:
     p = tree.profile
     if not p.branch:
         raise NoBranchVertices("the lower bound needs a branch vertex")
-    interior = p.interior
-    alpha_int, x_local = independence_number(interior)
-    x = frozenset(interior.labels[i] for i in x_local)
+    return _lower_bound_witness(tree, independence_number(p.interior))
+
+
+def _lower_bound_witness(tree, interior_mis):
+    """lower_bound_witness given (alpha, X) of the interior forest, X in the
+    forest's own vertex numbers."""
+    p = tree.profile
+    alpha_int, x_local = interior_mis
+    x = frozenset(p.interior.labels[i] for i in x_local)
 
     strengths = [0] * tree.n
     for b in p.branch2plus | (p.branch1 - x):
@@ -476,8 +581,7 @@ def conjectured_upper_bound(tree: Tree) -> int:
     p = tree.profile
     if not p.branch:
         raise NoBranchVertices("the conjectured bound needs a branch vertex")
-    r = p.branch01
-    alpha_r = _alpha_value({v: tree.neighbors(v) for v in r}, r)
+    alpha_r, _ = _max_independent_set(tree.neighbors, p.branch01)
     return tree.n - len(p.branch) + alpha_r
 
 
@@ -559,12 +663,13 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
     """
     p = tree.profile
     shapes = classify_shape(tree)
-    alpha_int, _ = independence_number(p.interior)
+    interior_mis = independence_number(p.interior)
+    alpha_int = interior_mis[0]
 
     lower = upper = conjectured = None
     witness_lower = None
     if p.branch:
-        lower, witness_lower = lower_bound_witness(tree)
+        lower, witness_lower = _lower_bound_witness(tree, interior_mis)
         upper = upper_bound(tree)
         conjectured = conjectured_upper_bound(tree)
 

@@ -2,9 +2,11 @@
 
 Nothing here imports from the package's solver internals: tree counting
 goes through Prüfer sequences and an AHU-style canonical form minimized
-over all rootings, the independence number is brute force over vertex
-subsets, distances come from Floyd-Warshall, and the broadcast analysis and
-violation certificate are read off a distance matrix by direct definition.
+over all rootings, the independence number and the lexicographically least
+maximum independent set are brute force over vertex subsets, distances come
+from Floyd-Warshall, the broadcast analysis, the violation certificate and
+the hearing scan are read off a distance matrix by direct definition, and
+the hearing-independence number is a maximum over broadcaster sets.
 The enumeration internals used are the rooted successor
 (`corpus._successor`, counted against A000081 on its own) and the
 level-sequence decoder: the centroid generator walks every rooted tree and
@@ -14,7 +16,7 @@ these and the shipped code is the point of the tests that use them.
 """
 
 import bisect
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from bnbroadcast import Tree
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
@@ -185,6 +187,16 @@ def brute_independence(n, edges):
     return best
 
 
+def lex_least_independent_set(n, edges):
+    """(size, set) of the lexicographically least maximum independent set:
+    the largest size first, then the least sorted tuple (n <= ~16)."""
+    for k in range(n, -1, -1):
+        for combo in combinations(range(n), k):
+            chosen = set(combo)
+            if not any(u in chosen and v in chosen for u, v in edges):
+                return k, frozenset(combo)
+
+
 def distance_rows(n, edges):
     """All-pairs distances by Floyd-Warshall; -1 across components."""
     inf = n + 1
@@ -292,3 +304,37 @@ def bn_certificate(f, dist):
     else:
         x = toward(u)
     return BnViolation(u=u, v=v, vertex=w, edge=(min(w, x), max(w, x)))
+
+
+def hearing_scan(strengths, dist):
+    """First pair of broadcasters u < v in a raw strength vector where one
+    hears the other, or None."""
+    bs = [v for v in range(len(strengths)) if strengths[v] > 0]
+    for i, u in enumerate(bs):
+        for v in bs[i + 1 :]:
+            d = dist[u][v]
+            if 0 <= d <= max(strengths[u], strengths[v]):
+                return (u, v)
+    return None
+
+
+def hearing_by_subsets(tree):
+    """Hearing-independence number by definition over broadcaster sets.
+
+    For a fixed set S of broadcasters, the constraints separate per vertex:
+    v in S may broadcast up to min(ecc(v), d_S(v) - 1), where d_S(v) is the
+    distance to the nearest other member of S.  The maximum over every S of
+    the sum is the value (n <= ~12).
+    """
+    n = tree.n
+    dist = distance_rows(n, tree.edges)
+    ecc = [max(row) for row in dist]
+    best = 0
+    for mask in range(1, 1 << n):
+        members = [v for v in range(n) if mask >> v & 1]
+        total = 0
+        for v in members:
+            near = min((dist[v][u] for u in members if u != v), default=n + 1)
+            total += max(0, min(ecc[v], near - 1))
+        best = max(best, total)
+    return best

@@ -413,6 +413,16 @@ class TestSearch:
         assert len(budget) == summary["budget_exceeded"]
         assert all(r["best_found"] is not None for r in budget)
 
+    def test_chain_budget_records_carry_the_exhausted_solvers_nodes(self, run):
+        # at 50 states some trees of order 9 fit the boundary DP and then
+        # exhaust the hearing DP; their records carry the hearing DP's count
+        code, out, _ = run(["search", "--check", "chain", "--min-n", "9",
+                            "--max-n", "9", "--limits", "nodes=50"])
+        assert code == 0
+        budget = [r for r in jsonl(out) if r["type"] == "budget_exceeded"]
+        assert any("exact" in r for r in budget)
+        assert budget and all(r["nodes"] > 50 for r in budget)
+
     def test_bad_ranges(self, run):
         assert run(["search", "--max-n", "0"])[0] == 2
         assert run(["search", "--min-n", "5", "--max-n", "4"])[0] == 2
@@ -533,6 +543,46 @@ class TestLargeInputs:
         v = run_json(run, ["verify", SPIDER_3K, "--broadcast", str(p)])
         assert v["bn_independent"] and v["hearing_independent"]
         assert v["dominating"] and v["maximal_bn"] is True
+
+    @pytest.fixture
+    def ball_sizes(self, monkeypatch):
+        """The order of every ball `Forest.ball` returns."""
+        sizes = []
+        ball = trees.Forest.ball
+
+        def counted(self, v, radius=None):
+            found = ball(self, v, radius)
+            sizes.append(len(found))
+            return found
+
+        monkeypatch.setattr(trees.Forest, "ball", counted)
+        return sizes
+
+    def test_verify_dense_path(self, run, no_matrix, ball_sizes, tmp_path):
+        # every vertex at its eccentricity: each ball holds half the path
+        # or more, so reading every ball would take n^2 / 2 vertices
+        n = 2000
+        p = tmp_path / "dense.txt"
+        p.write_text(" ".join(f"{v}:{max(v, n - 1 - v)}" for v in range(n)) + "\n")
+        v = run_json(run, ["verify", f"path:{n}", "--broadcast", str(p)])
+        assert v["bn_violation"] == {"u": 0, "v": 1, "vertex": 0, "edge": [0, 1]}
+        assert v["hearing_violation"] == [0, 1]
+        assert v["dominating"] and v["maximal_bn"] is None
+        assert sum(ball_sizes) <= 10 * n
+
+    def test_verify_hearing_independent_spider(self, run, no_matrix, ball_sizes,
+                                               tmp_path):
+        # 1,500 legs of length 2, numbered centre-out, so the leaves are the
+        # even vertices; at strength 3 every leaf's ball holds the centre and
+        # every leg's middle vertex, but no other leaf
+        spec = "spider:" + ",".join(["2"] * 1500)
+        p = tmp_path / "legs.txt"
+        p.write_text(" ".join(f"{v}:3" for v in range(2, 3001, 2)) + "\n")
+        v = run_json(run, ["verify", spec, "--broadcast", str(p)])
+        assert v["hearing_independent"] and v["hearing_violation"] is None
+        assert v["bn_violation"] == {"u": 2, "v": 4, "vertex": 0, "edge": [0, 1]}
+        assert v["dominating"] and v["maximal_bn"] is None
+        assert sum(ball_sizes) <= 10 * 3001
 
     def test_verify_violating_broadcast_large_spider(self, run, no_matrix, tmp_path):
         # the certificate the definitional scan finds over the distance matrix

@@ -18,6 +18,7 @@ from bnbroadcast import (
     BroadcastAnalysis,
     bn_violation,
     branch_representation,
+    hearing_number,
     hearing_violation,
     hears,
     independence_number,
@@ -26,7 +27,7 @@ from bnbroadcast import (
     is_hearing_independent,
     lower_bound_witness,
 )
-from bnbroadcast.broadcasts import _undominated, hearing_scan
+from bnbroadcast.broadcasts import _undominated
 
 
 @st.composite
@@ -159,6 +160,15 @@ class TestIndependenceInvariants:
         assert len(ws) == alpha
         assert not any(u in ws and v in ws for u, v in g.edges)
 
+    @given(forests(max_n=14), st.randoms(use_true_random=False))
+    def test_witness_is_lex_least(self, g, rnd):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = Forest(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert independence_number(h) == oracles.lex_least_independent_set(
+            h.n, h.edges
+        )
+
     @given(trees(min_n=2, max_n=9))
     def test_characteristic_broadcast_is_independent(self, t):
         alpha, ws = independence_number(t)
@@ -239,7 +249,7 @@ class TestPredicatesMatchMatrix:
         g, s = f.host, f.strengths
         dist = oracles.distance_rows(g.n, g.edges)
         assert bn_violation(f) == oracles.bn_certificate(f, dist)
-        assert hearing_violation(f) == hearing_scan(s, dist)
+        assert hearing_violation(f) == oracles.hearing_scan(s, dist)
         assert is_dominating(f) == all(
             any(0 <= dist[v][u] <= s[v] for v in f.broadcasters)
             for u in range(g.n)
@@ -278,3 +288,15 @@ class TestDpInvariants:
             assert exc.best_value <= res.value
             assume(False)
         assert res.value == ref.value
+
+    @settings(max_examples=50)
+    @given(trees(max_n=25))
+    def test_hearing_dp_witness_and_chain(self, t):
+        res = hearing_number(t)
+        assert res.witness.weight == res.value
+        dist = oracles.distance_rows(t.n, t.edges)
+        assert oracles.hearing_scan(res.witness.strengths, dist) is None
+        if t.n >= 2:
+            alpha, _ = independence_number(t)
+            bn = bn_number_dp(t).value
+            assert alpha <= bn <= res.value < 2 * bn

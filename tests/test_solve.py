@@ -5,12 +5,16 @@ The enumeration solver is the ground truth here; the structured examples
 definitions before being frozen into assertions.
 """
 
+import itertools
+import sys
+
 import pytest
 
 import oracles
 from bnbroadcast import (
     BudgetExceeded,
     Forest,
+    InternalInconsistency,
     NoBranchVertices,
     ShapeMismatch,
     SolveLimits,
@@ -34,6 +38,7 @@ from bnbroadcast import (
     two_branch_value,
     upper_bound,
 )
+from bnbroadcast import solve
 
 
 def fam(text):
@@ -188,6 +193,56 @@ class TestHearingSolver:
             res = hearing_number(t)
             assert is_hearing_independent(res.witness)
             assert res.witness.weight == res.value
+
+    def test_matches_subset_oracle(self):
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                assert hearing_number(t).value == oracles.hearing_by_subsets(t)
+
+    @pytest.mark.slow
+    def test_matches_subset_oracle_slow(self):
+        for n in (11, 12):
+            for t in enumerate_trees(n):
+                assert hearing_number(t).value == oracles.hearing_by_subsets(t)
+
+    def test_matches_strength_enumeration(self):
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                dist = oracles.distance_rows(t.n, t.edges)
+                best = max(
+                    sum(arr)
+                    for arr in itertools.product(
+                        *(range(e + 1) for e in t.eccentricities)
+                    )
+                    if oracles.hearing_scan(arr, dist) is None
+                )
+                assert hearing_number(t).value == best
+
+    def test_checks_its_witness(self, monkeypatch):
+        monkeypatch.setattr(solve, "hearing_violation", lambda f: (0, 1))
+        with pytest.raises(InternalInconsistency):
+            hearing_number(fam("path:5"))
+
+    def test_does_not_recurse(self):
+        # a recursive DP would need a frame per level of the path's 80
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        t = fam("path:160")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            res = hearing_number(t)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.value == 2 * 160 - 4
+
+    def test_budget(self):
+        t = fam("path:30")
+        with pytest.raises(BudgetExceeded) as exc:
+            hearing_number(t, SolveLimits(max_nodes=100))
+        assert exc.value.nodes > 100
+        assert exc.value.best_value == 0 and exc.value.best_broadcast.weight == 0
 
 
 class TestLowerBoundWitness:
