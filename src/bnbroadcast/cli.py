@@ -27,7 +27,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 
 from . import __version__
@@ -458,6 +458,12 @@ def _pool_map(pool, fn, trees):
         yield from pool.map(fn, chunk, chunksize=8)
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _print_record(rec):
     print(json.dumps(rec, sort_keys=True))
 
@@ -473,7 +479,10 @@ def cmd_search(args):
     t0 = time.perf_counter()
     keys = ("trees", "solved", "budget_exceeded", "not_applicable", "violations")
     totals = dict.fromkeys(keys, 0)
-    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    # the records do not depend on --jobs; the pool starts every worker at
+    # once, so it gets no more of them than there are CPUs to run them
+    jobs = min(args.jobs, _usable_cpus())
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         mapper = partial(_pool_map, pool) if pool else map
         for n in range(args.min_n, args.max_n + 1):
             order = {"type": "order", "n": n, **dict.fromkeys(keys, 0)}
@@ -542,7 +551,14 @@ def _add_input_args(sub):
     sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process and shared, so callers
+    must not change it.
+
+    parse_args returns a fresh namespace on every call, and argparse looks
+    up sys.stdout and sys.stderr only when it prints, so one parser serves
+    every main() call."""
     parser = argparse.ArgumentParser(
         prog="bnbroadcast",
         description="Boundary-independent broadcasts on trees: exact values, "
@@ -578,7 +594,8 @@ def build_parser():
     s.add_argument("--check", choices=ALL_CHECKS, default="question1")
     s.add_argument("--limits", help="per-tree solver budget: nodes=N,ms=M")
     s.add_argument("--jobs", type=int, default=1,
-                   help="worker processes across trees (default 1)")
+                   help="worker processes across trees, at most the usable "
+                   "CPUs (default 1)")
     s.set_defaults(func=cmd_search)
 
     s = subs.add_parser("export-dot", help="Graphviz DOT rendering")

@@ -10,6 +10,11 @@ counts its states as `nodes`:
 
 * bn_number_dp computes the boundary-independence number in
   O(n * diameter) states.  compute_bounds and the corpus search call it.
+  Below the root, the states of a vertex v whose ball reaches the parent
+  with height(v) - 1 or more to spare have a closed form (a ball from a
+  deepest descendant of v), so only the states below that are stored,
+  about half of them on a path.  `nodes` counts every state, stored or
+  not.
 
 * hearing_number computes the hearing-independence number (no broadcaster
   in another's ball; the balls may overlap) over Pareto sets of (nearest
@@ -324,12 +329,33 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     * out[v][r], r >= 1: a ball from above reaches v with r to spare, so
       it covers every child edge (out[v][0] is g[v]; zero from height(v));
     * inn[v][k], k < ecc(v): a ball centred at v or below crosses the edge
-      and reaches the parent with k to spare.
+      and reaches the parent with k to spare; pick[v][k] is the child that
+      passes it up, or -1 when v is the centre.
+
+    Below the root only the states k < height(v) - 1 are stored; above
+    them the tail has a closed form.  For a non-root v and
+    height(v) - 1 <= k < ecc(v):
+
+        inn[v][k] = k + 1 + height(v), and pick[v][k] is the first child
+        of greatest height (-1 for a leaf).
+
+    Such a ball covers the whole subtree of v, so the best one has the
+    largest radius, from a deepest descendant w.  Its strength
+    k + 1 + depth(w) - depth(v) is available: rooted at a centre with
+    R = ecc(root), ecc(w) = depth(w) + R - delta, where delta is 1 on the
+    other centre's side of a bicentral tree and 0 otherwise, so the
+    strength is at most ecc(w) exactly when k < ecc(v).  A child's tail
+    k + 2 + height(c) beats v's own k + 1, and ties keep the first child.
+    The root keeps its full table: the argument needs w on v's side, and
+    in a bicentral tree the root's deepest descendants on the other
+    centre's side have eccentricity 2R - 1, one short of the tail's ball.
 
     The states are filled in one iterative post-order and an optimal
-    broadcast is read back top-down; `nodes` counts the states filled.  The
-    witness is checked by bn_violation, linear on an independent broadcast,
-    before it is returned.
+    broadcast is read back top-down.  `nodes` counts every state,
+    len(out[v]) + ecc(v) per vertex, whether stored or in a closed-form
+    tail, so node budgets and their checkpoints do not depend on how much
+    is stored.  The witness is checked by bn_violation, linear on an
+    independent broadcast, before it is returned.
     The DP keeps no partial optimum, so running out of budget reports 0 and
     the empty broadcast.
     """
@@ -346,36 +372,51 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     out = [None] * n
     inn = [None] * n
     # what the traceback needs once a child's lists are dropped: whether a
-    # ball ending at the parent beats an empty edge, and per inn state the
-    # child passing the ball up (-1: v is the centre)
+    # ball ending at the parent beats an empty edge, and the stored part of
+    # pick
     ends = [False] * n
     pick = [None] * n
+    deep = [-1] * n  # the first child of greatest height: the tail's pick
     for v in reversed(depth):
         e = ecc[v]
+        h = 0
+        for c in kids[v]:
+            if height[c] + 1 > h:
+                h = height[c] + 1
+                deep[v] = c
+        height[v] = h
+        # the stored states: all of them at the root, below h - 1 elsewhere
+        top = e if v == root else h - 1 if h else 0
         # S[k]: the children under a ball that reaches v with k+1 to spare;
         # bonus[k]: the ball's own radius, from v as centre or passed up
-        S = [0] * e
-        bonus = list(range(1, e + 1))
-        up = [-1] * e
+        S = [0] * top
+        bonus = list(range(1, top + 1))
+        up = [-1] * top
         g = 0
         for c in kids[v]:
-            ic, oc = inn[c], out[c]
-            for k, x in enumerate(oc):
-                S[k] += x
-            lo = len(oc)
-            for k in range(min(e, len(ic) - 1)):
-                t = ic[k + 1] - (oc[k] if k < lo else 0)
+            ic, oc, hc = inn[c], out[c], height[c]
+            li, lo = len(ic), len(oc)
+            # out[c] is no longer than S, except a leaf's [0] when top is 0
+            if top:
+                for k, x in enumerate(oc):
+                    S[k] += x
+            m = ecc[c] - 1
+            if m > top:
+                m = top
+            for k in range(m):
+                t = ((ic[k + 1] if k + 1 < li else k + 2 + hc)
+                     - (oc[k] if k < lo else 0))
                 if t > bonus[k] or (t == bonus[k] and up[k] < 0):
                     bonus[k] = t
                     up[k] = c
-            height[v] = max(height[v], height[c] + 1)
-            ends[c] = ic[0] >= oc[0]
-            g += max(oc[0], ic[0])
+            i0 = ic[0] if li else 1 + hc
+            ends[c] = i0 >= oc[0]
+            g += max(oc[0], i0)
             out[c] = inn[c] = None
-        out[v] = [g] + S[: height[v] - 1] if kids[v] else [g]
+        out[v] = [g] + S[: h - 1] if kids[v] else [g]
         inn[v] = [s + b for s, b in zip(S, bonus)]
         pick[v] = up
-        budget.spend(0, silent, tree, len(out[v]) + len(inn[v]))
+        budget.spend(0, silent, tree, len(out[v]) + e)
 
     # traceback: state r >= 0 is out[v][r], state -(k+1) is inn[v][k]; ties
     # go to the larger ball, which keeps the witness's broadcasters few
@@ -396,7 +437,7 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
                 stack.extend((c, state - 1) for c in kids[v])
         else:
             k = -state - 1
-            c0 = pick[v][k]
+            c0 = pick[v][k] if k < len(pick[v]) else deep[v]
             if c0 < 0:
                 strengths[v] = k + 1
             stack.extend((c, -(k + 2) if c == c0 else k) for c in kids[v])

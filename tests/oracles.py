@@ -7,6 +7,10 @@ maximum independent set are brute force over vertex subsets, distances come
 from Floyd-Warshall, the broadcast analysis, the violation certificate and
 the hearing scan are read off a distance matrix by direct definition, and
 the hearing-independence number is a maximum over broadcaster sets.
+bn_number_dp_full is the package's boundary-independence DP with every
+state kept in a table: it shares the recurrence, so it checks the closed
+form by which the package leaves out the states of a vertex v from
+height(v) - 1 up.
 The enumeration internals used are the rooted successor
 (`corpus._successor`, counted against A000081 on its own) and the
 level-sequence decoder: the centroid generator walks every rooted tree and
@@ -18,7 +22,7 @@ these and the shipped code is the point of the tests that use them.
 import bisect
 from itertools import combinations, combinations_with_replacement, product
 
-from bnbroadcast import Tree
+from bnbroadcast import Broadcast, SolveResult, Tree
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
 from bnbroadcast.corpus import _seq_to_parents, _successor
 
@@ -338,3 +342,70 @@ def hearing_by_subsets(tree):
             total += max(0, min(ecc[v], near - 1))
         best = max(best, total)
     return best
+
+
+def bn_dp_tables(tree):
+    """Every state of the boundary-independence DP, kept for every vertex:
+    (root, kids, height, out, inn, ends, pick) with out[v][r] for
+    r < max(height(v), 1), and inn[v][k], pick[v][k] for every k < ecc(v)."""
+    n = tree.n
+    ecc = tree.eccentricities
+    root = min(range(n), key=ecc.__getitem__)
+    depth = tree.ball(root)
+    kids = [[c for c in tree.neighbors(v) if depth[c] > depth[v]] for v in range(n)]
+    height = [0] * n
+    out = [None] * n
+    inn = [None] * n
+    ends = [False] * n
+    pick = [None] * n
+    for v in reversed(depth):
+        e = ecc[v]
+        S = [0] * e
+        bonus = list(range(1, e + 1))
+        up = [-1] * e
+        g = 0
+        for c in kids[v]:
+            ic, oc = inn[c], out[c]
+            for k, x in enumerate(oc):
+                S[k] += x
+            for k in range(min(e, len(ic) - 1)):
+                t = ic[k + 1] - (oc[k] if k < len(oc) else 0)
+                if t > bonus[k] or (t == bonus[k] and up[k] < 0):
+                    bonus[k] = t
+                    up[k] = c
+            height[v] = max(height[v], height[c] + 1)
+            ends[c] = ic[0] >= oc[0]
+            g += max(oc[0], ic[0])
+        out[v] = [g] + S[: height[v] - 1] if kids[v] else [g]
+        inn[v] = [s + b for s, b in zip(S, bonus)]
+        pick[v] = up
+    return root, kids, height, out, inn, ends, pick
+
+
+def bn_number_dp_full(tree):
+    """`solve.bn_number_dp` without budgets and with every state stored,
+    with the same tie rules, traceback and node count."""
+    root, kids, height, out, inn, ends, pick = bn_dp_tables(tree)
+    nodes = sum(len(o) + len(i) for o, i in zip(out, inn))
+    value = out[root][0]
+    ecc = tree.eccentricities
+    state = 0
+    for k in range(ecc[root] - 1, -1, -1):
+        if inn[root][k] > value or (inn[root][k] == value and state == 0):
+            value, state = inn[root][k], -(k + 1)
+    strengths = [0] * tree.n
+    stack = [(root, state)]
+    while stack:
+        v, state = stack.pop()
+        if state == 0:
+            stack.extend((c, -1 if ends[c] else 0) for c in kids[v])
+        elif state > 0:
+            if state < height[v]:
+                stack.extend((c, state - 1) for c in kids[v])
+        else:
+            k = -state - 1
+            c0 = pick[v][k]
+            if c0 < 0:
+                strengths[v] = k + 1
+            stack.extend((c, -(k + 2) if c == c0 else k) for c in kids[v])
+    return SolveResult(value=value, witness=Broadcast(tree, strengths), nodes=nodes)

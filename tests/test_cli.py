@@ -19,7 +19,8 @@ from bnbroadcast import (
     enumerate_trees,
     trees,
 )
-from bnbroadcast.cli import _pool_map, main
+from bnbroadcast import cli
+from bnbroadcast.cli import _pool_map, build_parser, main
 
 D14 = "dspider:2,2/5/2,2"
 
@@ -423,6 +424,33 @@ class TestSearch:
         assert any("exact" in r for r in budget)
         assert budget and all(r["nodes"] > 50 for r in budget)
 
+    def test_jobs_capped_at_usable_cpus(self, run, monkeypatch):
+        # the pool starts all its workers at once; threads stand in for them
+        made = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        _, serial, _ = run(["search", "--max-n", "6"])
+        for jobs in ("100000", "2"):
+            code, out, _ = run(["search", "--max-n", "6", "--jobs", jobs])
+            assert code == 0
+            assert self.summary_of(out)[1] == self.summary_of(serial)[1]
+        assert made == [2, 2]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert run(["search", "--max-n", "6", "--jobs", "8"])[0] == 0
+        assert made == [2, 2]
+
+    def test_usable_cpus(self):
+        cpus = cli._usable_cpus()
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
+
     def test_bad_ranges(self, run):
         assert run(["search", "--max-n", "0"])[0] == 2
         assert run(["search", "--min-n", "5", "--max-n", "4"])[0] == 2
@@ -607,6 +635,20 @@ class TestLargeInputs:
         assert (r["lower"], r["upper"]) == (2004, 2008)
 
 
+def fresh_process(args, flags=()):
+    """(exit code, stdout, stderr) of the command line in a new interpreter."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "bnbroadcast.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestOptimizedMode:
     """Under `python -O` the assertion cross-checks are gone; the output must
     not change, so no result rests on them."""
@@ -614,18 +656,10 @@ class TestOptimizedMode:
     SPECS = (D14, "spider:5,1,6", "cat:leafcounts=2,1,2,0,3")
 
     def cli(self, flags, args):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "bnbroadcast.cli", *args],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        out = json.loads(proc.stdout)
+        code, stdout, stderr = fresh_process(args, flags)
+        out = json.loads(stdout)
         out.pop("timings", None)
-        return proc.returncode, out, proc.stderr
+        return code, out, stderr
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_same_output_without_assertions(self, spec, tmp_path):
@@ -658,3 +692,21 @@ class TestTopLevel:
     def test_version(self, run):
         code, out, _ = run(["--version"])
         assert code == 0 and "bnbroadcast" in out
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_cached_parser_acts_like_a_fresh_one(self, run):
+        # a usage error, a JSON report and --version in a row in one
+        # process, each printing what it prints in a process of its own
+        def untimed(result):
+            code, out, err = result
+            if out.startswith("{"):
+                out = json.loads(out)
+                out.pop("timings")
+            return code, out, err
+
+        for argv in (["bounds", D14, "--limits", "nodes=lots"],
+                     ["bounds", D14, "--json"],
+                     ["--version"]):
+            assert untimed(run(argv)) == untimed(fresh_process(argv)), argv

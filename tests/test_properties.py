@@ -289,6 +289,23 @@ class TestDpInvariants:
             assume(False)
         assert res.value == ref.value
 
+    def test_dp_matches_full_table(self):
+        bicentral = []
+
+        @settings(max_examples=100)
+        @given(trees(max_n=60))
+        def check(t):
+            ecc = t.eccentricities
+            bicentral.append(t.n > 1 and ecc.count(min(ecc)) == 2)
+            got, want = bn_number_dp(t), oracles.bn_number_dp_full(t)
+            assert got.value == want.value
+            assert got.witness.strengths == want.witness.strengths
+            assert got.nodes == want.nodes
+
+        check()
+        # the root of a bicentral tree is where the closed-form tail fails
+        assert any(bicentral) and not all(bicentral)
+
     @settings(max_examples=50)
     @given(trees(max_n=25))
     def test_hearing_dp_witness_and_chain(self, t):

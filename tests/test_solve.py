@@ -45,6 +45,13 @@ def fam(text):
     return build_family(parse_family_spec(text))
 
 
+def assert_matches_full_table(t):
+    got, want = bn_number_dp(t), oracles.bn_number_dp_full(t)
+    assert got.value == want.value, t.edges
+    assert got.witness.strengths == want.witness.strengths, t.edges
+    assert got.nodes == want.nodes, t.edges
+
+
 class TestIndependence:
     def test_empty_forest(self):
         assert independence_number(Forest(0)) == (0, frozenset())
@@ -155,6 +162,40 @@ class TestDpSolver:
         for spec, value in (("path:1100", 1099), ("spider:200,200,200", 600)):
             res = bn_number_dp(fam(spec))
             assert res.value == res.witness.weight == value
+
+    def test_matches_full_table_on_corpus(self):
+        for n in range(1, 12):
+            for t in enumerate_trees(n):
+                assert_matches_full_table(t)
+
+    def test_matches_full_table_on_long_specs(self):
+        for spec in ("path:400", "spider:200,200,200"):
+            assert_matches_full_table(fam(spec))
+
+    def test_tails_have_a_closed_form_below_the_root(self):
+        # what lets bn_number_dp store inn and pick only below height - 1
+        root_exceptions = 0
+        for n in range(1, 12):
+            for t in enumerate_trees(n):
+                root, kids, height, _, inn, _, pick = oracles.bn_dp_tables(t)
+                for v in range(t.n):
+                    deepest = max(kids[v], key=height.__getitem__, default=-1)
+                    tail = [(inn[v][k], pick[v][k])
+                            for k in range(max(height[v] - 1, 0), t.eccentricities[v])]
+                    closed = [(k + 1 + height[v], deepest)
+                              for k in range(max(height[v] - 1, 0), t.eccentricities[v])]
+                    if v != root:
+                        assert tail == closed, (t.edges, v)
+                    elif tail != closed:
+                        root_exceptions += 1
+        # the root keeps its full table: there the tail can differ
+        assert root_exceptions > 0
+
+    def test_nodes_frozen(self):
+        # counted before the tails were stored in closed form; every state
+        # still counts, so budgets stop at the same place
+        for spec, nodes in (("path:1100", 1208903), ("spider:200,200,200", 240403)):
+            assert bn_number_dp(fam(spec)).nodes == nodes
 
     def test_nodes_deterministic(self, d14):
         assert bn_number_dp(d14).nodes == bn_number_dp(d14).nodes > 0
