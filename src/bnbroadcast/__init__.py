@@ -62,7 +62,6 @@ from .errors import (
 )
 from .solve import (
     BoundsReport,
-    OptimaReport,
     SolveLimits,
     SolveResult,
     bn_number,
@@ -75,7 +74,6 @@ from .solve import (
     hearing_number,
     independence_number,
     lower_bound_witness,
-    optima_properties,
     path_spider_value,
     two_branch_value,
     upper_bound,

@@ -79,6 +79,7 @@ class Broadcast:
 
 def hears(f: Broadcast, u: int, v: int) -> bool:
     """Does u hear the broadcast from v?  False when v is silent or unreachable."""
+    f.host._check_vertex(v)
     s = f.strengths[v]
     if s <= 0:
         return False
@@ -377,22 +378,27 @@ def is_maximal_bn(f: Broadcast) -> bool:
     """
     if bn_violation(f) is not None:
         raise NotBnIndependent("maximality requires a boundary-independent broadcast")
-    return _maximal_verdict(f, analyze(f))
+    return _maximality_certificate(f, analyze(f)) is None
 
 
-def _maximal_verdict(f, a):
-    """is_maximal_bn for a broadcast already known to be boundary independent,
-    given its analysis `a`."""
-    dominating = not a.undominated
-    if not dominating:
-        verdict = False
-    elif len(a.v_plus) <= 1:
-        verdict = True
-    else:
-        verdict = all(a.boundary[v] - a.private_boundary[v] for v in a.v_plus)
+def _maximality_certificate(f, a):
+    """Why a broadcast already known to be boundary independent, with
+    analysis `a`, is not maximal, or None when it is maximal.
+
+    The certificate is ("undominated_vertex", the least vertex hearing no
+    broadcaster) or, with two or more broadcasters, ("expandable_broadcaster",
+    the least broadcaster whose boundary is all private).
+    """
+    cert = None
+    if a.undominated:
+        cert = "undominated_vertex", min(a.undominated)
+    elif len(a.v_plus) >= 2:
+        cert = next((("expandable_broadcaster", v) for v in a.v_plus
+                     if not a.boundary[v] - a.private_boundary[v]), None)
     if __debug__ and len(a.v_plus) >= 2 and len(f.host.components) == 1:
-        assert verdict == _maximal_by_components(f, a), "maximality criteria disagree"
-    return verdict
+        assert (cert is None) == _maximal_by_components(f, a), \
+            "maximality criteria disagree"
+    return cert
 
 
 def _maximal_by_components(f, a):

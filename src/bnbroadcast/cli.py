@@ -33,7 +33,7 @@ from itertools import islice
 from . import __version__
 from .broadcasts import (
     Broadcast,
-    _maximal_verdict,
+    _maximality_certificate,
     _undominated,
     analyze,
     bn_violation,
@@ -73,7 +73,7 @@ from .trees import Shape, classify_shape
 
 log = logging.getLogger("bnbroadcast")
 
-SCHEMA = 2
+SCHEMA = 3
 
 PROVEN_CHECKS = ("sandwich", "characterization", "chain")
 ALL_CHECKS = ("question1",) + PROVEN_CHECKS
@@ -100,9 +100,9 @@ def _load_tree(args):
     if getattr(args, "family", None):
         spec = parse_family_spec(args.family)
         return build_family(spec), {"kind": "family", "value": args.family}
-    source = getattr(args, "input", None) or getattr(args, "target", None)
+    source = args.target
     if source is None:
-        raise BadSpec("no input given (positional, --input, --family or --g6)")
+        raise BadSpec("no input given (positional, --family or --g6)")
     if looks_like_family(source):
         spec = parse_family_spec(source)
         return build_family(spec), {"kind": "family", "value": source}
@@ -234,7 +234,6 @@ def _report_dict(report):
         "formula": None,
         "exact": report.exact,
         "exact_status": report.exact_status,
-        "best_found": report.best_found,
         "nodes": report.nodes,
         "witness_lower": None,
         "witness_exact": None,
@@ -260,7 +259,6 @@ def cmd_bounds(args):
         "tool": _tool(),
         "input": desc,
         "report": _report_dict(report),
-        "flags": {"budget_exceeded": report.exact_status == "budget_exceeded"},
         "timings": {"total_ms": round(elapsed, 3)},
     }
     _emit(data, args)
@@ -294,20 +292,11 @@ def cmd_verify(args):
     if bn_ok:
         a = analyze(f)
         undominated = a.undominated
-        maximal = _maximal_verdict(f, a)
+        cert = _maximality_certificate(f, a)
+        maximal = cert is None
         if not maximal:
-            if undominated:
-                maximal_cert = {
-                    "kind": "undominated_vertex",
-                    "vertex": min(undominated),
-                }
-            else:
-                v = next(
-                    v
-                    for v in a.v_plus
-                    if not (a.boundary[v] - a.private_boundary[v])
-                )
-                maximal_cert = {"kind": "expandable_broadcaster", "vertex": v}
+            kind, v = cert
+            maximal_cert = {"kind": kind, "vertex": v}
     else:
         # the balls overlap, so reading them all could take O(n^2)
         undominated = _undominated(f)
@@ -375,8 +364,7 @@ def cmd_export_dot(args):
 
 
 def _over_budget(rec, exc):
-    rec.update(status="budget_exceeded", best_found=exc.best_value,
-               nodes=exc.nodes, reason=exc.reason)
+    rec.update(status="budget_exceeded", nodes=exc.nodes, reason=exc.reason)
     return rec
 
 
@@ -543,7 +531,6 @@ def cmd_search(args):
 def _add_input_args(sub):
     sub.add_argument("target", nargs="?", default=None, metavar="INPUT",
                      help="family spec (kind:...) or file path ('-' for stdin)")
-    sub.add_argument("--input", help="read the tree from this file")
     sub.add_argument("--family", help="family spec, e.g. dspider:2,2/5/2,2")
     sub.add_argument("--g6", help="graph6 string")
     sub.add_argument("--format", choices=("edgelist", "graph6"),

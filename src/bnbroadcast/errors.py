@@ -80,14 +80,11 @@ class UnsupportedLongForm(ParseError):
 class BudgetExceeded(GraphError):
     """A solver ran out of its node or time budget.
 
-    Carries the best weight seen so far and the broadcast achieving it, so
-    callers can report a flagged lower bound instead of nothing.
+    Carries the nodes spent when it stopped and which budget ran out.
     """
 
-    def __init__(self, best_value, best_broadcast, nodes, reason="node budget exhausted"):
-        super().__init__(f"{reason}; best weight found so far: {best_value}")
-        self.best_value = best_value
-        self.best_broadcast = best_broadcast
+    def __init__(self, nodes, reason="node budget exhausted"):
+        super().__init__(f"{reason} after {nodes} nodes")
         self.nodes = nodes
         self.reason = reason
 

@@ -24,6 +24,10 @@ counts its states as `nodes`:
   independent set with one weighted DP (_max_independent_set), which
   conjectured_upper_bound also runs on the branch01 vertices.
 
+Every exact solver, DP or oracle, returns SolveResult(value, witness,
+nodes), or raises BudgetExceeded(nodes, reason) when its SolveLimits run
+out; no solver reports a partial optimum.
+
 The other solvers are slower, independent routes that the tests compare
 the boundary-independence DP against:
 
@@ -99,7 +103,6 @@ class SolveResult:
     value: int
     witness: Broadcast
     nodes: int
-    optima: Optional[tuple] = None
 
 
 def _max_independent_set(neighbors, vertices) -> tuple:
@@ -169,55 +172,35 @@ class _Budget:
         if limits and limits.time_ms is not None:
             self.deadline = time.monotonic() + limits.time_ms / 1000.0
 
-    def spend(self, best_value, best_arr, host, count=1):
+    def spend(self, count=1):
         before = self.nodes
         self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExceeded(
-                best_value, Broadcast(host, best_arr), self.nodes
-            )
+            raise BudgetExceeded(self.nodes)
         # the clock is read once per 1024 nodes spent
         if self.deadline is not None and before >> 10 != self.nodes >> 10:
             if time.monotonic() > self.deadline:
-                raise BudgetExceeded(
-                    best_value,
-                    Broadcast(host, best_arr),
-                    self.nodes,
-                    reason="time budget exhausted",
-                )
+                raise BudgetExceeded(self.nodes, reason="time budget exhausted")
 
 
-def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None,
-                   collect_optima: bool = False) -> SolveResult:
+def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     """Ground-truth oracle: enumerate every broadcast, filter, take the max.
 
-    Feasible up to seven or so vertices.  With collect_optima the result
-    carries every optimum.
+    Feasible up to seven or so vertices.
     """
     dist = tree.distances
     budget = _Budget(limits)
     best = 0
     best_arr = (0,) * tree.n
-    optima = [best_arr] if collect_optima else None
     for arr in itertools.product(*(range(e + 1) for e in tree.eccentricities)):
-        budget.spend(best, best_arr, tree)
+        budget.spend()
         if overlap_scan(arr, dist) is not None:
             continue
         w = sum(arr)
         if w > best:
             best = w
             best_arr = arr
-            if collect_optima:
-                optima = [arr]
-        elif collect_optima and w == best:
-            optima.append(arr)
-    witness = Broadcast(tree, best_arr)
-    return SolveResult(
-        value=best,
-        witness=witness,
-        nodes=budget.nodes,
-        optima=tuple(Broadcast(tree, a) for a in optima) if collect_optima else None,
-    )
+    return SolveResult(value=best, witness=Broadcast(tree, best_arr), nodes=budget.nodes)
 
 
 def _max_weight_dfs(tree, caps, limits):
@@ -256,7 +239,7 @@ def _max_weight_dfs(tree, caps, limits):
 
     def visit(k, weight, edges_used):
         nonlocal best, best_arr
-        budget.spend(best, best_arr, tree)
+        budget.spend()
         if k == n:
             if weight > best:
                 # the pair rule is exact on trees and filters these early
@@ -355,9 +338,8 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     len(out[v]) + ecc(v) per vertex, whether stored or in a closed-form
     tail, so node budgets and their checkpoints do not depend on how much
     is stored.  The witness is checked by bn_violation, linear on an
-    independent broadcast, before it is returned.
-    The DP keeps no partial optimum, so running out of budget reports 0 and
-    the empty broadcast.
+    independent broadcast, before it is returned.  Running out of budget
+    raises BudgetExceeded with the states counted so far.
     """
     n = tree.n
     adj = [tree.neighbors(v) for v in range(n)]
@@ -366,7 +348,6 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     depth = tree.ball(root)
 
     budget = _Budget(limits)
-    silent = (0,) * n
     kids = [[c for c in adj[v] if depth[c] > depth[v]] for v in range(n)]
     height = [0] * n
     out = [None] * n
@@ -416,7 +397,7 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
         out[v] = [g] + S[: h - 1] if kids[v] else [g]
         inn[v] = [s + b for s, b in zip(S, bonus)]
         pick[v] = up
-        budget.spend(0, silent, tree, len(out[v]) + e)
+        budget.spend(len(out[v]) + e)
 
     # traceback: state r >= 0 is out[v][r], state -(k+1) is inn[v][k]; ties
     # go to the larger ball, which keeps the witness's broadcasters few
@@ -493,9 +474,8 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
 
     The states are filled in one iterative post-order and an optimal
     broadcast is read back top-down; `nodes` counts the states kept.  The
-    witness is checked by hearing_violation before it is returned.  The DP
-    keeps no partial optimum, so running out of budget reports 0 and the
-    empty broadcast.
+    witness is checked by hearing_violation before it is returned.  Running
+    out of budget raises BudgetExceeded with the states counted so far.
     """
     n = tree.n
     ecc = tree.eccentricities
@@ -504,7 +484,6 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
     kids = [[c for c in tree.neighbors(v) if depth[c] > depth[v]] for v in range(n)]
 
     budget = _Budget(limits)
-    silent = (0,) * n
     # states[v]: (D, R) -> (weight, link); a silent v links the children's
     # states it merged as (last child's key, (previous child's key, ...))
     states = [None] * n
@@ -538,7 +517,7 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
                 w += q[at[i]][1]
             acc[(0, s)] = (w, None)
         states[v] = _pareto(acc)
-        budget.spend(0, silent, tree, len(states[v]))
+        budget.spend(len(states[v]))
 
     value, key = max((w, k) for k, (w, _) in states[root].items())
     strengths = [0] * n
@@ -672,6 +651,9 @@ class BoundsReport:
     The sandwich lower <= exact <= upper and formula == exact are enforced
     (violations raise InternalInconsistency); exact <= conjectured is only
     recorded in conjecture_ok because refuting it is a legitimate outcome.
+    exact_status is "not_run", "solved" or "budget_exceeded"; exact and
+    witness_exact are set only when solved, and nodes whenever the solver
+    ran.
     """
 
     n: int
@@ -686,7 +668,6 @@ class BoundsReport:
     formula_value: Optional[int]
     exact: Optional[int]
     exact_status: str
-    best_found: Optional[int]
     nodes: Optional[int]
     witness_lower: Optional[Broadcast]
     witness_exact: Optional[Broadcast]
@@ -700,7 +681,8 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
     Formula precedence: path/spider, then two branch vertices, then
     caterpillar.  A disagreement between an applicable formula and a
     completed exact search raises InternalInconsistency, as does an exact
-    value escaping the sandwich.
+    value escaping the sandwich.  When the exact solver runs out of budget
+    the report keeps the nodes it spent and no value or witness.
     """
     p = tree.profile
     shapes = classify_shape(tree)
@@ -725,8 +707,7 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
         except ShapeMismatch:
             pass
 
-    exact_value = best_found = nodes = None
-    witness_exact = None
+    exact_value = nodes = witness_exact = None
     status = "not_run"
     if exact:
         try:
@@ -736,8 +717,6 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
             nodes = res.nodes
             status = "solved"
         except BudgetExceeded as exc:
-            best_found = exc.best_value
-            witness_exact = exc.best_broadcast
             nodes = exc.nodes
             status = "budget_exceeded"
 
@@ -768,63 +747,8 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
         formula_value=formula_value,
         exact=exact_value,
         exact_status=status,
-        best_found=best_found,
         nodes=nodes,
         witness_lower=witness_lower,
         witness_exact=witness_exact,
         conjecture_ok=conjecture_ok,
-    )
-
-
-@dataclass(frozen=True)
-class OptimaReport:
-    """Observed structure of a tree's optimal broadcasts.
-
-    leaf_hears_nonleaf lists (optimum index, leaf, broadcaster) triples where
-    a leaf hears a non-leaf broadcaster; expected empty.  The by-2 counter
-    reports, among optima whose non-leaf strengths are all at most one, how
-    many contain a leaf overdominating some branch vertex by exactly two.
-    It is reported, never asserted.
-    """
-
-    weight: int
-    optima_count: int
-    leaf_hears_nonleaf: tuple
-    low_strength_exists: bool
-    low_strength_count: int
-    overdominated_by2_count: int
-
-
-def optima_properties(tree: Tree, optima) -> OptimaReport:
-    """Scan a collection of optimal broadcasts for the structural facts above."""
-    p = tree.profile
-    leaves = p.leaves
-    violations = []
-    low_count = 0
-    by2 = 0
-    weight = optima[0].weight if optima else 0
-    for idx, f in enumerate(optima):
-        for v in f.broadcasters:
-            if v in leaves:
-                continue
-            ball = tree.ball(v, f.strengths[v])
-            for l in leaves:
-                if l in ball:
-                    violations.append((idx, l, v))
-        if all(f.strengths[v] <= 1 for v in range(tree.n) if v not in leaves):
-            low_count += 1
-            if any(
-                d == f.strengths[l] - 2 and b in p.branch
-                for l in f.broadcasters
-                if l in leaves
-                for b, d in tree.ball(l, f.strengths[l]).items()
-            ):
-                by2 += 1
-    return OptimaReport(
-        weight=weight,
-        optima_count=len(optima),
-        leaf_hears_nonleaf=tuple(violations),
-        low_strength_exists=low_count > 0,
-        low_strength_count=low_count,
-        overdominated_by2_count=by2,
     )

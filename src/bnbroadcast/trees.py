@@ -213,13 +213,15 @@ class Tree(Forest):
     def __init__(self, n: int, edges: Iterable = (), labels: Optional[tuple] = None):
         if n < 1:
             raise NotATree("a tree has at least one vertex")
+        # counted before the O(n) lists are built, so a huge order named by
+        # a few edges costs nothing; acyclic with n - 1 edges, hence connected
+        edges = tuple(edges)
+        if len(edges) != n - 1:
+            raise NotATree(f"order {n} needs {n - 1} edges, got {len(edges)}")
         try:
             super().__init__(n, edges, labels)
         except NotAForest as exc:
             raise NotATree(str(exc)) from None
-        # acyclic with n - 1 edges, hence connected
-        if len(self._edges) != n - 1:
-            raise NotATree(f"order {n} needs {n - 1} edges, got {len(self._edges)}")
 
     @cached_property
     def diameter(self) -> int:

@@ -6,7 +6,9 @@ over all rootings, the independence number and the lexicographically least
 maximum independent set are brute force over vertex subsets, distances come
 from Floyd-Warshall, the broadcast analysis, the violation certificate and
 the hearing scan are read off a distance matrix by direct definition, and
-the hearing-independence number is a maximum over broadcaster sets.
+the hearing-independence number is a maximum over broadcaster sets, and
+every optimal boundary-independent broadcast comes from the definitional
+scan over all strength vectors (bn_optima), for optima_properties to read.
 bn_number_dp_full is the package's boundary-independence DP with every
 state kept in a table: it shares the recurrence, so it checks the closed
 form by which the package leaves out the states of a vertex v from
@@ -20,6 +22,7 @@ these and the shipped code is the point of the tests that use them.
 """
 
 import bisect
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
 from bnbroadcast import Broadcast, SolveResult, Tree
@@ -409,3 +412,74 @@ def bn_number_dp_full(tree):
                 strengths[v] = k + 1
             stack.extend((c, -(k + 2) if c == c0 else k) for c in kids[v])
     return SolveResult(value=value, witness=Broadcast(tree, strengths), nodes=nodes)
+
+
+def bn_optima(tree):
+    """Every maximum-weight boundary-independent broadcast of `tree`, in
+    lexicographic order of the strengths: the definitional scan over every
+    strength vector (n <= ~7)."""
+    dist = distance_rows(tree.n, tree.edges)
+    best, optima = -1, []
+    for arr in product(*(range(max(row) + 1) for row in dist)):
+        if overlap_scan(arr, dist) is not None:
+            continue
+        w = sum(arr)
+        if w > best:
+            best, optima = w, []
+        if w == best:
+            optima.append(Broadcast(tree, arr))
+    return tuple(optima)
+
+
+@dataclass(frozen=True)
+class OptimaReport:
+    """Observed structure of a tree's optimal broadcasts.
+
+    leaf_hears_nonleaf lists (optimum index, leaf, broadcaster) triples where
+    a leaf hears a non-leaf broadcaster; expected empty.  The by-2 counter
+    reports, among optima whose non-leaf strengths are all at most one, how
+    many contain a leaf overdominating some branch vertex by exactly two.
+    It is reported, never asserted.
+    """
+
+    weight: int
+    optima_count: int
+    leaf_hears_nonleaf: tuple
+    low_strength_exists: bool
+    low_strength_count: int
+    overdominated_by2_count: int
+
+
+def optima_properties(tree, optima) -> OptimaReport:
+    """Scan a collection of optimal broadcasts for the structural facts above."""
+    p = tree.profile
+    leaves = p.leaves
+    violations = []
+    low_count = 0
+    by2 = 0
+    weight = optima[0].weight if optima else 0
+    for idx, f in enumerate(optima):
+        for v in f.broadcasters:
+            if v in leaves:
+                continue
+            ball = tree.ball(v, f.strengths[v])
+            for l in leaves:
+                if l in ball:
+                    violations.append((idx, l, v))
+        if all(f.strengths[v] <= 1 for v in range(tree.n) if v not in leaves):
+            low_count += 1
+            if any(
+                d == f.strengths[l] - 2 and b in p.branch
+                for l in f.broadcasters
+                if l in leaves
+                for b, d in tree.ball(l, f.strengths[l]).items()
+            ):
+                by2 += 1
+    return OptimaReport(
+        weight=weight,
+        optima_count=len(optima),
+        leaf_hears_nonleaf=tuple(violations),
+        low_strength_exists=low_count > 0,
+        low_strength_count=low_count,
+        overdominated_by2_count=by2,
+    )

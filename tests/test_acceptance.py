@@ -22,7 +22,6 @@ from bnbroadcast import (
     independence_number,
     is_bn_independent,
     lower_bound_witness,
-    optima_properties,
     parse_family_spec,
     two_branch_value,
     upper_bound,
@@ -141,8 +140,7 @@ def test_criterion_08_optimum_broadcast_properties(trees_up_to):
     checked = 0
     by2 = 0
     for n, t in trees_up_to(2, 7):
-        res = bn_number_enum(t, collect_optima=True)
-        rep = optima_properties(t, res.optima)
+        rep = oracles.optima_properties(t, oracles.bn_optima(t))
         assert not rep.leaf_hears_nonleaf, t.edges
         assert rep.low_strength_exists, t.edges
         by2 += rep.overdominated_by2_count

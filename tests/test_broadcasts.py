@@ -3,6 +3,7 @@
 import pytest
 
 from bnbroadcast import (
+    BadVertexIndex,
     Broadcast,
     Forest,
     InvalidBroadcast,
@@ -61,6 +62,14 @@ class TestConstruction:
         f = Broadcast(path(4), (2, 0, 0, 0))
         assert hears(f, 2, 0) and not hears(f, 3, 0)
         assert not hears(f, 0, 1)  # silent vertex
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_hears_rejects_a_broadcaster_out_of_range(self, v):
+        # -1 would read the silent last vertex's strength through Python's
+        # negative indexing and answer False
+        f = Broadcast(path(4), (1, 0, 0, 0))
+        with pytest.raises(BadVertexIndex):
+            hears(f, 0, v)
 
 
 class TestAnalyze:

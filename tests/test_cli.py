@@ -50,7 +50,7 @@ def jsonl(out):
 class TestAnalyze:
     def test_double_spider_profile(self, run):
         d = run_json(run, ["analyze", D14])
-        assert d["schema"] == 2 and d["tool"]["name"] == "bnbroadcast"
+        assert d["schema"] == 3 and d["tool"]["name"] == "bnbroadcast"
         assert d["input"] == {"kind": "family", "value": D14}
         assert d["n"] == 14
         assert d["shapes"] == ["other"]
@@ -89,7 +89,7 @@ class TestBounds:
         assert r["conjecture_ok"] is True
         assert r["witness_lower"]["weight"] == 10
         assert r["witness_exact"]["weight"] == 11
-        assert d["flags"] == {"budget_exceeded": False}
+        assert "flags" not in d
         assert "total_ms" in d["timings"]
 
     def test_deterministic_apart_from_timings(self, run):
@@ -103,8 +103,8 @@ class TestBounds:
         d = run_json(run, ["bounds", D14, "--exact", "--limits", "nodes=50"])
         r = d["report"]
         assert r["exact"] is None and r["exact_status"] == "budget_exceeded"
-        assert r["best_found"] is not None
-        assert d["flags"]["budget_exceeded"] is True
+        assert "best_found" not in r and "flags" not in d
+        assert r["witness_exact"] is None
 
     def test_without_exact_flag(self, run):
         d = run_json(run, ["bounds", D14])
@@ -231,7 +231,7 @@ class TestVerify:
             v, s = map(int, token.split(":"))
             strengths[v] = s
         assert d == {
-            "schema": 2,
+            "schema": 3,
             "tool": d["tool"],
             "input": {"kind": "family", "value": D14},
             "broadcast": {
@@ -341,7 +341,7 @@ class TestSearch:
         assert "FINDING" not in err
         summary, _ = self.summary_of(out)
         assert summary["check"] == "question1"
-        assert summary["schema"] == 2 and summary["tool"]["name"] == "bnbroadcast"
+        assert summary["schema"] == 3 and summary["tool"]["name"] == "bnbroadcast"
         assert summary["min_n"] == 1 and summary["max_n"] == 7
         total = summary["solved"] + summary["budget_exceeded"] + summary["not_applicable"]
         assert summary["trees"] == total
@@ -412,7 +412,7 @@ class TestSearch:
         assert summary["budget_exceeded"] > 0
         budget = [r for r in rest if r["type"] == "budget_exceeded"]
         assert len(budget) == summary["budget_exceeded"]
-        assert all(r["best_found"] is not None for r in budget)
+        assert all("best_found" not in r for r in budget)
 
     def test_chain_budget_records_carry_the_exhausted_solvers_nodes(self, run):
         # at 50 states some trees of order 9 fit the boundary DP and then
@@ -633,6 +633,23 @@ class TestLargeInputs:
         r = run_json(run, ["bounds", "dspider:500,500/9/500,500"])["report"]
         assert r["formula"] == {"name": "two_branch", "value": 2004}
         assert (r["lower"], r["upper"]) == (2004, 2008)
+
+    def test_one_edge_naming_a_huge_order(self, run, monkeypatch, tmp_path):
+        # the edge names vertex 10^9, so the order is 10^9 + 1; the edge
+        # count must reject it before any per-vertex list is built
+        forest_init = trees.Forest.__init__
+
+        def bounded(self, n, *rest, **kw):
+            if n > 10**6:
+                raise AssertionError(f"per-vertex lists built for order {n}")
+            forest_init(self, n, *rest, **kw)
+
+        monkeypatch.setattr(trees.Forest, "__init__", bounded)
+        p = tmp_path / "huge.txt"
+        p.write_text("0 1000000000\n")
+        code, out, err = run(["analyze", str(p)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 def fresh_process(args, flags=()):

@@ -284,8 +284,7 @@ class TestDpInvariants:
         assert is_bn_independent(res.witness)
         try:
             ref = bn_number(t, SolveLimits(max_nodes=30_000))
-        except BudgetExceeded as exc:
-            assert exc.best_value <= res.value
+        except BudgetExceeded:
             assume(False)
         assert res.value == ref.value
 

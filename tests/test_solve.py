@@ -32,7 +32,6 @@ from bnbroadcast import (
     independence_number,
     is_bn_independent,
     lower_bound_witness,
-    optima_properties,
     parse_family_spec,
     path_spider_value,
     two_branch_value,
@@ -101,10 +100,10 @@ class TestEnumSolver:
             assert res.witness.weight == res.value
 
     def test_optima_collection(self):
-        res = bn_number_enum(fam("path:4"), collect_optima=True)
-        assert res.value == 3
-        assert all(f.weight == 3 for f in res.optima)
-        texts = {tuple(f.strengths) for f in res.optima}
+        optima = oracles.bn_optima(fam("path:4"))
+        assert bn_number_enum(fam("path:4")).value == 3
+        assert all(f.weight == 3 for f in optima)
+        texts = {tuple(f.strengths) for f in optima}
         assert (3, 0, 0, 0) in texts and (0, 0, 0, 3) in texts
 
 
@@ -126,8 +125,7 @@ class TestPrunedSolver:
             bn_number(d14, SolveLimits(max_nodes=50))
         e = exc.value
         assert e.nodes == 51
-        assert e.best_broadcast.weight == e.best_value <= 11
-        assert is_bn_independent(e.best_broadcast)
+        assert not hasattr(e, "best_value") and not hasattr(e, "best_broadcast")
 
     def test_limits_validation(self):
         with pytest.raises(ValueError):
@@ -205,7 +203,7 @@ class TestDpSolver:
             bn_number_dp(d14, SolveLimits(max_nodes=50))
         e = exc.value
         assert e.nodes > 50
-        assert e.best_value == e.best_broadcast.weight == 0
+        assert not hasattr(e, "best_value") and not hasattr(e, "best_broadcast")
 
     def test_time_budget(self):
         with pytest.raises(BudgetExceeded) as exc:
@@ -216,7 +214,6 @@ class TestDpSolver:
         t = fam("path:1100")
         with pytest.raises(BudgetExceeded) as exc:
             bn_number_dp(t, SolveLimits(time_ms=1e-6))
-        assert exc.value.best_broadcast.weight == 0
         assert "distances" not in vars(t)
 
 
@@ -283,7 +280,7 @@ class TestHearingSolver:
         with pytest.raises(BudgetExceeded) as exc:
             hearing_number(t, SolveLimits(max_nodes=100))
         assert exc.value.nodes > 100
-        assert exc.value.best_value == 0 and exc.value.best_broadcast.weight == 0
+        assert not hasattr(exc.value, "best_value")
 
 
 class TestLowerBoundWitness:
@@ -407,7 +404,8 @@ class TestComputeBounds:
     def test_budget_exceeded_flagged(self, d14):
         r = compute_bounds(d14, SolveLimits(max_nodes=50), exact=True)
         assert r.exact is None and r.exact_status == "budget_exceeded"
-        assert r.best_found is not None and r.witness_exact is not None
+        assert r.witness_exact is None and r.nodes > 50
+        assert not hasattr(r, "best_found")
         assert r.conjecture_ok is None
 
     def test_caterpillar_formula_dispatch(self):
@@ -421,22 +419,20 @@ class TestComputeBounds:
 
 class TestOptimaProperties:
     def test_p5(self):
-        res = bn_number_enum(fam("path:5"), collect_optima=True)
-        rep = optima_properties(fam("path:5"), res.optima)
+        rep = oracles.optima_properties(fam("path:5"), oracles.bn_optima(fam("path:5")))
         assert rep.weight == 4
         assert not rep.leaf_hears_nonleaf
         assert rep.low_strength_exists
 
     def test_sp23_low_strength_optimum_exists(self):
         t = fam("spider:2,2,2")
-        res = bn_number_enum(t, collect_optima=True)
-        rep = optima_properties(t, res.optima)
+        optima = oracles.bn_optima(t)
+        rep = oracles.optima_properties(t, optima)
         assert rep.weight == 6
         assert rep.low_strength_exists
-        assert rep.optima_count == len(res.optima)
+        assert rep.optima_count == len(optima)
 
     def test_overdomination_counter_is_recorded(self):
         t = fam("spider:2,2,2")
-        res = bn_number_enum(t, collect_optima=True)
-        rep = optima_properties(t, res.optima)
+        rep = oracles.optima_properties(t, oracles.bn_optima(t))
         assert 0 <= rep.overdominated_by2_count <= rep.low_strength_count
