@@ -6,7 +6,9 @@ upper bounds can disagree; the closed formula pins the exact value, so the
 whole corridor is visible without search.  For each leg multiset pair and
 bridge length the row shows lower, exact, upper, and the conjectured bound.
 Rows where lower < exact < upper demonstrate that neither bound is the
-value in general.
+value in general.  Every row comes from compute_bounds; with --verify it
+also solves the tree exactly, and an exact value that disagrees with the
+formula or escapes the bounds prints a MISMATCH line and exits 3.
 
 Example:
     python3 scripts/betweenness_family.py --max-leg 3 --max-bridge 8 --verify
@@ -17,13 +19,10 @@ import itertools
 import sys
 
 from bnbroadcast import (
-    bn_number_dp,
+    InternalInconsistency,
     build_family,
-    conjectured_upper_bound,
-    lower_bound_witness,
+    compute_bounds,
     parse_family_spec,
-    two_branch_value,
-    upper_bound,
 )
 
 
@@ -33,7 +32,8 @@ def main():
     ap.add_argument("--max-bridge", type=int, default=8)
     ap.add_argument("--legs-per-head", type=int, default=2)
     ap.add_argument("--verify", action="store_true",
-                    help="re-solve each tree exactly and compare to the formula")
+                    help="re-solve each tree exactly and compare to the formula; "
+                    "a mismatch exits 3")
     args = ap.parse_args()
 
     legsets = list(
@@ -55,22 +55,18 @@ def main():
                     ",".join(map(str, legs2)),
                 )
                 tree = build_family(parse_family_spec(spec))
-                lower, _ = lower_bound_witness(tree)
-                value = two_branch_value(tree)
-                upper = upper_bound(tree)
-                conj = conjectured_upper_bound(tree)
-                if args.verify:
-                    solved = bn_number_dp(tree).value
-                    if solved != value:
-                        print(f"MISMATCH {spec}: formula {value}, solver {solved}",
-                              file=sys.stderr)
-                        return 1
-                between = lower < value < upper
+                try:
+                    r = compute_bounds(tree, exact=args.verify)
+                except InternalInconsistency as exc:
+                    print(f"MISMATCH {spec}: {exc}", file=sys.stderr)
+                    return 3
+                value = r.formula_value
+                between = r.lower < value < r.upper
                 strict += between
                 total += 1
                 print(
-                    f"{spec:26} {tree.n:>3} {lower:>5} {value:>5} {upper:>5} "
-                    f"{conj:>5}  {'yes' if between else ''}"
+                    f"{spec:26} {tree.n:>3} {r.lower:>5} {value:>5} {r.upper:>5} "
+                    f"{r.conjectured:>5}  {'yes' if between else ''}"
                 )
     print(f"\n{strict} of {total} rows have the value strictly between the bounds",
           file=sys.stderr)

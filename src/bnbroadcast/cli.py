@@ -5,11 +5,13 @@ optional exact solve), witness (constructive lower-bound broadcast), verify
 (check a broadcast file against a host), search (scan the enumerated corpus
 for violations of a chosen claim), export-dot (Graphviz rendering).
 
-Inputs come from --family mini-specs, --g6 strings, files, or stdin; the
-positional argument is auto-detected as a family spec when it starts with a
-known kind prefix, otherwise it names a file.  All structured output is
-deterministic: identical inputs and limits give byte-identical JSON apart
-from the timing fields.
+A tree comes from the positional argument or from a --g6 string.  The
+positional argument is a family spec when it starts with a known kind
+prefix, otherwise it names a file ('-' for stdin).  All structured output
+is deterministic: identical inputs and limits give byte-identical JSON
+apart from the timing fields.  The only solver budget, --limits nodes=N,
+counts solver states, never time, so a budget stops at the same state on
+every machine.
 
 Exit codes: 0 success or recorded finding, 1 invalid broadcast, 2 parse or
 usage error, 3 internal inconsistency (an implementation-bug signal, never
@@ -73,7 +75,7 @@ from .trees import Shape, classify_shape
 
 log = logging.getLogger("bnbroadcast")
 
-SCHEMA = 3
+SCHEMA = 4
 
 PROVEN_CHECKS = ("sandwich", "characterization", "chain")
 ALL_CHECKS = ("question1",) + PROVEN_CHECKS
@@ -97,12 +99,9 @@ def _load_tree(args):
     """Resolve the input flags to (tree, descriptor)."""
     if getattr(args, "g6", None):
         return parse_graph6(args.g6), {"kind": "graph6", "value": args.g6}
-    if getattr(args, "family", None):
-        spec = parse_family_spec(args.family)
-        return build_family(spec), {"kind": "family", "value": args.family}
     source = args.target
     if source is None:
-        raise BadSpec("no input given (positional, --family or --g6)")
+        raise BadSpec("no input given (positional or --g6)")
     if looks_like_family(source):
         spec = parse_family_spec(source)
         return build_family(spec), {"kind": "family", "value": source}
@@ -150,26 +149,16 @@ def _scalar(v):
 
 
 def _parse_limits(text):
-    if not text:
+    """`--limits nodes=N` as SolveLimits, None without the option."""
+    if text is None:
         return None
-    nodes = ms = None
-    for piece in text.split(","):
-        key, eq, val = piece.partition("=")
-        try:
-            if not eq:
-                raise ValueError
-            if key == "nodes":
-                nodes = int(val)
-            elif key == "ms":
-                ms = float(val)
-            else:
-                raise ValueError
-        except ValueError:
-            raise BadSpec(f"bad --limits entry {piece!r} (want nodes=N,ms=M)") from None
+    key, eq, val = text.partition("=")
     try:
-        return SolveLimits(max_nodes=nodes, time_ms=ms)
-    except ValueError as exc:
-        raise BadSpec(f"bad --limits {text!r}: {exc}") from None
+        if key != "nodes" or not eq:
+            raise ValueError
+        return SolveLimits(max_nodes=int(val))
+    except ValueError:
+        raise BadSpec(f"bad --limits {text!r} (want nodes=N with N >= 1)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +353,7 @@ def cmd_export_dot(args):
 
 
 def _over_budget(rec, exc):
-    rec.update(status="budget_exceeded", nodes=exc.nodes, reason=exc.reason)
+    rec.update(status="budget_exceeded", nodes=exc.nodes)
     return rec
 
 
@@ -530,8 +519,8 @@ def cmd_search(args):
 
 def _add_input_args(sub):
     sub.add_argument("target", nargs="?", default=None, metavar="INPUT",
-                     help="family spec (kind:...) or file path ('-' for stdin)")
-    sub.add_argument("--family", help="family spec, e.g. dspider:2,2/5/2,2")
+                     help="family spec (kind:..., e.g. dspider:2,2/5/2,2) or file "
+                     "path ('-' for stdin)")
     sub.add_argument("--g6", help="graph6 string")
     sub.add_argument("--format", choices=("edgelist", "graph6"),
                      default="edgelist", help="file format (default edgelist)")
@@ -562,7 +551,8 @@ def build_parser():
     s = subs.add_parser("bounds", help="bounds, formulas, optional exact value")
     _add_input_args(s)
     s.add_argument("--exact", action="store_true", help="run the exact solver")
-    s.add_argument("--limits", help="solver budget: nodes=N,ms=M")
+    s.add_argument("--limits", metavar="nodes=N",
+                   help="solver budget: at most N solver states")
     s.set_defaults(func=cmd_bounds)
 
     s = subs.add_parser("witness", help="constructive lower-bound broadcast")
@@ -579,7 +569,8 @@ def build_parser():
     s.add_argument("--min-n", type=int, default=1)
     s.add_argument("--max-n", type=int, required=True)
     s.add_argument("--check", choices=ALL_CHECKS, default="question1")
-    s.add_argument("--limits", help="per-tree solver budget: nodes=N,ms=M")
+    s.add_argument("--limits", metavar="nodes=N",
+                   help="per-tree solver budget: at most N solver states")
     s.add_argument("--jobs", type=int, default=1,
                    help="worker processes across trees, at most the usable "
                    "CPUs (default 1)")

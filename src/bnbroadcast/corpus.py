@@ -16,13 +16,16 @@ Family builders use documented labelings: heads and spine vertices take the
 lowest indices, then bridge or spacing chains, then leaves, each group in
 declaration order.  This keeps golden outputs readable and stable.
 
-Interchange formats are a plain "u v" edge list and graph6 (short form
-only, order below 63; anything longer raises UnsupportedLongForm).
+Interchange formats are a plain "u v" edge list and graph6, whose order
+header is one byte below order 63 and four bytes ('~' and 18 bits) up to
+order 258047; the eight-byte header of larger orders ('~~') raises
+UnsupportedLongForm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator, Optional, Union
 
 from .errors import BadSpec, NotATree, ParseError, UnsupportedLongForm
@@ -355,28 +358,32 @@ def emit_edge_list(t: Tree) -> str:
 # graph6 format
 
 _G6_HEADER = ">>graph6<<"
+_G6_MAX_ORDER = 258047  # the largest order the 4-byte header holds
+# a 6-bit chunk c is printed as the byte c + 63
+_G6_CHUNK_TO_BYTE = bytes(range(63, 127)) + bytes(192)
+
+
+def _g6_order(n):
+    """The order header: byte n+63 below 63, else '~' and n in 18 bits,
+    big-endian, in three bytes of 6 bits + 63."""
+    if n < 63:
+        return chr(n + 63)
+    if n > _G6_MAX_ORDER:
+        raise UnsupportedLongForm()
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
 
 
 def emit_graph6(t: Tree) -> str:
-    """Short-form graph6: byte n+63, then the upper triangle column-major
-    in big-endian 6-bit chunks, each +63."""
+    """graph6: the order header, then the upper triangle column-major in
+    big-endian 6-bit chunks, each +63.  Bit k = j(j-1)/2 + i stands for the
+    pair i < j."""
     n = t.n
-    if n >= 63:
-        raise UnsupportedLongForm()
-    adj = set(t.edges)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        chunk = 0
-        for b in bits[k : k + 6]:
-            chunk = chunk << 1 | b
-        out.append(chr(chunk + 63))
-    return "".join(out)
+    header = _g6_order(n)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in t.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return header + body.translate(_G6_CHUNK_TO_BYTE).decode("ascii")
 
 
 def parse_graph6(text: str) -> Tree:
@@ -385,32 +392,39 @@ def parse_graph6(text: str) -> Tree:
         s = s[len(_G6_HEADER) :]
     if not s:
         raise ParseError("empty graph6 string")
-    if ord(s[0]) == 126:
+    if s.startswith("~~"):
         raise UnsupportedLongForm()
-    n = ord(s[0]) - 63
-    if not 0 <= n < 63:
-        raise ParseError(f"bad graph6 order byte {s[0]!r}")
+    if s[0] == "~":
+        header, body = s[1:4], s[4:]
+        if len(header) < 3:
+            raise ParseError("truncated graph6 order header")
+    else:
+        header, body = s[0], s[1:]
+    n = 0
+    for ch in header:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise ParseError(f"bad graph6 order byte {ch!r}")
+        n = n << 6 | val
     if n == 0:
         raise NotATree("graph6 string encodes the empty graph")
     nbits = n * (n - 1) // 2
-    body = s[1:]
     if len(body) != (nbits + 5) // 6:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {(nbits + 5) // 6}"
         )
-    bits = []
-    for ch in body:
+    edges = []
+    for c, ch in enumerate(body):
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise ParseError(f"byte {ch!r} out of graph6 range")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
-        raise ParseError("nonzero padding bits in graph6 body")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+        if not val:  # most chunks of a tree's body are empty
+            continue
+        for b in range(6):
+            if val & 32 >> b:
+                k = 6 * c + b
+                if k >= nbits:
+                    raise ParseError("nonzero padding bits in graph6 body")
+                j = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - j * (j - 1) // 2, j))
     return Tree(n, edges)

@@ -2,7 +2,9 @@
 
 Class names mirror the failure they signal rather than carrying an Error
 suffix; they are part of the public API and are matched by callers (the CLI
-maps them to exit codes).
+maps them to exit codes).  BudgetExceeded is not a failure: a solver raises
+it when it counts more nodes than its SolveLimits allow, and the CLI records
+it as a `budget_exceeded` outcome.
 """
 
 from __future__ import annotations
@@ -71,22 +73,23 @@ class ParseError(GraphError):
 
 
 class UnsupportedLongForm(ParseError):
-    """graph6 long form (order >= 63) is deliberately not handled."""
+    """graph6's 8-byte order header (order >= 258048) is deliberately not
+    handled."""
 
-    def __init__(self, message="graph6 long form (order >= 63) not supported"):
+    def __init__(self, message="graph6 order >= 258048 not supported"):
         super().__init__(message)
 
 
 class BudgetExceeded(GraphError):
-    """A solver ran out of its node or time budget.
+    """A solver ran out of its node budget.
 
-    Carries the nodes spent when it stopped and which budget ran out.
+    Carries the nodes counted when it stopped, which exceed the cap.  No
+    clock is read, so identical inputs and limits stop at the same node.
     """
 
-    def __init__(self, nodes, reason="node budget exhausted"):
-        super().__init__(f"{reason} after {nodes} nodes")
+    def __init__(self, nodes):
+        super().__init__(f"node budget exhausted after {nodes} nodes")
         self.nodes = nodes
-        self.reason = reason
 
 
 class InternalInconsistency(GraphError):

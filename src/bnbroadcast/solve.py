@@ -25,8 +25,10 @@ counts its states as `nodes`:
   conjectured_upper_bound also runs on the branch01 vertices.
 
 Every exact solver, DP or oracle, returns SolveResult(value, witness,
-nodes), or raises BudgetExceeded(nodes, reason) when its SolveLimits run
-out; no solver reports a partial optimum.
+nodes), or raises BudgetExceeded(nodes) when it counts more nodes than its
+SolveLimits allow; no solver reports a partial optimum.  The node count is
+the only budget and no solver reads a clock, so a solve and its outcome
+depend only on the tree and the limits.
 
 The other solvers are slower, independent routes that the tests compare
 the boundary-independence DP against:
@@ -64,7 +66,6 @@ scan read it, and serve only as oracles.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,16 +87,14 @@ from .trees import Forest, Shape, Tree, classify_shape
 
 @dataclass(frozen=True)
 class SolveLimits:
-    """Budgets for the exact solvers; None means unlimited."""
+    """The exact solvers' budget: at most max_nodes nodes (each solver's
+    states), None meaning unlimited."""
 
     max_nodes: Optional[int] = None
-    time_ms: Optional[float] = None
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_ms is not None and not self.time_ms > 0:
-            raise ValueError("time_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -161,26 +160,19 @@ def independence_number(g: Forest) -> tuple:
 
 
 class _Budget:
-    """Node counter plus optional wall-clock deadline."""
+    """A solver's node counter and its cap from SolveLimits."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline")
+    __slots__ = ("nodes", "max_nodes")
 
     def __init__(self, limits):
         self.nodes = 0
         self.max_nodes = limits.max_nodes if limits else None
-        self.deadline = None
-        if limits and limits.time_ms is not None:
-            self.deadline = time.monotonic() + limits.time_ms / 1000.0
 
     def spend(self, count=1):
-        before = self.nodes
+        """Count `count` nodes; past the cap, raise BudgetExceeded."""
         self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceeded(self.nodes)
-        # the clock is read once per 1024 nodes spent
-        if self.deadline is not None and before >> 10 != self.nodes >> 10:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded(self.nodes, reason="time budget exhausted")
 
 
 def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
@@ -336,8 +328,8 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     The states are filled in one iterative post-order and an optimal
     broadcast is read back top-down.  `nodes` counts every state,
     len(out[v]) + ecc(v) per vertex, whether stored or in a closed-form
-    tail, so node budgets and their checkpoints do not depend on how much
-    is stored.  The witness is checked by bn_violation, linear on an
+    tail, so where a node budget stops does not depend on how much is
+    stored.  The witness is checked by bn_violation, linear on an
     independent broadcast, before it is returned.  Running out of budget
     raises BudgetExceeded with the states counted so far.
     """

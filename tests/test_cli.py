@@ -12,11 +12,15 @@ from pathlib import Path
 import pytest
 
 from bnbroadcast import (
+    SolveLimits,
     bn_number_restricted,
     broadcasts,
+    build_family,
     cli,
     conjectured_upper_bound,
     enumerate_trees,
+    parse_family_spec,
+    parse_graph6,
     trees,
 )
 from bnbroadcast import cli
@@ -50,7 +54,7 @@ def jsonl(out):
 class TestAnalyze:
     def test_double_spider_profile(self, run):
         d = run_json(run, ["analyze", D14])
-        assert d["schema"] == 3 and d["tool"]["name"] == "bnbroadcast"
+        assert d["schema"] == 4 and d["tool"]["name"] == "bnbroadcast"
         assert d["input"] == {"kind": "family", "value": D14}
         assert d["n"] == 14
         assert d["shapes"] == ["other"]
@@ -93,11 +97,14 @@ class TestBounds:
         assert "total_ms" in d["timings"]
 
     def test_deterministic_apart_from_timings(self, run):
-        a = run_json(run, ["bounds", D14, "--exact"])
-        b = run_json(run, ["bounds", D14, "--exact"])
-        a.pop("timings")
-        b.pop("timings")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        # the second stops part-way through the 1,208,903 states of path:1100
+        for argv in (["bounds", D14, "--exact"],
+                     ["bounds", "path:1100", "--exact", "--limits", "nodes=700000"]):
+            a = run_json(run, argv)
+            b = run_json(run, argv)
+            a.pop("timings")
+            b.pop("timings")
+            assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_budget_exceeded(self, run):
         d = run_json(run, ["bounds", D14, "--exact", "--limits", "nodes=50"])
@@ -120,8 +127,11 @@ class TestBounds:
         ["bounds", "path:5", "--exact", "--limits", "nodes=0"],
         ["bounds", "path:5", "--exact", "--limits", "ms=-1"],
         ["bounds", "path:5", "--exact", "--limits", "ms=nan"],
+        ["bounds", "path:5", "--exact", "--limits", "ms=40"],
+        ["bounds", "path:5", "--exact", "--limits", "nodes=1,nodes=5"],
         ["search", "--max-n", "3", "--limits", "nodes=0"],
-    ], ids=["nodes=lots", "nodes=0", "ms=-1", "ms=nan", "search-nodes=0"])
+    ], ids=["nodes=lots", "nodes=0", "ms=-1", "ms=nan", "ms=40", "nodes-repeated",
+            "search-nodes=0"])
     def test_bad_limits_exit_2(self, run, argv):
         code, _, err = run(argv)
         assert code == 2 and err.startswith("error: bad --limits")
@@ -231,7 +241,7 @@ class TestVerify:
             v, s = map(int, token.split(":"))
             strengths[v] = s
         assert d == {
-            "schema": 3,
+            "schema": 4,
             "tool": d["tool"],
             "input": {"kind": "family", "value": D14},
             "broadcast": {
@@ -341,7 +351,7 @@ class TestSearch:
         assert "FINDING" not in err
         summary, _ = self.summary_of(out)
         assert summary["check"] == "question1"
-        assert summary["schema"] == 3 and summary["tool"]["name"] == "bnbroadcast"
+        assert summary["schema"] == 4 and summary["tool"]["name"] == "bnbroadcast"
         assert summary["min_n"] == 1 and summary["max_n"] == 7
         total = summary["solved"] + summary["budget_exceeded"] + summary["not_applicable"]
         assert summary["trees"] == total
@@ -492,10 +502,33 @@ class TestInputs:
         assert run(["analyze"])[0] == 2
 
     def test_bad_family(self, run):
-        assert run(["analyze", "--family", "wheel:5"])[0] == 2
+        # a known kind prefix, so parse_family_spec rejects it
+        code, _, err = run(["analyze", "path:x"])
+        assert code == 2 and err == "error: bad path order: 'x'\n"
 
     def test_bad_g6(self, run):
         assert run(["analyze", "--g6", "B"])[0] == 2
+
+    def test_no_input_message(self, run):
+        code, _, err = run(["analyze"])
+        assert code == 2 and err == "error: no input given (positional or --g6)\n"
+
+    def test_family_option_is_gone(self, run):
+        # the positional INPUT takes a family spec
+        assert run(["analyze", "--family", "path:3"])[0] == 2
+
+    def test_search_record_id_beyond_order_62(self, run):
+        # search at order 63 would scan an astronomically large corpus, so
+        # the record comes from the worker function directly
+        path63 = build_family(parse_family_spec("path:63"))
+        rec = cli._search_one(path63, "characterization", SolveLimits(max_nodes=1))
+        assert rec["status"] == "budget_exceeded"
+        assert rec["nodes"] > 1 and "reason" not in rec
+        assert rec["id"].startswith("~??~")
+        assert parse_graph6(rec["id"]).edges == path63.edges
+        code, out, err = run(["analyze", "--g6", rec["id"], "--json"])
+        assert code == 0, err
+        assert json.loads(out)["n"] == 63
 
 
 SPIDER_3K = "spider:1000,1000,1000"

@@ -1,5 +1,7 @@
 """Tree enumeration, family builders, and serialization formats."""
 
+import random
+
 import pytest
 
 import oracles
@@ -220,12 +222,36 @@ class TestGraph6:
         with pytest.raises(NotATree):
             parse_graph6("Bw")  # triangle
 
+    def test_four_byte_header(self):
+        # 63 = 0b000000_000000_111111 after the '~'
+        path63 = Tree(63, [(i, i + 1) for i in range(62)])
+        assert emit_graph6(path63).startswith("~??~")
+        assert emit_graph6(Tree(62, [(i, i + 1) for i in range(61)]))[0] == "}"
+
+    @pytest.mark.parametrize("n", [63, 64, 200, 1000])
+    def test_long_form_round_trip(self, n):
+        rng = random.Random(n)
+        t = Tree(n, [(rng.randrange(v), v) for v in range(1, n)])
+        path = Tree(n, [(i, i + 1) for i in range(n - 1)])
+        for tree in (t, path):
+            text = emit_graph6(tree)
+            assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+            assert parse_graph6(text).edges == tree.edges
+
     def test_long_form_unsupported(self):
+        # orders from 258048 on need the 8-byte header ('~~'), not handled
         with pytest.raises(UnsupportedLongForm):
-            parse_graph6(chr(126) + "??")
-        big = Tree(63, [(i, i + 1) for i in range(62)])
+            parse_graph6("~~" + "?" * 6)
+        big = Tree(258048, [(0, v) for v in range(1, 258048)])
         with pytest.raises(UnsupportedLongForm):
             emit_graph6(big)
+        for truncated in ("~", "~?", "~??"):
+            with pytest.raises(ParseError) as exc:
+                parse_graph6(truncated)
+            assert type(exc.value) is ParseError
+            assert "truncated" in str(exc.value)
+        with pytest.raises(ParseError, match="order byte"):
+            parse_graph6("~?" + chr(30) + "~")
 
     def test_malformed(self):
         for text in ("", "B", "Bgg", "B" + chr(30), chr(30)):

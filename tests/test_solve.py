@@ -130,10 +130,6 @@ class TestPrunedSolver:
     def test_limits_validation(self):
         with pytest.raises(ValueError):
             SolveLimits(max_nodes=0)
-        with pytest.raises(ValueError):
-            SolveLimits(time_ms=-1)
-        with pytest.raises(ValueError):
-            SolveLimits(time_ms=float("nan"))
 
     def test_restricted_agrees(self):
         for n in range(1, 7):
@@ -205,15 +201,10 @@ class TestDpSolver:
         assert e.nodes > 50
         assert not hasattr(e, "best_value") and not hasattr(e, "best_broadcast")
 
-    def test_time_budget(self):
-        with pytest.raises(BudgetExceeded) as exc:
-            bn_number_dp(fam("path:300"), SolveLimits(time_ms=1e-6))
-        assert exc.value.reason == "time budget exhausted"
-
     def test_budget_abort_builds_no_distance_matrix(self):
         t = fam("path:1100")
         with pytest.raises(BudgetExceeded) as exc:
-            bn_number_dp(t, SolveLimits(time_ms=1e-6))
+            bn_number_dp(t, SolveLimits(max_nodes=1))
         assert "distances" not in vars(t)
 
 
