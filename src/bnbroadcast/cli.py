@@ -15,7 +15,8 @@ every machine.
 
 Exit codes: 0 success or recorded finding, 1 invalid broadcast, 2 parse or
 usage error, 3 internal inconsistency (an implementation-bug signal, never
-expected on released code paths).
+expected on released code paths), 141 (128 + SIGPIPE) when the reader of
+stdout closes it early, as in `bnbroadcast search ... | head -1`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import cache, partial
 from itertools import islice
@@ -459,7 +459,14 @@ def cmd_search(args):
     # the records do not depend on --jobs; the pool starts every worker at
     # once, so it gets no more of them than there are CPUs to run them
     jobs = min(args.jobs, _usable_cpus())
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+    if jobs > 1:
+        # imported here: the process pool's modules would add about a tenth
+        # to the start-up of every other command
+        from concurrent.futures import ProcessPoolExecutor
+        context = ProcessPoolExecutor(jobs)
+    else:
+        context = nullcontext()
+    with context as pool:
         mapper = partial(_pool_map, pool) if pool else map
         for n in range(args.min_n, args.max_n + 1):
             order = {"type": "order", "n": n, **dict.fromkeys(keys, 0)}
@@ -598,7 +605,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe early shows up here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the interpreter's final flush stays silent, and exit as a
+        # SIGPIPE'd process would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InvalidBroadcast, NotBnIndependent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

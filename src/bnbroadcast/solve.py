@@ -13,8 +13,15 @@ counts its states as `nodes`:
   Below the root, the states of a vertex v whose ball reaches the parent
   with height(v) - 1 or more to spare have a closed form (a ball from a
   deepest descendant of v), so only the states below that are stored,
-  about half of them on a path.  `nodes` counts every state, stored or
-  not.
+  about half of them on a path.  The stored states below the root depend
+  only on the rooted subtree, so they are filled once per class of rooted
+  subtrees (the ordered tuple of the children's classes), not once per
+  vertex: once for all the equal legs of a spider, once per height for
+  both halves of a path.  A first pass assigns the classes and spends the
+  node budget vertex by vertex, so an exhausted budget stops before any
+  table is filled; a second fills each class once, children first, and
+  drops a class's tables when the last class that reads them is filled.
+  `nodes` counts every state, stored, shared or not.
 
 * hearing_number computes the hearing-independence number (no broadcaster
   in another's ball; the balls may overlap) over Pareto sets of (nearest
@@ -293,6 +300,46 @@ def bn_number_restricted(tree: Tree, limits: Optional[SolveLimits] = None) -> So
     return _max_weight_dfs(tree, caps, limits)
 
 
+def _fill(children, h, top, caps=None):
+    """One vertex's stored states from its children's: the recurrence of
+    bn_number_dp, whose docstring defines the states.
+
+    `children` yields each child's (out, inn, height) in adjacency order,
+    h is the vertex's height and `top` is how many inn states to store.
+    caps[i], when given, is child i's ecc(c) - 1, past which it passes no
+    ball up; below the root it is never under top, so callers there pass
+    None.  Returns (out, inn, pick, ends): pick[k] is the position of the
+    child that passes ball k up, -1 when v is the centre, and ends[i] is
+    child i's traceback state under g[v]: -1 (inn[c][0]) when a ball
+    ending at v covers its edge best, else 0.
+    """
+    S = [0] * top
+    bonus = list(range(1, top + 1))
+    up = [-1] * top
+    ends = []
+    g = 0
+    for i, (oc, ic, hc) in enumerate(children):
+        li, lo = len(ic), len(oc)
+        # S[k]: the children under a ball that reaches v with k+1 to spare;
+        # out[c] is no longer than S, except a leaf's [0] when top is 0
+        if top:
+            for k, x in enumerate(oc):
+                S[k] += x
+        # bonus[k]: the ball's own radius, from v as centre or passed up
+        m = top if caps is None or caps[i] > top else caps[i]
+        for k in range(m):
+            t = ((ic[k + 1] if k + 1 < li else k + 2 + hc)
+                 - (oc[k] if k < lo else 0))
+            if t > bonus[k] or (t == bonus[k] and up[k] < 0):
+                bonus[k] = t
+                up[k] = i
+        i0 = ic[0] if li else 1 + hc
+        ends.append(-1 if i0 >= oc[0] else 0)
+        g += max(oc[0], i0)
+    out = [g] + S[: h - 1] if h else [g]
+    return out, [s + b for s, b in zip(S, bonus)], up, ends
+
+
 def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     """Exact maximum boundary-independent broadcast weight by a tree DP.
 
@@ -325,95 +372,124 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     in a bicentral tree the root's deepest descendants on the other
     centre's side have eccentricity 2R - 1, one short of the tail's ball.
 
-    The states are filled in one iterative post-order and an optimal
-    broadcast is read back top-down.  `nodes` counts every state,
-    len(out[v]) + ecc(v) per vertex, whether stored or in a closed-form
-    tail, so where a node budget stops does not depend on how much is
-    stored.  The witness is checked by bn_violation, linear on an
-    independent broadcast, before it is returned.  Running out of budget
-    raises BudgetExceeded with the states counted so far.
+    Below the root the stored states depend only on the rooted subtree:
+    a non-root child c has ecc(c) - 1 >= height(v) - 1, so no child's ball
+    is cut short by its eccentricity.  The tables are therefore filled once
+    per class of rooted subtrees, not once per vertex.  A vertex's class is
+    the interned, ordered tuple of its children's classes in adjacency
+    order, so equal classes also break ties alike and the witness does not
+    depend on the sharing.  The root is a class of its own, filled last
+    with its full table and each child's ball capped at ecc(c) - 1.
+
+    Pass 1 walks the vertices in post-order: it assigns each its class,
+    whose height and first deepest child are recorded once, spends the
+    vertex's states on the node budget, and records the last class that
+    reads each class.  `nodes` counts every state, len(out[v]) + ecc(v)
+    per vertex, whether stored, shared or in a closed-form tail, so where
+    a budget stops depends neither on how much is stored nor on the
+    sharing, and a budget that runs out raises BudgetExceeded before any
+    table is filled.  Pass 2 fills the classes in id order, children
+    first, with _fill, and drops a class's out and inn lists once the last
+    class that reads them is filled.
+
+    An optimal broadcast is read back top-down from the root, mapping the
+    class's pick positions to each vertex's children.  The witness is
+    checked by bn_violation, linear on an independent broadcast, before it
+    is returned.
     """
     n = tree.n
-    adj = [tree.neighbors(v) for v in range(n)]
+    adj = tree.adjacency
     ecc = tree.eccentricities
     root = min(range(n), key=ecc.__getitem__)
     depth = tree.ball(root)
 
     budget = _Budget(limits)
-    kids = [[c for c in adj[v] if depth[c] > depth[v]] for v in range(n)]
-    height = [0] * n
-    out = [None] * n
-    inn = [None] * n
-    # what the traceback needs once a child's lists are dropped: whether a
-    # ball ending at the parent beats an empty edge, and the stored part of
-    # pick
-    ends = [False] * n
-    pick = [None] * n
-    deep = [-1] * n  # the first child of greatest height: the tail's pick
-    for v in reversed(depth):
-        e = ecc[v]
-        h = 0
-        for c in kids[v]:
-            if height[c] + 1 > h:
-                h = height[c] + 1
-                deep[v] = c
-        height[v] = h
-        # the stored states: all of them at the root, below h - 1 elsewhere
-        top = e if v == root else h - 1 if h else 0
-        # S[k]: the children under a ball that reaches v with k+1 to spare;
-        # bonus[k]: the ball's own radius, from v as centre or passed up
-        S = [0] * top
-        bonus = list(range(1, top + 1))
-        up = [-1] * top
-        g = 0
-        for c in kids[v]:
-            ic, oc, hc = inn[c], out[c], height[c]
-            li, lo = len(ic), len(oc)
-            # out[c] is no longer than S, except a leaf's [0] when top is 0
-            if top:
-                for k, x in enumerate(oc):
-                    S[k] += x
-            m = ecc[c] - 1
-            if m > top:
-                m = top
-            for k in range(m):
-                t = ((ic[k + 1] if k + 1 < li else k + 2 + hc)
-                     - (oc[k] if k < lo else 0))
-                if t > bonus[k] or (t == bonus[k] and up[k] < 0):
-                    bonus[k] = t
-                    up[k] = c
-            i0 = ic[0] if li else 1 + hc
-            ends[c] = i0 >= oc[0]
-            g += max(oc[0], i0)
-            out[c] = inn[c] = None
-        out[v] = [g] + S[: h - 1] if kids[v] else [g]
-        inn[v] = [s + b for s, b in zip(S, bonus)]
-        pick[v] = up
-        budget.spend(len(out[v]) + e)
+    spend = budget.spend
+    kids = [None] * n
+    for v, d in depth.items():
+        kids[v] = [c for c in adj[v] if depth[c] > d]
+    cls = [0] * n  # class 0 is the leaf's
+    ids = {(): 0}  # the children's classes -> the class
+    members = [()]  # per class: its children's classes
+    heights = [0]  # per class: its subtrees' height
+    deeps = [-1]  # per class: the tail's pick, its first deepest child
+    last = [0]  # per class: the last class that reads it
+
+    def new_class(key):
+        k = len(members)
+        h, d = 0, -1
+        for i, j in enumerate(key):
+            if heights[j] >= h:
+                h, d = heights[j] + 1, i
+            last[j] = k
+        members.append(key)
+        heights.append(h)
+        deeps.append(d)
+        last.append(k)
+        return k
+
+    # pass 1, children first; the root, last, is a class of its own
+    for v in list(depth)[:0:-1]:
+        ks = kids[v]
+        if ks:
+            key = tuple(map(cls.__getitem__, ks))
+            k = ids.get(key)
+            if k is None:
+                k = ids[key] = new_class(key)
+            cls[v] = k
+            spend(heights[k] + ecc[v])
+        else:
+            spend(1 + ecc[v])
+    cls[root] = new_class(tuple(map(cls.__getitem__, kids[root])))
+    spend((heights[cls[root]] or 1) + ecc[root])
+
+    # pass 2: tab[k] is class k's (out, inn, height) until its last reader
+    # is filled; a leaf's tables are g = 0 and nothing stored
+    tab = [None] * len(members)
+    pick = [None] * len(members)
+    ends = [None] * len(members)
+    tab[0], pick[0], ends[0] = ([0], [], 0), [], []
+    for k in range(1, len(members)):
+        key, h = members[k], heights[k]
+        if k < cls[root]:
+            top, caps = h - 1, None
+        else:
+            # the root's children pass no ball past their ecc - 1
+            top, caps = ecc[root], [ecc[c] - 1 for c in kids[root]]
+        out_k, inn_k, pick[k], ends[k] = _fill(map(tab.__getitem__, key), h, top, caps)
+        for j in key:
+            if last[j] == k:
+                tab[j] = None
+        tab[k] = (out_k, inn_k, h)
 
     # traceback: state r >= 0 is out[v][r], state -(k+1) is inn[v][k]; ties
     # go to the larger ball, which keeps the witness's broadcasters few
-    value = out[root][0]
+    rout, rinn, _ = tab[cls[root]]
+    value = rout[0]
     state = 0
     for k in range(ecc[root] - 1, -1, -1):
-        if inn[root][k] > value or (inn[root][k] == value and state == 0):
-            value, state = inn[root][k], -(k + 1)
+        if rinn[k] > value or (rinn[k] == value and state == 0):
+            value, state = rinn[k], -(k + 1)
     strengths = [0] * n
     stack = [(root, state)]
     while stack:
         v, state = stack.pop()
+        c = cls[v]
         if state == 0:
-            stack.extend((c, -1 if ends[c] else 0) for c in kids[v])
+            stack.extend(zip(kids[v], ends[c]))
         elif state > 0:
             # r >= height(v): the ball from above covers the whole subtree
-            if state < height[v]:
-                stack.extend((c, state - 1) for c in kids[v])
+            if state < heights[c]:
+                stack.extend(zip(kids[v], itertools.repeat(state - 1)))
         else:
             k = -state - 1
-            c0 = pick[v][k] if k < len(pick[v]) else deep[v]
-            if c0 < 0:
+            i = pick[c][k] if k < len(pick[c]) else deeps[c]
+            states = [k] * len(kids[v])
+            if i < 0:
                 strengths[v] = k + 1
-            stack.extend((c, -(k + 2) if c == c0 else k) for c in kids[v])
+            else:
+                states[i] = -(k + 2)
+            stack.extend(zip(kids[v], states))
 
     witness = Broadcast(tree, strengths)
     if witness.weight != value or bn_violation(witness) is not None:

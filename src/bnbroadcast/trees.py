@@ -139,6 +139,11 @@ class Forest:
     def labels(self) -> Optional[tuple]:
         return self._labels
 
+    @property
+    def adjacency(self) -> tuple:
+        """Every vertex's sorted neighbours, indexed by vertex."""
+        return self._adj
+
     def neighbors(self, v: int) -> tuple:
         self._check_vertex(v)
         return self._adj[v]

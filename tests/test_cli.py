@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main()."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -443,7 +444,7 @@ class TestSearch:
                 made.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         _, serial, _ = run(["search", "--max-n", "6"])
         for jobs in ("100000", "2"):
@@ -685,16 +686,21 @@ class TestLargeInputs:
         assert err.startswith("error:")
 
 
-def fresh_process(args, flags=()):
-    """(exit code, stdout, stderr) of the command line in a new interpreter."""
+def fresh_env():
+    """The environment of a new interpreter that imports this checkout."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def fresh_process(args, flags=()):
+    """(exit code, stdout, stderr) of the command line in a new interpreter."""
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "bnbroadcast.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -760,3 +766,31 @@ class TestTopLevel:
                      ["bounds", D14, "--json"],
                      ["--version"]):
             assert untimed(run(argv)) == untimed(fresh_process(argv)), argv
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # about 117 kB of records, more than a pipe holds, so the scan is
+        # still writing when the reader goes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bnbroadcast.cli", "search", "--max-n", "12",
+             "--limits", "nodes=20"],
+            env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert json.loads(proc.stdout.readline())["type"] == "order"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
+    def test_only_a_parallel_search_imports_the_process_pool(self):
+        script = ("import sys\n"
+                  "from bnbroadcast import cli\n"
+                  "for jobs in ('1', '2'):\n"
+                  "    cli.main(['search', '--max-n', '3', '--jobs', jobs])\n"
+                  "    print('concurrent.futures.process' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        flags = [line for line in proc.stdout.splitlines()
+                 if line in ("True", "False")]
+        assert flags == ["False", str(cli._usable_cpus() > 1)]

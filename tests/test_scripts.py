@@ -24,3 +24,15 @@ def test_betweenness_family_verify():
                       "--max-bridge", "4", "--verify")
     assert proc.returncode == 0, proc.stderr
     assert "dspider:1,1/1/1,1" in proc.stdout
+
+
+def test_betweenness_family_bad_argument():
+    # a head with one leg is no branch vertex, so no double spider exists
+    proc = run_script("betweenness_family.py", "--legs-per-head", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: each double-spider head needs at least 2 legs"
+    ]
+    proc = run_script("betweenness_family.py", "--legs-per-head", "-1")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr

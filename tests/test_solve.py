@@ -6,7 +6,9 @@ definitions before being frozen into assertions.
 """
 
 import itertools
+import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -163,8 +165,29 @@ class TestDpSolver:
                 assert_matches_full_table(t)
 
     def test_matches_full_table_on_long_specs(self):
-        for spec in ("path:400", "spider:200,200,200"):
+        for spec in ("path:400", "path:401", "spider:200,200,200"):
             assert_matches_full_table(fam(spec))
+
+    def test_matches_full_table_where_classes_repeat(self):
+        # equal rooted subtrees share one table; here they sit in different
+        # child positions: equal legs, a caterpillar's leaves and stems
+        for spec in ("dspider:4,4,4/3/4,4,4", "dspider:7,7/6/7,7",
+                     "cat:leafcounts=2,1,3,0,2,2,1,3,1,2"):
+            assert_matches_full_table(fam(spec))
+
+    def test_matches_full_table_on_relabelled_random_trees(self):
+        # half the vertices hang off the previous one, so long chains and
+        # many leaves make classes repeat; the labels are shuffled so that
+        # adjacency order differs from construction order
+        rng = random.Random(2024)
+        for _ in range(12):
+            n = rng.randint(50, 300)
+            label = list(range(n))
+            rng.shuffle(label)
+            up = [v - 1 if rng.random() < 0.5 else rng.randrange(v)
+                  for v in range(1, n)]
+            edges = [(label[v], label[u]) for v, u in enumerate(up, 1)]
+            assert_matches_full_table(Tree(n, edges))
 
     def test_tails_have_a_closed_form_below_the_root(self):
         # what lets bn_number_dp store inn and pick only below height - 1
@@ -190,6 +213,29 @@ class TestDpSolver:
         # still counts, so budgets stop at the same place
         for spec, nodes in (("path:1100", 1208903), ("spider:200,200,200", 240403)):
             assert bn_number_dp(fam(spec)).nodes == nodes
+
+    def test_budget_stops_frozen(self):
+        # the states are spent vertex by vertex in post-order, as before the
+        # tables were shared, so a budget stops at the same count
+        for spec, cap, nodes in (("path:1100", 700000, 700065),
+                                 ("spider:200,200,200", 100000, 100003),
+                                 ("path:800", 5, 800)):
+            with pytest.raises(BudgetExceeded) as exc:
+                bn_number_dp(fam(spec), SolveLimits(max_nodes=cap))
+            assert exc.value.nodes == nodes, spec
+
+    def test_drops_tables_once_read(self):
+        # a long path's tables, one per height, go as soon as the next
+        # height is filled; keeping them all would take about 9.5 MB
+        t = fam("path:1100")
+        t.eccentricities
+        tracemalloc.start()
+        try:
+            bn_number_dp(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_nodes_deterministic(self, d14):
         assert bn_number_dp(d14).nodes == bn_number_dp(d14).nodes > 0
