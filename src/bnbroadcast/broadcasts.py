@@ -6,9 +6,10 @@ v's boundary when equality holds.  An edge is covered by broadcaster x when
 both endpoints are heard by x and at least one of them is off x's boundary.
 
 The package's central predicate, boundary independence, asks that any vertex
-heard by two broadcasters lies on the boundary of both.  The equivalent
-edge-level reading (no edge covered twice) is computed independently and the
-two verdicts are cross-checked whenever assertions are enabled.
+heard by two broadcasters lies on the boundary of both; bn_violation decides
+it and every other check reads its verdict.  The equivalent edge-level
+reading (no edge covered twice, from `analyze`) and the component criterion
+for maximality are second formulations that the tests compare against.
 
 The predicates read distances only from the balls B(v, f(v)) of the
 broadcasters, each found by a BFS that stops at the boundary
@@ -144,9 +145,10 @@ def _reach(host, sources):
     by2 = [-1] * n
     for v, s in sources:
         best[v], by[v] = s, v
+    adj = host.adjacency
     for comp in host.components:
         depth = host.ball(comp[0])
-        up = [(x, y) for x in reversed(depth) for y in host.neighbors(x)
+        up = [(x, y) for x in reversed(depth) for y in adj[x]
               if depth[y] < depth[x]]
         # each (x, y): offer y the two best at x, one step further on
         for x, y in up + [(y, x) for x, y in reversed(up)]:
@@ -173,6 +175,7 @@ def analyze(f: Broadcast) -> BroadcastAnalysis:
     one, so they never both lie on x's boundary.
     """
     host = f.host
+    adj = host.adjacency
     strengths = f.strengths
     balls = _balls(f)
     v_plus = tuple(balls)
@@ -193,7 +196,7 @@ def analyze(f: Broadcast) -> BroadcastAnalysis:
         )
         for a, d in ball.items():
             if d < s:
-                for b in host.neighbors(a):
+                for b in adj[a]:
                     if ball[b] > d:
                         covered_by[(a, b) if a < b else (b, a)].append(v)
     covered_by = {e: tuple(xs) for e, xs in covered_by.items()}
@@ -231,7 +234,7 @@ def _next_toward(host, w, dist):
     """Neighbour of w one step closer to the centre of `dist`, a ball (vertex
     -> distance from its centre) that holds w and is not centred at w."""
     d = dist[w] - 1
-    for nb in host.neighbors(w):
+    for nb in host.adjacency[w]:
         if dist.get(nb) == d:
             return nb
     raise AssertionError("unreachable: the ball holds w's path to its centre")
@@ -320,18 +323,9 @@ def bn_violation(f: Broadcast) -> Optional[BnViolation]:
 
 
 def is_bn_independent(f: Broadcast) -> bool:
-    """No vertex is heard strictly inside two broadcast balls.
-
-    With assertions enabled the verdict is cross-checked against the
-    edge-coverage formulation: boundary independence holds exactly when no
-    edge is covered by two broadcasters.
-    """
-    verdict = bn_violation(f) is None
-    if __debug__:
-        a = analyze(f)
-        edge_verdict = all(len(xs) <= 1 for xs in a.covered_by.values())
-        assert verdict == edge_verdict, "boundary/edge formulations disagree"
-    return verdict
+    """No vertex is heard strictly inside two broadcast balls: bn_violation
+    finds no violation."""
+    return bn_violation(f) is None
 
 
 def hearing_violation(f: Broadcast) -> Optional[tuple]:
@@ -371,42 +365,28 @@ def is_hearing_independent(f: Broadcast) -> bool:
 def is_maximal_bn(f: Broadcast) -> bool:
     """Is the boundary-independent broadcast maximal under pointwise increase?
 
-    Uses the dominating + non-private-boundary criterion.  On connected hosts
-    with at least two broadcasters an independent component-counting
-    criterion exists (delete the uncovered edges; every component must keep
-    two broadcasters) and the two are cross-checked under assertions.
+    Uses the dominating + non-private-boundary criterion of
+    _maximality_certificate.
     """
     if bn_violation(f) is not None:
         raise NotBnIndependent("maximality requires a boundary-independent broadcast")
-    return _maximality_certificate(f, analyze(f)) is None
+    return _maximality_certificate(analyze(f)) is None
 
 
-def _maximality_certificate(f, a):
-    """Why a broadcast already known to be boundary independent, with
-    analysis `a`, is not maximal, or None when it is maximal.
+def _maximality_certificate(a):
+    """Why the broadcast of analysis `a`, already known to be boundary
+    independent, is not maximal, or None when it is maximal.
 
     The certificate is ("undominated_vertex", the least vertex hearing no
     broadcaster) or, with two or more broadcasters, ("expandable_broadcaster",
     the least broadcaster whose boundary is all private).
     """
-    cert = None
     if a.undominated:
-        cert = "undominated_vertex", min(a.undominated)
-    elif len(a.v_plus) >= 2:
-        cert = next((("expandable_broadcaster", v) for v in a.v_plus
+        return "undominated_vertex", min(a.undominated)
+    if len(a.v_plus) >= 2:
+        return next((("expandable_broadcaster", v) for v in a.v_plus
                      if not a.boundary[v] - a.private_boundary[v]), None)
-    if __debug__ and len(a.v_plus) >= 2 and len(f.host.components) == 1:
-        assert (cert is None) == _maximal_by_components(f, a), \
-            "maximality criteria disagree"
-    return cert
-
-
-def _maximal_by_components(f, a):
-    """Component criterion: drop uncovered edges, need >= 2 broadcasters each."""
-    covered = [e for e, xs in a.covered_by.items() if xs]
-    remaining = Forest(f.host.n, covered)
-    bs = set(a.v_plus)
-    return all(len(bs.intersection(comp)) >= 2 for comp in remaining.components)
+    return None
 
 
 def format_broadcast(f: Broadcast) -> str:

@@ -63,13 +63,13 @@ from .errors import (
 )
 from .solve import (
     SolveLimits,
+    _SandwichEscape,
     bn_number_dp,
     compute_bounds,
     conjectured_upper_bound,
     hearing_number,
     independence_number,
     lower_bound_witness,
-    upper_bound,
 )
 from .trees import Shape, classify_shape
 
@@ -281,7 +281,7 @@ def cmd_verify(args):
     if bn_ok:
         a = analyze(f)
         undominated = a.undominated
-        cert = _maximality_certificate(f, a)
+        cert = _maximality_certificate(a)
         maximal = cert is None
         if not maximal:
             kind, v = cert
@@ -352,27 +352,41 @@ def cmd_export_dot(args):
 # corpus search
 
 
-def _over_budget(rec, exc):
-    rec.update(status="budget_exceeded", nodes=exc.nodes)
+def _over_budget(rec, nodes):
+    rec.update(status="budget_exceeded", nodes=nodes)
     return rec
 
 
 def _check_tree(tree, check, limits):
     """One check on one tree: the search record, without its id."""
     rec = {"n": tree.n, "status": "solved", "violation": None}
-    p = tree.profile
 
-    if check in ("question1", "sandwich") and not p.branch:
+    if check in ("question1", "sandwich") and not tree.profile.branch:
         rec["status"] = "not_applicable"
         return rec
     if check == "chain" and tree.n < 2:
         rec["status"] = "not_applicable"
         return rec
 
+    if check == "sandwich":
+        # compute_bounds checks the sandwich and the closed formulas; an
+        # escape from the sandwich is recorded, a formula mismatch raises
+        try:
+            report = compute_bounds(tree, limits, exact=True)
+        except _SandwichEscape as exc:
+            report = exc.report
+            rec["violation"] = {"lower": report.lower, "exact": report.exact,
+                                "upper": report.upper}
+        if report.exact is None:
+            return _over_budget(rec, report.nodes)
+        rec.update(nodes=report.nodes, exact=report.exact,
+                   lower=report.lower, upper=report.upper)
+        return rec
+
     try:
         res = bn_number_dp(tree, limits)
     except BudgetExceeded as exc:
-        return _over_budget(rec, exc)
+        return _over_budget(rec, exc.nodes)
     rec["nodes"] = res.nodes
     exact = rec["exact"] = res.value
 
@@ -381,12 +395,6 @@ def _check_tree(tree, check, limits):
         rec["conjectured"] = conjectured
         if exact > conjectured:
             rec["violation"] = {"exact": exact, "conjectured": conjectured}
-    elif check == "sandwich":
-        lower, _ = lower_bound_witness(tree)
-        upper = upper_bound(tree)
-        rec["lower"], rec["upper"] = lower, upper
-        if not lower <= exact <= upper:
-            rec["violation"] = {"lower": lower, "exact": exact, "upper": upper}
     elif check == "characterization":
         path_or_spider = bool(
             classify_shape(tree) & {Shape.PATH, Shape.SPIDER}
@@ -402,7 +410,7 @@ def _check_tree(tree, check, limits):
         try:
             hres = hearing_number(tree, limits)
         except BudgetExceeded as exc:
-            return _over_budget(rec, exc)
+            return _over_budget(rec, exc.nodes)
         rec["alpha"], rec["hearing"] = alpha, hres.value
         if not (alpha <= exact <= hres.value < 2 * exact):
             rec["violation"] = {

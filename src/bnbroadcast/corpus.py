@@ -212,7 +212,7 @@ def build_family(spec: FamilySpec) -> Tree:
         for l in legs:
             nxt = _grow_leg(edges, 0, l, nxt)
         t = Tree(1 + sum(legs), edges)
-        assert t.degree(0) == len(legs)
+        assert len(t.adjacency[0]) == len(legs)
         return t
 
     if isinstance(spec, DoubleSpiderSpec):
@@ -238,7 +238,8 @@ def build_family(spec: FamilySpec) -> Tree:
             nxt = _grow_leg(edges, 1, l, nxt)
         t = Tree(2 + sum(legs1) + sum(legs2) + spec.bridge - 1, edges)
         assert t.ball(0)[1] == spec.bridge
-        assert t.degree(0) == len(legs1) + 1 and t.degree(1) == len(legs2) + 1
+        assert len(t.adjacency[0]) == len(legs1) + 1
+        assert len(t.adjacency[1]) == len(legs2) + 1
         return t
 
     if isinstance(spec, CaterpillarSpec):

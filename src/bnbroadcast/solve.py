@@ -111,10 +111,10 @@ class SolveResult:
     nodes: int
 
 
-def _max_independent_set(neighbors, vertices) -> tuple:
+def _max_independent_set(adj, vertices) -> tuple:
     """Lexicographically least maximum independent set of the forest induced
-    on `vertices`, as (size, frozenset); `neighbors(v)` is read only for v in
-    `vertices`.
+    on `vertices`, as (size, frozenset); `adj[v]`, v's neighbours, is read
+    only for v in `vertices`.
 
     One weighted tree DP per component: the vertex of rank i among the k
     vertices weighs 2^k + 2^(k-1-i).  The 2^k terms make every optimum a
@@ -134,7 +134,7 @@ def _max_independent_set(neighbors, vertices) -> tuple:
         order = [r]
         parent[r] = None
         for u in order:
-            for w in neighbors(u):
+            for w in adj[u]:
                 if w in rank and w not in parent:
                     parent[w] = u
                     order.append(w)
@@ -146,7 +146,7 @@ def _max_independent_set(neighbors, vertices) -> tuple:
         for u in reversed(order):
             i = top | (1 << (k - 1 - rank[u]))
             e = 0
-            for w in neighbors(u):
+            for w in adj[u]:
                 if w in rank and w != parent[u]:
                     i += excl.pop(w)
                     e += best.pop(w)
@@ -163,7 +163,7 @@ def _max_independent_set(neighbors, vertices) -> tuple:
 def independence_number(g: Forest) -> tuple:
     """Maximum independent set size of a forest, with one witness set: the
     lexicographically least maximum independent set."""
-    return _max_independent_set(g.neighbors, range(g.n))
+    return _max_independent_set(g.adjacency, range(g.n))
 
 
 class _Budget:
@@ -549,7 +549,8 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
     ecc = tree.eccentricities
     root = min(range(n), key=ecc.__getitem__)
     depth = tree.ball(root)
-    kids = [[c for c in tree.neighbors(v) if depth[c] > depth[v]] for v in range(n)]
+    adj = tree.adjacency
+    kids = [[c for c in adj[v] if depth[c] > depth[v]] for v in range(n)]
 
     budget = _Budget(limits)
     # states[v]: (D, R) -> (weight, link); a silent v links the children's
@@ -669,7 +670,7 @@ def conjectured_upper_bound(tree: Tree) -> int:
     p = tree.profile
     if not p.branch:
         raise NoBranchVertices("the conjectured bound needs a branch vertex")
-    alpha_r, _ = _max_independent_set(tree.neighbors, p.branch01)
+    alpha_r, _ = _max_independent_set(tree.adjacency, p.branch01)
     return tree.n - len(p.branch) + alpha_r
 
 
@@ -742,72 +743,68 @@ class BoundsReport:
     conjecture_ok: Optional[bool]
 
 
+class _SandwichEscape(InternalInconsistency):
+    """A solved report whose exact value escapes [lower, upper]; `report`
+    keeps it, so that a corpus scan can record the tree and go on."""
+
+    def __init__(self, report):
+        super().__init__(f"exact {report.exact} escapes sandwich "
+                         f"[{report.lower}, {report.upper}]")
+        self.report = report
+
+
 def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
                    exact: bool = False) -> BoundsReport:
     """Bounds, applicable formula, and optionally the exact value of one tree.
 
-    Formula precedence: path/spider, then two branch vertices, then
-    caterpillar.  A disagreement between an applicable formula and a
-    completed exact search raises InternalInconsistency, as does an exact
-    value escaping the sandwich.  When the exact solver runs out of budget
-    the report keeps the nodes it spent and no value or witness.
+    The formulas are tried in the order path/spider, two branch vertices,
+    caterpillar, and the first whose own precondition holds (it raises no
+    ShapeMismatch) is reported.  This is the one place where the proven
+    facts meet a completed exact solve: a value escaping the sandwich
+    [lower, upper] raises _SandwichEscape, an InternalInconsistency that
+    carries the report, and a value other than the formula's raises
+    InternalInconsistency.  When the exact solver runs out of budget the
+    report keeps the nodes it spent and no value or witness.
     """
     p = tree.profile
-    shapes = classify_shape(tree)
     interior_mis = independence_number(p.interior)
-    alpha_int = interior_mis[0]
 
-    lower = upper = conjectured = None
-    witness_lower = None
+    lower = upper = conjectured = witness_lower = None
     if p.branch:
         lower, witness_lower = _lower_bound_witness(tree, interior_mis)
         upper = upper_bound(tree)
         conjectured = conjectured_upper_bound(tree)
 
     formula_name = formula_value = None
-    if shapes & {Shape.PATH, Shape.SPIDER}:
-        formula_name, formula_value = "path_spider", path_spider_value(tree)
-    elif len(p.branch) == 2:
-        formula_name, formula_value = "two_branch", two_branch_value(tree)
-    else:
+    for name, formula in (("path_spider", path_spider_value),
+                          ("two_branch", two_branch_value),
+                          ("caterpillar", caterpillar_value)):
         try:
-            formula_name, formula_value = "caterpillar", caterpillar_value(tree)
+            formula_value = formula(tree)
         except ShapeMismatch:
-            pass
+            continue
+        formula_name = name
+        break
 
-    exact_value = nodes = witness_exact = None
+    exact_value = nodes = witness_exact = conjecture_ok = None
     status = "not_run"
     if exact:
         try:
             res = bn_number_dp(tree, limits)
-            exact_value = res.value
-            witness_exact = res.witness
-            nodes = res.nodes
-            status = "solved"
         except BudgetExceeded as exc:
-            nodes = exc.nodes
-            status = "budget_exceeded"
+            nodes, status = exc.nodes, "budget_exceeded"
+        else:
+            exact_value, witness_exact, nodes = res.value, res.witness, res.nodes
+            status = "solved"
+            if conjectured is not None:
+                conjecture_ok = exact_value <= conjectured
 
-    if exact_value is not None:
-        if lower is not None and not (lower <= exact_value <= upper):
-            raise InternalInconsistency(
-                f"exact {exact_value} escapes sandwich [{lower}, {upper}]"
-            )
-        if formula_value is not None and formula_value != exact_value:
-            raise InternalInconsistency(
-                f"formula {formula_name}={formula_value} but exact={exact_value}"
-            )
-
-    conjecture_ok = None
-    if exact_value is not None and conjectured is not None:
-        conjecture_ok = exact_value <= conjectured
-
-    return BoundsReport(
+    report = BoundsReport(
         n=tree.n,
         branch_count=len(p.branch),
         branch01_count=len(p.branch01),
         deg2_internal_count=len(p.deg2_internal),
-        interior_independence=alpha_int,
+        interior_independence=interior_mis[0],
         lower=lower,
         upper=upper,
         conjectured=conjectured,
@@ -820,3 +817,11 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
         witness_exact=witness_exact,
         conjecture_ok=conjecture_ok,
     )
+    if exact_value is not None:
+        if lower is not None and not lower <= exact_value <= upper:
+            raise _SandwichEscape(report)
+        if formula_value is not None and formula_value != exact_value:
+            raise InternalInconsistency(
+                f"formula {formula_name}={formula_value} but exact={exact_value}"
+            )
+    return report

@@ -305,20 +305,22 @@ def _walk_past_deg2(tree, start, first):
     Returns (endpoint, chain) where chain lists the degree-2 vertices passed
     and endpoint is the first vertex of degree != 2.
     """
+    adj = tree.adjacency
     chain = []
     prev, cur = start, first
-    while tree.degree(cur) == 2:
+    while len(adj[cur]) == 2:
         chain.append(cur)
-        a, b = tree.neighbors(cur)
+        a, b = adj[cur]
         prev, cur = cur, (b if a == prev else a)
     return cur, chain
 
 
 def _compute_profile(tree: Tree) -> TreeProfile:
     n = tree.n
-    deg = [tree.degree(v) for v in range(n)]
+    adj = tree.adjacency
+    deg = [len(a) for a in adj]
     leaves = frozenset(v for v in range(n) if deg[v] <= 1)
-    stems = frozenset(w for v in leaves if deg[v] == 1 for w in tree.neighbors(v))
+    stems = frozenset(w for v in leaves if deg[v] == 1 for w in adj[v])
     branch = frozenset(v for v in range(n) if deg[v] >= 3)
 
     # leaf_sets[b] maps each leaf of b's endpaths to its distance from b
@@ -327,7 +329,7 @@ def _compute_profile(tree: Tree) -> TreeProfile:
     for l in sorted(leaves):
         if deg[l] == 0:
             continue
-        end, chain = _walk_past_deg2(tree, l, tree.neighbors(l)[0])
+        end, chain = _walk_past_deg2(tree, l, adj[l][0])
         external.update(chain)
         if end in branch:
             leaf_sets[end][l] = len(chain) + 1
@@ -377,7 +379,7 @@ def branch_subtree(tree: Tree, b: int) -> Tree:
     ls = leaf_set(tree, b)
     vs = {b}
     for l in ls:
-        end, chain = _walk_past_deg2(tree, l, tree.neighbors(l)[0])
+        end, chain = _walk_past_deg2(tree, l, tree.adjacency[l][0])
         vs.add(l)
         vs.update(chain)
     sub = induced_subgraph(tree, vs)
@@ -397,7 +399,7 @@ def branch_leaf_representation(tree: Tree) -> Tree:
     index = {v: i for i, v in enumerate(kept)}
     edges = set()
     for v in kept:
-        for nb in tree.neighbors(v):
+        for nb in tree.adjacency[v]:
             end, _ = _walk_past_deg2(tree, v, nb)
             if v < end:
                 edges.add((index[v], index[end]))
@@ -413,7 +415,7 @@ def branch_representation(tree: Tree) -> Forest:
     index = {v: i for i, v in enumerate(kept)}
     edges = set()
     for v in kept:
-        for nb in tree.neighbors(v):
+        for nb in tree.adjacency[v]:
             end, _ = _walk_past_deg2(tree, v, nb)
             if end in p.branch and v < end:
                 edges.add((index[v], index[end]))
@@ -435,7 +437,8 @@ def classify_shape(tree: Tree) -> frozenset:
     rest = [v for v in range(tree.n) if v not in p.leaves]
     if rest:
         keep = set(rest)
-        if all(sum(1 for w in tree.neighbors(v) if w in keep) <= 2 for v in rest):
+        adj = tree.adjacency
+        if all(sum(1 for w in adj[v] if w in keep) <= 2 for v in rest):
             shapes.add(Shape.CATERPILLAR)
     if not shapes:
         shapes.add(Shape.OTHER)

@@ -9,10 +9,11 @@ the hearing scan are read off a distance matrix by direct definition, and
 the hearing-independence number is a maximum over broadcaster sets, and
 every optimal boundary-independent broadcast comes from the definitional
 scan over all strength vectors (bn_optima), for optima_properties to read.
-bn_number_dp_full is the package's boundary-independence DP with every
-state kept in a table: it shares the recurrence, so it checks the closed
-form by which the package leaves out the states of a vertex v from
-height(v) - 1 up.
+Maximality of a boundary-independent broadcast has a second criterion,
+the component count of maximal_by_components.  bn_number_dp_full is the
+package's boundary-independence DP with every state kept in a table: it
+shares the recurrence, so it checks the closed form by which the package
+leaves out the states of a vertex v from height(v) - 1 up.
 The enumeration internals used are the rooted successor
 (`corpus._successor`, counted against A000081 on its own) and the
 level-sequence decoder: the centroid generator walks every rooted tree and
@@ -25,7 +26,7 @@ import bisect
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from bnbroadcast import Broadcast, SolveResult, Tree
+from bnbroadcast import Broadcast, Forest, SolveResult, Tree
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
 from bnbroadcast.corpus import _seq_to_parents, _successor
 
@@ -288,6 +289,17 @@ def analyze_by_matrix(f, dist):
         covered_by=covered_by,
         uncovered_edges=uncovered,
     )
+
+
+def maximal_by_components(f, a):
+    """`broadcasts.is_maximal_bn(f)` for a boundary-independent broadcast
+    with two or more broadcasters, by the component criterion:
+    once the edges that no ball covers are deleted, every component keeps
+    two broadcasters.  `a` is the broadcast's analysis."""
+    covered = [e for e, xs in a.covered_by.items() if xs]
+    remaining = Forest(f.host.n, covered)
+    bs = set(a.v_plus)
+    return all(len(bs.intersection(comp)) >= 2 for comp in remaining.components)
 
 
 def bn_certificate(f, dist):

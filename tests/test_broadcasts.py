@@ -1,7 +1,12 @@
-"""Predicate and analysis tests on hand-evaluated broadcasts."""
+"""Predicate and analysis tests on hand-evaluated broadcasts, and the
+package's predicates against their second formulations on every broadcast
+of every small tree."""
+
+from itertools import product
 
 import pytest
 
+import oracles
 from bnbroadcast import (
     BadVertexIndex,
     Broadcast,
@@ -14,6 +19,7 @@ from bnbroadcast import (
     analyze,
     bn_violation,
     build_family,
+    enumerate_trees,
     format_broadcast,
     hearing_violation,
     hears,
@@ -176,6 +182,37 @@ class TestMaximality:
     def test_requires_bn_independent(self):
         with pytest.raises(NotBnIndependent):
             is_maximal_bn(Broadcast(path(4), (2, 0, 0, 2)))
+
+
+def every_broadcast(n):
+    """Every broadcast of every tree of order n."""
+    for t in enumerate_trees(n):
+        for strengths in product(*(range(e + 1) for e in t.eccentricities)):
+            yield Broadcast(t, strengths)
+
+
+def check_second_formulations(f):
+    """The predicates against their second formulations: boundary
+    independence is no edge covered twice, and maximality with two or more
+    broadcasters is the component criterion.  True when f is independent."""
+    a = analyze(f)
+    independent = bn_violation(f) is None
+    assert independent == all(len(xs) <= 1 for xs in a.covered_by.values())
+    if independent and len(a.v_plus) >= 2:
+        assert is_maximal_bn(f) == oracles.maximal_by_components(f, a)
+    return independent
+
+
+class TestSecondFormulations:
+    def test_every_broadcast_up_to_order_6(self):
+        checked = [check_second_formulations(f)
+                   for n in range(1, 7) for f in every_broadcast(n)]
+        assert (len(checked), sum(checked)) == (32453, 426)
+
+    @pytest.mark.slow
+    def test_every_broadcast_of_order_7(self):
+        checked = [check_second_formulations(f) for f in every_broadcast(7)]
+        assert (len(checked), sum(checked)) == (481890, 1056)
 
 
 class TestSerialization:

@@ -22,6 +22,7 @@ from bnbroadcast import (
     enumerate_trees,
     parse_family_spec,
     parse_graph6,
+    solve,
     trees,
 )
 from bnbroadcast import cli
@@ -332,6 +333,30 @@ class TestSearch:
         assert all(set(r) == {"type", "n", *COUNT_KEYS} for r in rest)
         for key in COUNT_KEYS:
             assert sum(r[key] for r in rest) == summary[key]
+
+    def test_sandwich_checks_the_formulas(self, run, monkeypatch):
+        two_branch_value = solve.two_branch_value
+        monkeypatch.setattr(solve, "two_branch_value",
+                            lambda tree: two_branch_value(tree) + 1)
+        code, _, err = run(["search", "--max-n", "8", "--check", "sandwich"])
+        assert code == 3
+        assert "formula two_branch=" in err
+
+    def test_sandwich_escape_is_recorded(self, run, monkeypatch):
+        monkeypatch.setattr(solve, "upper_bound",
+                            lambda tree: solve.lower_bound_witness(tree)[0] - 1)
+        code, out, err = run(["search", "--max-n", "8", "--check", "sandwich"])
+        assert code == 3
+        assert "violation(s) of proven result 'sandwich'" in err
+        summary, rest = self.summary_of(out)
+        found = [r for r in rest if r["type"] == "violation"]
+        assert len(found) == summary["violations"] == summary["solved"] > 0
+        for rec in found:
+            assert set(rec) == {"type", "check", "n", "status", "violation",
+                                "nodes", "exact", "lower", "upper", "id"}
+            assert rec["violation"] == {k: rec[k] for k in ("lower", "exact", "upper")}
+            assert rec["upper"] < rec["lower"] <= rec["exact"]
+            assert parse_graph6(rec["id"]).n == rec["n"]
 
     def test_characterization_clean(self, run):
         code, out, _ = run(["search", "--max-n", "7", "--check", "characterization"])
@@ -686,6 +711,37 @@ class TestLargeInputs:
         assert err.startswith("error:")
 
 
+class TestOwnLoopsReadAdjacency:
+    """The package's own loops read `Forest.adjacency`; the validating
+    `neighbors` and `degree` are for callers."""
+
+    @pytest.fixture
+    def no_accessors(self, monkeypatch):
+        def refuse(self, v):
+            raise AssertionError(f"validating accessor called on vertex {v}")
+
+        monkeypatch.setattr(trees.Forest, "neighbors", refuse)
+        monkeypatch.setattr(trees.Forest, "degree", refuse)
+
+    def test_every_subcommand(self, run, no_accessors, tmp_path):
+        good = tmp_path / "good.txt"
+        good.write_text(run_json(run, ["witness", D14])["broadcast"]["text"] + "\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0:2 1:2\n")
+        for argv in (["analyze", D14], ["bounds", D14, "--exact"],
+                     ["verify", D14, "--broadcast", str(good)],
+                     ["verify", D14, "--broadcast", str(bad)]):
+            run_json(run, argv)
+        code, out, err = run(["export-dot", D14, "--broadcast", str(good)])
+        assert code == 0 and out.startswith("graph tree {"), err
+
+    @pytest.mark.parametrize("check", cli.ALL_CHECKS)
+    def test_every_search_check(self, run, no_accessors, check):
+        code, out, err = run(["search", "--max-n", "8", "--check", check])
+        assert code == 0, err
+        assert jsonl(out)[-1]["trees"] == 48
+
+
 def fresh_env():
     """The environment of a new interpreter that imports this checkout."""
     root = Path(__file__).resolve().parent.parent
@@ -706,8 +762,8 @@ def fresh_process(args, flags=()):
 
 
 class TestOptimizedMode:
-    """Under `python -O` the assertion cross-checks are gone; the output must
-    not change, so no result rests on them."""
+    """Under `python -O` every assert is gone; nothing the command line
+    prints may depend on `__debug__`."""
 
     SPECS = (D14, "spider:5,1,6", "cat:leafcounts=2,1,2,0,3")
 
@@ -716,6 +772,16 @@ class TestOptimizedMode:
         out = json.loads(stdout)
         out.pop("timings", None)
         return code, out, stderr
+
+    def test_sandwich_scan_without_assertions(self):
+        argv = ["search", "--max-n", "8", "--check", "sandwich"]
+        runs = []
+        for flags in ((), ("-O",)):
+            code, out, err = fresh_process(argv, flags)
+            recs = jsonl(out)
+            recs[-1].pop("elapsed_ms")
+            runs.append((code, recs, err))
+        assert runs[0][0] == 0 and runs[0] == runs[1]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_same_output_without_assertions(self, spec, tmp_path):

@@ -25,6 +25,7 @@ from bnbroadcast import (
     is_bn_independent,
     is_dominating,
     is_hearing_independent,
+    is_maximal_bn,
     lower_bound_witness,
 )
 from bnbroadcast.broadcasts import _undominated
@@ -261,6 +262,11 @@ class TestPredicatesMatchMatrix:
         for field in fields(BroadcastAnalysis):
             assert getattr(a, field.name) == getattr(want, field.name), field.name
         assert _undominated(f) == want.undominated
+        # the second formulations of independence and maximality
+        independent = bn_violation(f) is None
+        assert independent == all(len(xs) <= 1 for xs in want.covered_by.values())
+        if independent and len(want.v_plus) >= 2:
+            assert is_maximal_bn(f) == oracles.maximal_by_components(f, want)
 
 
 class TestWitnessInvariants:
