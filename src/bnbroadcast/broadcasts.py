@@ -13,7 +13,8 @@ for maximality are second formulations that the tests compare against.
 
 The predicates read distances only from the balls B(v, f(v)) of the
 broadcasters, each found by a BFS that stops at the boundary
-(`Forest.ball`), and from one sweep per component (`_reach`); none builds
+(`Forest.ball`, or `trees._bfs` where the centre is known to be valid),
+and from one sweep per component (`_reach`); none builds
 the n x n distance matrix.  The balls of a boundary-independent broadcast
 share no edge, so together they hold at most n - 1 + b vertices for b
 broadcasters, and every predicate is linear on such a broadcast;
@@ -39,7 +40,7 @@ from .errors import (
     ParseError,
     StrengthExceedsEccentricity,
 )
-from .trees import Forest
+from .trees import Forest, _bfs
 
 
 @dataclass(frozen=True)
@@ -274,11 +275,11 @@ def _first_overlapping(f):
     at the first clash: it reads the balls of an independent prefix, at most
     n - 1 + b vertices, and one ball more.
     """
-    host, strengths = f.host, f.strengths
+    adj, strengths = f.host.adjacency, f.strengths
     inside = {}
     for t in f.broadcasters:
         s = strengths[t]
-        for w, d in host.ball(t, s).items():
+        for w, d in _bfs(adj, t, s).items():
             was = inside.get(w)
             if was is not None and (was or d < s):
                 return t

@@ -26,6 +26,7 @@ import json
 import logging
 import os
 import sys
+import threading
 import time
 from collections import Counter
 from contextlib import nullcontext
@@ -63,6 +64,7 @@ from .errors import (
 )
 from .solve import (
     SolveLimits,
+    _ClassTable,
     _SandwichEscape,
     bn_number_dp,
     compute_bounds,
@@ -357,8 +359,11 @@ def _over_budget(rec, nodes):
     return rec
 
 
-def _check_tree(tree, check, limits):
-    """One check on one tree: the search record, without its id."""
+def _check_tree(tree, check, limits, classes):
+    """One check on one tree: the search record, without its id.
+
+    `classes` is the scan's class table, which every bn_number_dp call of
+    the scan shares (see its docstring), or None for solves of their own."""
     rec = {"n": tree.n, "status": "solved", "violation": None}
 
     if check in ("question1", "sandwich") and not tree.profile.branch:
@@ -384,7 +389,7 @@ def _check_tree(tree, check, limits):
         return rec
 
     try:
-        res = bn_number_dp(tree, limits)
+        res = bn_number_dp(tree, limits, classes=classes)
     except BudgetExceeded as exc:
         return _over_budget(rec, exc.nodes)
     rec["nodes"] = res.nodes
@@ -421,13 +426,26 @@ def _check_tree(tree, check, limits):
     return rec
 
 
-def _search_one(tree, check, limits):
+# a pool worker's class table, set by _start_worker; thread-local, so a
+# pool of threads gives each thread its own
+_worker = threading.local()
+
+
+def _start_worker():
+    """Pool initializer: the worker's class table lives as long as the pool."""
+    _worker.classes = _ClassTable()
+
+
+def _search_one(tree, check, limits, classes=None):
     """Evaluate one check on one tree; returns a picklable record.
 
-    Only the records that get printed (budget exceeded or violation) carry
-    the tree's graph6 id.
+    `classes` is the scan's class table; in a pool worker it is the
+    worker's own.  Only the records that get printed (budget exceeded or
+    violation) carry the tree's graph6 id.
     """
-    rec = _check_tree(tree, check, limits)
+    if classes is None:
+        classes = getattr(_worker, "classes", None)
+    rec = _check_tree(tree, check, limits, classes)
     if rec["status"] == "budget_exceeded" or rec["violation"] is not None:
         rec["id"] = emit_graph6(tree)
     return rec
@@ -471,8 +489,10 @@ def cmd_search(args):
         # imported here: the process pool's modules would add about a tenth
         # to the start-up of every other command
         from concurrent.futures import ProcessPoolExecutor
-        context = ProcessPoolExecutor(jobs)
+        context = ProcessPoolExecutor(jobs, initializer=_start_worker)
     else:
+        # one class table for the whole scan; it goes when the scan ends
+        work = partial(work, classes=_ClassTable())
         context = nullcontext()
     with context as pool:
         mapper = partial(_pool_map, pool) if pool else map

@@ -19,9 +19,13 @@ counts its states as `nodes`:
   vertex: once for all the equal legs of a spider, once per height for
   both halves of a path.  A first pass assigns the classes and spends the
   node budget vertex by vertex, so an exhausted budget stops before any
-  table is filled; a second fills each class once, children first, and
-  drops a class's tables when the last class that reads them is filled.
-  `nodes` counts every state, stored, shared or not.
+  table is filled; a second fills each new class once, children first.
+  The corpus search owns one table of classes per scan (per worker process
+  under --jobs) and hands it to every solve, so a class is filled once per
+  scan; a failed solve leaves the table as it found it.  A standalone
+  solve makes its own table and drops a class's lists when the last class
+  that reads them is filled.  `nodes` counts every state, stored, shared
+  or not, so it, the value and the witness do not depend on the table.
 
 * hearing_number computes the hearing-independence number (no broadcaster
   in another's ball; the balls may overlap) over Pareto sets of (nearest
@@ -64,7 +68,8 @@ for the single leaf of one-leaf branch vertices in X, and strength one to
 the remaining X vertices.  The result is verified before being returned.
 
 The DPs, the bounds, the witnesses and the closed formulas read distances
-only from BFS balls (`Forest.ball`) and from the structural profile, so
+only from BFS balls (`Forest.ball`, or `trees._bfs` from a vertex known to
+be valid) and from the structural profile, so
 none of them builds the O(n^2) distance matrix; bn_number_enum and
 _max_weight_dfs (bn_number, bn_number_restricted) and their definitional
 scan read it, and serve only as oracles.
@@ -89,7 +94,7 @@ from .errors import (
     NoBranchVertices,
     ShapeMismatch,
 )
-from .trees import Forest, Shape, Tree, classify_shape
+from .trees import Forest, Shape, Tree, _bfs, classify_shape
 
 
 @dataclass(frozen=True)
@@ -340,7 +345,40 @@ def _fill(children, h, top, caps=None):
     return out, [s + b for s, b in zip(S, bonus)], up, ends
 
 
-def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
+class _ClassTable:
+    """bn_number_dp's rooted-subtree classes with their stored states.
+
+    A class is the interned, ordered tuple of its children's classes, and
+    class 0 is the leaf's.  Per class id the columns hold its key, its
+    subtrees' height, the tail's pick (its first deepest child), its
+    (out, inn, height) tables and _fill's pick and ends lists.  Only `ids`
+    interns, and a class is in it exactly when its tables are filled.
+    """
+
+    __slots__ = ("ids", "members", "heights", "deeps", "tabs", "picks", "ends")
+
+    def __init__(self):
+        self.ids = {(): 0}
+        self.members = [()]
+        self.heights = [0]
+        self.deeps = [-1]
+        self.tabs = [([0], [], 0)]
+        self.picks = [[]]
+        self.ends = [[]]
+
+    def truncate(self, size):
+        """Forget every class from id `size` on."""
+        ids = self.ids
+        for key in self.members[size:]:
+            if ids.get(key, -1) >= size:
+                del ids[key]
+        for column in (self.members, self.heights, self.deeps, self.tabs,
+                       self.picks, self.ends):
+            del column[size:]
+
+
+def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
+                 classes: Optional[_ClassTable] = None) -> SolveResult:
     """Exact maximum boundary-independent broadcast weight by a tree DP.
 
     The value is the largest total radius of edge-disjoint balls B(v, s),
@@ -381,16 +419,25 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     depend on the sharing.  The root is a class of its own, filled last
     with its full table and each child's ball capped at ecc(c) - 1.
 
+    `classes`, private to the corpus search, is a _ClassTable that the
+    caller owns and hands to every solve of one scan, so a class is filled
+    once per scan, not once per tree.  The solve adds the classes it is the
+    first to meet and keeps them; its root's class, and every class of a
+    solve that raises, leave the table again, so an interned class always
+    has its tables.  Without it a solve makes its own table and drops a
+    class's out and inn lists once the last class that reads them is
+    filled, so a long path holds a few heights' lists at a time.
+
     Pass 1 walks the vertices in post-order: it assigns each its class,
-    whose height and first deepest child are recorded once, spends the
-    vertex's states on the node budget, and records the last class that
-    reads each class.  `nodes` counts every state, len(out[v]) + ecc(v)
-    per vertex, whether stored, shared or in a closed-form tail, so where
-    a budget stops depends neither on how much is stored nor on the
-    sharing, and a budget that runs out raises BudgetExceeded before any
-    table is filled.  Pass 2 fills the classes in id order, children
-    first, with _fill, and drops a class's out and inn lists once the last
-    class that reads them is filled.
+    interning the classes the table lacks, whose height and first deepest
+    child are recorded once, spends the vertex's states on the node
+    budget, and records the last class that reads each class.  `nodes`
+    counts every state, len(out[v]) + ecc(v) per vertex, whether stored,
+    shared or in a closed-form tail, so where a budget stops, like the
+    value and the witness, depends neither on how much is stored nor on
+    the sharing; a budget that runs out raises BudgetExceeded before any
+    table is filled.  Pass 2 fills the new classes in id order, children
+    first, with _fill.
 
     An optimal broadcast is read back top-down from the root, mapping the
     class's pick positions to each vertex's children.  The witness is
@@ -401,19 +448,20 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
     adj = tree.adjacency
     ecc = tree.eccentricities
     root = min(range(n), key=ecc.__getitem__)
-    depth = tree.ball(root)
+    depth = _bfs(adj, root)
 
     budget = _Budget(limits)
     spend = budget.spend
     kids = [None] * n
     for v, d in depth.items():
         kids[v] = [c for c in adj[v] if depth[c] > d]
+    shared = classes is not None
+    table = classes if shared else _ClassTable()
+    ids, members, heights, deeps = table.ids, table.members, table.heights, table.deeps
+    tabs, picks, ends = table.tabs, table.picks, table.ends
+    base = len(members)
     cls = [0] * n  # class 0 is the leaf's
-    ids = {(): 0}  # the children's classes -> the class
-    members = [()]  # per class: its children's classes
-    heights = [0]  # per class: its subtrees' height
-    deeps = [-1]  # per class: the tail's pick, its first deepest child
-    last = [0]  # per class: the last class that reads it
+    last = {}  # per class: the last class of this solve that reads it
 
     def new_class(key):
         k = len(members)
@@ -425,71 +473,73 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResul
         members.append(key)
         heights.append(h)
         deeps.append(d)
-        last.append(k)
         return k
 
-    # pass 1, children first; the root, last, is a class of its own
-    for v in list(depth)[:0:-1]:
-        ks = kids[v]
-        if ks:
-            key = tuple(map(cls.__getitem__, ks))
-            k = ids.get(key)
-            if k is None:
-                k = ids[key] = new_class(key)
-            cls[v] = k
-            spend(heights[k] + ecc[v])
-        else:
-            spend(1 + ecc[v])
-    cls[root] = new_class(tuple(map(cls.__getitem__, kids[root])))
-    spend((heights[cls[root]] or 1) + ecc[root])
-
-    # pass 2: tab[k] is class k's (out, inn, height) until its last reader
-    # is filled; a leaf's tables are g = 0 and nothing stored
-    tab = [None] * len(members)
-    pick = [None] * len(members)
-    ends = [None] * len(members)
-    tab[0], pick[0], ends[0] = ([0], [], 0), [], []
-    for k in range(1, len(members)):
-        key, h = members[k], heights[k]
-        if k < cls[root]:
-            top, caps = h - 1, None
-        else:
-            # the root's children pass no ball past their ecc - 1
-            top, caps = ecc[root], [ecc[c] - 1 for c in kids[root]]
-        out_k, inn_k, pick[k], ends[k] = _fill(map(tab.__getitem__, key), h, top, caps)
-        for j in key:
-            if last[j] == k:
-                tab[j] = None
-        tab[k] = (out_k, inn_k, h)
-
-    # traceback: state r >= 0 is out[v][r], state -(k+1) is inn[v][k]; ties
-    # go to the larger ball, which keeps the witness's broadcasters few
-    rout, rinn, _ = tab[cls[root]]
-    value = rout[0]
-    state = 0
-    for k in range(ecc[root] - 1, -1, -1):
-        if rinn[k] > value or (rinn[k] == value and state == 0):
-            value, state = rinn[k], -(k + 1)
-    strengths = [0] * n
-    stack = [(root, state)]
-    while stack:
-        v, state = stack.pop()
-        c = cls[v]
-        if state == 0:
-            stack.extend(zip(kids[v], ends[c]))
-        elif state > 0:
-            # r >= height(v): the ball from above covers the whole subtree
-            if state < heights[c]:
-                stack.extend(zip(kids[v], itertools.repeat(state - 1)))
-        else:
-            k = -state - 1
-            i = pick[c][k] if k < len(pick[c]) else deeps[c]
-            states = [k] * len(kids[v])
-            if i < 0:
-                strengths[v] = k + 1
+    try:
+        # pass 1, children first; the root, last, is a class of its own
+        for v in list(depth)[:0:-1]:
+            ks = kids[v]
+            if ks:
+                key = tuple(map(cls.__getitem__, ks))
+                k = ids.get(key)
+                if k is None:
+                    k = ids[key] = new_class(key)
+                cls[v] = k
+                spend(heights[k] + ecc[v])
             else:
-                states[i] = -(k + 2)
-            stack.extend(zip(kids[v], states))
+                spend(1 + ecc[v])
+        rc = cls[root] = new_class(tuple(map(cls.__getitem__, kids[root])))
+        spend((heights[rc] or 1) + ecc[root])
+
+        # pass 2: a class's tables are (out, inn, height), pick and ends
+        for k in range(base, rc + 1):
+            key, h = members[k], heights[k]
+            if k < rc:
+                top, caps = h - 1, None
+            else:
+                # the root's children pass no ball past their ecc - 1
+                top, caps = ecc[root], [ecc[c] - 1 for c in kids[root]]
+            out_k, inn_k, pick_k, ends_k = _fill(map(tabs.__getitem__, key), h, top, caps)
+            if not shared:
+                for j in key:
+                    if last[j] == k:
+                        tabs[j] = None
+            tabs.append((out_k, inn_k, h))
+            picks.append(pick_k)
+            ends.append(ends_k)
+
+        # traceback: state r >= 0 is out[v][r], state -(k+1) is inn[v][k];
+        # ties go to the larger ball, which keeps the broadcasters few
+        rout, rinn, _ = tabs[rc]
+        value = rout[0]
+        state = 0
+        for k in range(ecc[root] - 1, -1, -1):
+            if rinn[k] > value or (rinn[k] == value and state == 0):
+                value, state = rinn[k], -(k + 1)
+        strengths = [0] * n
+        stack = [(root, state)]
+        while stack:
+            v, state = stack.pop()
+            c = cls[v]
+            if state == 0:
+                stack.extend(zip(kids[v], ends[c]))
+            elif state > 0:
+                # r >= height(v): the ball from above covers the whole subtree
+                if state < heights[c]:
+                    stack.extend(zip(kids[v], itertools.repeat(state - 1)))
+            else:
+                k = -state - 1
+                i = picks[c][k] if k < len(picks[c]) else deeps[c]
+                states = [k] * len(kids[v])
+                if i < 0:
+                    strengths[v] = k + 1
+                else:
+                    states[i] = -(k + 2)
+                stack.extend(zip(kids[v], states))
+    except BaseException:
+        table.truncate(base)
+        raise
+    table.truncate(rc)
 
     witness = Broadcast(tree, strengths)
     if witness.weight != value or bn_violation(witness) is not None:
@@ -548,8 +598,8 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
     n = tree.n
     ecc = tree.eccentricities
     root = min(range(n), key=ecc.__getitem__)
-    depth = tree.ball(root)
     adj = tree.adjacency
+    depth = _bfs(adj, root)
     kids = [[c for c in adj[v] if depth[c] > depth[v]] for v in range(n)]
 
     budget = _Budget(limits)

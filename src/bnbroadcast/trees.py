@@ -20,11 +20,15 @@ The decomposition vocabulary used throughout the package:
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
 Construction, components and the structural profile take near-linear
-time, and eccentricities three BFS runs per component.  `Forest.ball`
-returns the vertices within a radius of one vertex with their distances,
-by a BFS that stops at the radius, so it costs the size of the ball, not
-the order of the forest; the broadcast predicates, the witnesses and the
-closed formulas read distances only this way.  `Forest.distance` and
+time, and eccentricities three BFS runs per component.  A Tree's profile
+(TreeProfile) computes its degrees, leaves, branch, branch0 and branch1
+when it is made, by one endpath walk per leaf, and each other field on
+first read.  `Forest.ball` returns the vertices within a radius of one
+vertex with their distances, by a BFS that stops at the radius (`_bfs`),
+so it costs the size of the ball, not the order of the forest; the
+broadcast predicates, the witnesses and the closed formulas read
+distances only this way, and the package's own loops call `_bfs` directly
+on vertices they know to be valid.  `Forest.distance` and
 `Forest.distances` answer pairwise queries from an n x n matrix of one BFS
 row per vertex (O(n^2) time and space), built on the first pairwise read:
 only the oracle solvers and the tests make one.
@@ -234,7 +238,7 @@ class Tree(Forest):
 
     @cached_property
     def profile(self) -> "TreeProfile":
-        return _compute_profile(self)
+        return TreeProfile(self)
 
 
 class Shape(Enum):
@@ -253,30 +257,88 @@ class LeafDistances:
     loss: int
 
 
-@dataclass(frozen=True)
 class TreeProfile:
-    """Structural decomposition of one tree; all fields are read-only.
+    """Structural decomposition of one tree; treat its fields as read-only.
 
-    leaf_sets maps each branch vertex to the leaves its endpaths reach,
-    leaf_distance each of those leaves to its distance from that branch
-    vertex, and loss_table each branch vertex to its leaf set's distance
-    statistics.  interior, built on first read, is the forest induced by
-    branch01 union the internal degree-2 vertices; its `labels` map interior
-    indices back to tree vertices.
+    Made from the tree, it computes at once only what a corpus scan reads:
+    the degrees, leaves, branch, branch0 and branch1, from one endpath walk
+    per leaf.  Every other field is computed on first read from that walk
+    and cached.  leaf_sets maps each branch vertex to the leaves its
+    endpaths reach, leaf_distance each of those leaves to its distance from
+    that branch vertex, and loss_table each branch vertex to its leaf set's
+    distance statistics.  interior is the forest induced by branch01 union
+    the internal degree-2 vertices; its `labels` map interior indices back
+    to tree vertices.
     """
 
-    tree: Tree
-    leaves: frozenset
-    stems: frozenset
-    branch: frozenset
-    deg2_external: frozenset
-    deg2_internal: frozenset
-    leaf_sets: dict
-    leaf_distance: dict
-    branch0: frozenset
-    branch1: frozenset
-    branch2plus: frozenset
-    loss_table: dict
+    def __init__(self, tree: Tree):
+        n = tree.n
+        adj = tree.adjacency
+        self._deg = deg = [len(a) for a in adj]
+        self.tree = tree
+        self.leaves = frozenset(v for v in range(n) if deg[v] <= 1)
+        self.branch = branch = frozenset(v for v in range(n) if deg[v] >= 3)
+        # per leaf of degree one, in increasing order: (leaf, the endpath's
+        # other end, the degree-2 vertices between them)
+        walks = self._walks = []
+        counts = dict.fromkeys(branch, 0)
+        for l in sorted(self.leaves):
+            if deg[l] == 0:
+                continue
+            end, chain = _walk_past_deg2(tree, l, adj[l][0])
+            walks.append((l, end, chain))
+            if end in counts:
+                counts[end] += 1
+        self.branch0 = frozenset(b for b in branch if not counts[b])
+        self.branch1 = frozenset(b for b in branch if counts[b] == 1)
+
+    @cached_property
+    def stems(self) -> frozenset:
+        adj, deg = self.tree.adjacency, self._deg
+        return frozenset(w for v in self.leaves if deg[v] == 1 for w in adj[v])
+
+    @cached_property
+    def deg2_external(self) -> frozenset:
+        external = set()
+        for _, _, chain in self._walks:
+            external.update(chain)
+        return frozenset(external)
+
+    @cached_property
+    def deg2_internal(self) -> frozenset:
+        deg = self._deg
+        return frozenset(v for v in range(self.tree.n) if deg[v] == 2) - self.deg2_external
+
+    @cached_property
+    def _leaf_dists(self) -> dict:
+        """Per branch vertex: each leaf of its endpaths -> its distance."""
+        dists = {b: {} for b in self.branch}
+        for l, end, chain in self._walks:
+            if end in dists:
+                dists[end][l] = len(chain) + 1
+        return dists
+
+    @cached_property
+    def leaf_sets(self) -> dict:
+        return {b: frozenset(s) for b, s in self._leaf_dists.items()}
+
+    @cached_property
+    def leaf_distance(self) -> dict:
+        return {l: d for s in self._leaf_dists.values() for l, d in s.items()}
+
+    @cached_property
+    def branch2plus(self) -> frozenset:
+        return self.branch - self.branch0 - self.branch1
+
+    @cached_property
+    def loss_table(self) -> dict:
+        table = {}
+        for b in self.branch:
+            ds = sorted(self._leaf_dists[b].values())
+            farthest = ds[-1] if ds else 0
+            total = sum(ds)
+            table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)
+        return table
 
     @property
     def branch01(self) -> frozenset:
@@ -313,54 +375,6 @@ def _walk_past_deg2(tree, start, first):
         a, b = adj[cur]
         prev, cur = cur, (b if a == prev else a)
     return cur, chain
-
-
-def _compute_profile(tree: Tree) -> TreeProfile:
-    n = tree.n
-    adj = tree.adjacency
-    deg = [len(a) for a in adj]
-    leaves = frozenset(v for v in range(n) if deg[v] <= 1)
-    stems = frozenset(w for v in leaves if deg[v] == 1 for w in adj[v])
-    branch = frozenset(v for v in range(n) if deg[v] >= 3)
-
-    # leaf_sets[b] maps each leaf of b's endpaths to its distance from b
-    leaf_sets = {b: {} for b in branch}
-    external = set()
-    for l in sorted(leaves):
-        if deg[l] == 0:
-            continue
-        end, chain = _walk_past_deg2(tree, l, adj[l][0])
-        external.update(chain)
-        if end in branch:
-            leaf_sets[end][l] = len(chain) + 1
-    deg2_external = frozenset(external)
-    deg2_internal = frozenset(v for v in range(n) if deg[v] == 2) - deg2_external
-
-    branch0 = frozenset(b for b in branch if not leaf_sets[b])
-    branch1 = frozenset(b for b in branch if len(leaf_sets[b]) == 1)
-    branch2plus = branch - branch0 - branch1
-
-    loss_table = {}
-    for b in branch:
-        ds = sorted(leaf_sets[b].values())
-        farthest = ds[-1] if ds else 0
-        total = sum(ds)
-        loss_table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)
-
-    return TreeProfile(
-        tree=tree,
-        leaves=leaves,
-        stems=stems,
-        branch=branch,
-        deg2_external=deg2_external,
-        deg2_internal=deg2_internal,
-        leaf_sets={b: frozenset(s) for b, s in leaf_sets.items()},
-        leaf_distance={l: d for s in leaf_sets.values() for l, d in s.items()},
-        branch0=branch0,
-        branch1=branch1,
-        branch2plus=branch2plus,
-        loss_table=loss_table,
-    )
 
 
 def leaf_set(tree: Tree, b: int) -> frozenset:

@@ -14,6 +14,9 @@ the component count of maximal_by_components.  bn_number_dp_full is the
 package's boundary-independence DP with every state kept in a table: it
 shares the recurrence, so it checks the closed form by which the package
 leaves out the states of a vertex v from height(v) - 1 up.
+tree_profile is the structural profile computed eagerly, every field at
+once, by its own endpath walk; the package's TreeProfile computes most of
+its fields on first read.
 The enumeration internals used are the rooted successor
 (`corpus._successor`, counted against A000081 on its own) and the
 level-sequence decoder: the centroid generator walks every rooted tree and
@@ -26,7 +29,7 @@ import bisect
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from bnbroadcast import Broadcast, Forest, SolveResult, Tree
+from bnbroadcast import Broadcast, Forest, LeafDistances, SolveResult, Tree
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
 from bnbroadcast.corpus import _seq_to_parents, _successor
 
@@ -357,6 +360,89 @@ def hearing_by_subsets(tree):
             total += max(0, min(ecc[v], near - 1))
         best = max(best, total)
     return best
+
+
+def tree_profile(tree):
+    """Every field of `tree.profile`, computed at once, as a dict; interior
+    as (order, edges, labels)."""
+    n = tree.n
+    adj = tree.adjacency
+    deg = [len(a) for a in adj]
+    leaves = frozenset(v for v in range(n) if deg[v] <= 1)
+    stems = frozenset(w for v in leaves if deg[v] == 1 for w in adj[v])
+    branch = frozenset(v for v in range(n) if deg[v] >= 3)
+
+    # leaf_sets[b] maps each leaf of b's endpaths to its distance from b
+    leaf_sets = {b: {} for b in branch}
+    external = set()
+    for l in sorted(leaves):
+        if deg[l] == 0:
+            continue
+        prev, cur = l, adj[l][0]
+        chain = []
+        while deg[cur] == 2:
+            chain.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+        external.update(chain)
+        if cur in branch:
+            leaf_sets[cur][l] = len(chain) + 1
+    deg2_external = frozenset(external)
+    deg2_internal = frozenset(v for v in range(n) if deg[v] == 2) - deg2_external
+
+    branch0 = frozenset(b for b in branch if not leaf_sets[b])
+    branch1 = frozenset(b for b in branch if len(leaf_sets[b]) == 1)
+    branch2plus = branch - branch0 - branch1
+
+    loss_table = {}
+    for b in branch:
+        ds = sorted(leaf_sets[b].values())
+        farthest = ds[-1] if ds else 0
+        total = sum(ds)
+        loss_table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)
+
+    kept = sorted(branch0 | branch1 | deg2_internal)
+    index = {v: i for i, v in enumerate(kept)}
+    interior = (len(kept),
+                tuple(sorted((index[u], index[v]) for u, v in tree.edges
+                             if u in index and v in index)),
+                tuple(kept))
+    return {
+        "tree": tree,
+        "leaves": leaves,
+        "stems": stems,
+        "branch": branch,
+        "deg2_external": deg2_external,
+        "deg2_internal": deg2_internal,
+        "leaf_sets": {b: frozenset(s) for b, s in leaf_sets.items()},
+        "leaf_distance": {l: d for s in leaf_sets.values() for l, d in s.items()},
+        "branch0": branch0,
+        "branch1": branch1,
+        "branch2plus": branch2plus,
+        "branch01": branch0 | branch1,
+        "loss_table": loss_table,
+        "interior": interior,
+    }
+
+
+PROFILE_FIELDS = ("leaves", "stems", "branch", "deg2_external", "deg2_internal",
+                  "leaf_sets", "leaf_distance", "branch0", "branch1",
+                  "branch2plus", "branch01", "loss_table", "interior")
+
+
+def profile_mismatches(tree, names=PROFILE_FIELDS):
+    """The fields of `tree.profile`, read in the order of `names`, whose
+    value, or a dict's key order, differs from tree_profile's."""
+    want = tree_profile(tree)
+    p = tree.profile
+    bad = []
+    for name in names:
+        got = getattr(p, name)
+        if name == "interior":
+            got = (got.n, got.edges, got.labels)
+        if got != want[name] or (isinstance(got, dict) and list(got) != list(want[name])):
+            bad.append(name)
+    return bad
 
 
 def bn_dp_tables(tree):

@@ -412,14 +412,42 @@ class TestSearch:
             assert summary[key] == sum(r[key] for r in orders)
 
     def test_jobs_match_serial(self, run):
-        _, out1, _ = run(["search", "--max-n", "6", "--jobs", "1"])
-        _, out2, _ = run(["search", "--max-n", "6", "--jobs", "2"])
-        s1, r1 = self.summary_of(out1)
-        s2, r2 = self.summary_of(out2)
-        assert r1 == r2
-        s1.pop("elapsed_ms")
-        s2.pop("elapsed_ms")
-        assert s1 == s2
+        # each worker's class table sees its own sequence of trees
+        for argv in (["--max-n", "6"],
+                     ["--check", "question1", "--max-n", "10"],
+                     ["--check", "question1", "--max-n", "10", "--limits", "nodes=60"],
+                     ["--check", "characterization", "--max-n", "10"],
+                     ["--check", "characterization", "--max-n", "10",
+                      "--limits", "nodes=60"]):
+            _, out1, _ = run(["search", *argv, "--jobs", "1"])
+            _, out2, _ = run(["search", *argv, "--jobs", "2"])
+            s1, r1 = self.summary_of(out1)
+            s2, r2 = self.summary_of(out2)
+            assert r1 == r2, argv
+            s1.pop("elapsed_ms")
+            s2.pop("elapsed_ms")
+            assert s1 == s2, argv
+
+    def test_no_state_across_calls(self, run):
+        # the scan's class table goes with the scan: two scans and a
+        # standalone solve in one process print what each prints alone
+        def untimed(out):
+            # search prints a record a line, bounds --json one indented object
+            recs = jsonl(out) if out.startswith('{"') else [json.loads(out)]
+            for rec in recs:
+                rec.pop("elapsed_ms", None)
+                rec.get("timings", {}).pop("total_ms", None)
+            return recs
+
+        scan = ["search", "--check", "question1", "--max-n", "10"]
+        solve_one = ["bounds", "path:1100", "--exact", "--json"]
+        fresh = {}
+        for argv in (scan, solve_one):
+            code, out, err = fresh_process(argv)
+            fresh[tuple(argv)] = (code, untimed(out), err)
+        for argv in (scan, scan, solve_one):
+            code, out, err = run(argv)
+            assert (code, untimed(out), err) == fresh[tuple(argv)], argv
 
     @pytest.mark.parametrize(
         "case", json.loads((Path(__file__).parent / "search_records.json").read_text()),
@@ -465,9 +493,9 @@ class TestSearch:
         made = []
 
         class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 made.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -633,16 +661,24 @@ class TestLargeInputs:
 
     @pytest.fixture
     def ball_sizes(self, monkeypatch):
-        """The order of every ball `Forest.ball` returns."""
+        """The order of every ball `Forest.ball` returns, and of every ball
+        the broadcast predicates read by a direct BFS."""
         sizes = []
         ball = trees.Forest.ball
+        bfs = trees._bfs
 
         def counted(self, v, radius=None):
             found = ball(self, v, radius)
             sizes.append(len(found))
             return found
 
+        def counted_bfs(adj, v, radius=None):
+            found = bfs(adj, v, radius)
+            sizes.append(len(found))
+            return found
+
         monkeypatch.setattr(trees.Forest, "ball", counted)
+        monkeypatch.setattr(broadcasts, "_bfs", counted_bfs)
         return sizes
 
     def test_verify_dense_path(self, run, no_matrix, ball_sizes, tmp_path):
@@ -740,6 +776,21 @@ class TestOwnLoopsReadAdjacency:
         code, out, err = run(["search", "--max-n", "8", "--check", check])
         assert code == 0, err
         assert jsonl(out)[-1]["trees"] == 48
+
+    def test_question1_scan_validates_no_vertex(self, run, monkeypatch):
+        # every vertex the scan reads comes from the tree's own adjacency
+        calls = []
+        check_vertex = trees.Forest._check_vertex
+
+        def counted(self, v):
+            calls.append(v)
+            return check_vertex(self, v)
+
+        monkeypatch.setattr(trees.Forest, "_check_vertex", counted)
+        code, out, err = run(["search", "--check", "question1", "--max-n", "10"])
+        assert code == 0, err
+        assert jsonl(out)[-1]["solved"] > 0
+        assert calls == []
 
 
 def fresh_env():

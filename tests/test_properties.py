@@ -120,6 +120,13 @@ class TestProfileInvariants:
         assert r.n == len(t.profile.branch)
         assert set(r.labels) == t.profile.branch
 
+    @given(trees(max_n=14), st.booleans())
+    def test_lazy_fields_match_eager_oracle(self, t, backwards):
+        names = oracles.PROFILE_FIELDS
+        if backwards:
+            names = names[::-1]
+        assert oracles.profile_mismatches(t, names) == []
+
     @given(trees(min_n=2), st.randoms(use_true_random=False))
     def test_relabeling_invariance(self, t, rng):
         perm = list(range(t.n))

@@ -254,6 +254,111 @@ class TestDpSolver:
         assert "distances" not in vars(t)
 
 
+def outcome(t, limits=None, classes=None):
+    """(value, witness strengths, nodes) of bn_number_dp, or the nodes of
+    its BudgetExceeded."""
+    try:
+        res = bn_number_dp(t, limits, classes=classes)
+    except BudgetExceeded as exc:
+        return ("budget", exc.nodes)
+    return (res.value, res.witness.strengths, res.nodes)
+
+
+def snapshot(table):
+    """What a solve must leave unchanged when it raises."""
+    return dict(table.ids), [len(c) for c in (table.members, table.heights, table.deeps,
+                                               table.tabs, table.picks, table.ends)]
+
+
+def assert_every_class_filled(table):
+    """Class ids 0..k-1 are interned once each, and each has its tables."""
+    size = len(table.ids)
+    assert sorted(table.ids.values()) == list(range(size))
+    assert all(table.members[k] == key for key, k in table.ids.items())
+    for column in (table.members, table.heights, table.deeps, table.tabs,
+                   table.picks, table.ends):
+        assert len(column) == size
+    assert None not in table.tabs
+
+
+class TestClassTable:
+    """One class table shared by every solve of a scan: each result, nodes
+    and budget stop must be those of a solve with a table of its own."""
+
+    @staticmethod
+    def shared_matches_fresh(max_n):
+        corpus = [t for n in range(1, max_n + 1) for t in enumerate_trees(n)]
+        fresh = [outcome(t) for t in corpus]
+        for order in (range(len(corpus)), range(len(corpus) - 1, -1, -1)):
+            table = solve._ClassTable()
+            for i in order:
+                assert outcome(corpus[i], classes=table) == fresh[i], corpus[i].edges
+            assert_every_class_filled(table)
+        return table
+
+    def test_shared_matches_fresh_to_order_12(self):
+        table = self.shared_matches_fresh(12)
+        # the classes of every rooted subtree below a centre, far fewer than
+        # the fills the solves would make on their own
+        assert 50 < len(table.ids) < 200
+
+    @pytest.mark.slow
+    def test_shared_matches_fresh_to_order_15(self):
+        self.shared_matches_fresh(15)
+
+    def test_budget_stops_leave_the_table_unchanged(self):
+        table = solve._ClassTable()
+        raised = 0
+        for n in range(1, 10):
+            for t in enumerate_trees(n):
+                for cap in (1, 10, 30, 60):
+                    limits = SolveLimits(max_nodes=cap)
+                    before = snapshot(table)
+                    got = outcome(t, limits, table)
+                    assert got == outcome(t, limits), (t.edges, cap)
+                    if got[0] == "budget":
+                        raised += 1
+                        assert snapshot(table) == before
+                    assert_every_class_filled(table)
+                    assert outcome(t, classes=table) == outcome(t), t.edges
+        assert raised > 100
+
+    def test_interrupted_solve_leaves_the_table_unchanged(self, monkeypatch):
+        table = solve._ClassTable()
+        for t in enumerate_trees(8):
+            bn_number_dp(t, classes=table)
+        before = snapshot(table)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(solve, "_fill", interrupted)
+        for t in enumerate_trees(10):
+            with pytest.raises(KeyboardInterrupt):
+                bn_number_dp(t, classes=table)
+            assert snapshot(table) == before
+
+    def test_root_class_is_not_kept(self):
+        # the root's tables are filled with its children's balls capped, so
+        # no other solve may read them: they leave the table with the solve
+        table = solve._ClassTable()
+        bn_number_dp(fam("spider:2,2,2"), classes=table)
+        assert table.members == [(), (0,)]  # a leaf, a leg's middle vertex
+        assert_every_class_filled(table)
+
+    def test_root_key_may_be_a_kept_class(self):
+        # each head of the double spider has two leaf children, the class
+        # the centre of the 3-vertex path has at the root
+        table = solve._ClassTable()
+        head = fam("dspider:1,1/3/1,1")
+        assert outcome(head, classes=table) == outcome(head)
+        kept = table.ids[(0, 0)]
+        p3 = fam("path:3")
+        assert outcome(p3, classes=table) == outcome(p3)
+        assert table.ids[(0, 0)] == kept
+        assert_every_class_filled(table)
+
+
 class TestHearingSolver:
     def test_p2(self):
         assert hearing_number(fam("path:2")).value == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from bnbroadcast import (
     BadVertexIndex,
     DegeneratePath,
@@ -17,6 +18,7 @@ from bnbroadcast import (
     branch_subtree,
     build_family,
     classify_shape,
+    enumerate_trees,
     induced_subgraph,
     leaf_set,
     parse_family_spec,
@@ -166,6 +168,27 @@ class TestProfile:
         assert p.loss_table[0].farthest == 1000 and p.loss_table[0].loss == 2000
         assert t.eccentricity(0) == 1000 and t.diameter == 2000
         assert "distances" not in vars(t)
+
+
+class TestLazyProfile:
+    """Most profile fields are computed on first read; each must equal the
+    eager computation, whatever order the fields are read in."""
+
+    def test_every_tree_to_order_10(self):
+        # in field order, and in reverse on a second copy of the tree
+        backwards = oracles.PROFILE_FIELDS[::-1]
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                assert oracles.profile_mismatches(t) == [], t.edges
+                again = Tree(t.n, t.edges)
+                assert oracles.profile_mismatches(again, backwards) == [], t.edges
+
+    def test_fields_are_computed_on_first_read(self, d14):
+        t = Tree(d14.n, d14.edges)
+        p = t.profile
+        assert "leaf_sets" not in vars(p) and "interior" not in vars(p)
+        assert p.leaf_sets is p.leaf_sets
+        assert "leaf_sets" in vars(p)
 
 
 class TestRepresentations:
