@@ -141,8 +141,7 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     if n < 1:
         raise ValueError("order must be at least 1")
     for seq in _free_sequences(n):
-        parents = _seq_to_parents(seq)
-        yield Tree(n, [(parents[v], v) for v in range(1, n)])
+        yield Tree._from_parents(_seq_to_parents(seq))
 
 
 # ---------------------------------------------------------------------------

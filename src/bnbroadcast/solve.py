@@ -69,10 +69,10 @@ the remaining X vertices.  The result is verified before being returned.
 
 The DPs, the bounds, the witnesses and the closed formulas read distances
 only from BFS balls (`Forest.ball`, or `trees._bfs` from a vertex known to
-be valid) and from the structural profile, so
-none of them builds the O(n^2) distance matrix; bn_number_enum and
-_max_weight_dfs (bn_number, bn_number_restricted) and their definitional
-scan read it, and serve only as oracles.
+be valid), from the tree's centre rooting (`Tree.rooting`) and from the
+structural profile, so none of them builds the O(n^2) distance matrix;
+bn_number_enum and _max_weight_dfs (bn_number, bn_number_restricted) and
+their definitional scan read it, and serve only as oracles.
 """
 
 from __future__ import annotations
@@ -382,8 +382,9 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
     """Exact maximum boundary-independent broadcast weight by a tree DP.
 
     The value is the largest total radius of edge-disjoint balls B(v, s),
-    1 <= s <= ecc(v).  Rooted at a centre, every vertex v keeps three
-    families of states about the edge to its parent:
+    1 <= s <= ecc(v).  Rooted at the least-index centre, with the BFS
+    order, child lists and eccentricities of `tree.rooting`, every vertex v
+    keeps three families of states about the edge to its parent:
 
     * g[v]: no ball from below crosses the edge;
     * out[v][r], r >= 1: a ball from above reaches v with r to spare, so
@@ -445,16 +446,11 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
     is returned.
     """
     n = tree.n
-    adj = tree.adjacency
-    ecc = tree.eccentricities
-    root = min(range(n), key=ecc.__getitem__)
-    depth = _bfs(adj, root)
+    order, _, kids, ecc = tree.rooting
+    root = order[0]
 
     budget = _Budget(limits)
     spend = budget.spend
-    kids = [None] * n
-    for v, d in depth.items():
-        kids[v] = [c for c in adj[v] if depth[c] > d]
     shared = classes is not None
     table = classes if shared else _ClassTable()
     ids, members, heights, deeps = table.ids, table.members, table.heights, table.deeps
@@ -477,7 +473,7 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
 
     try:
         # pass 1, children first; the root, last, is a class of its own
-        for v in list(depth)[:0:-1]:
+        for v in order[:0:-1]:
             ks = kids[v]
             if ks:
                 key = tuple(map(cls.__getitem__, ks))
@@ -573,8 +569,9 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
     """Exact maximum hearing-independent broadcast weight by a tree DP.
 
     Hearing independence asks that no broadcaster lies in another's ball;
-    the balls themselves may overlap.  Rooted at a centre, every vertex v
-    keeps a Pareto set of states (D, R) -> best weight of its subtree:
+    the balls themselves may overlap.  Rooted at the least-index centre
+    (`tree.rooting`, which bn_number_dp reads too), every vertex v keeps a
+    Pareto set of states (D, R) -> best weight of its subtree:
 
     * D: the distance from v to the nearest broadcaster below or at v (n
       when there is none);
@@ -596,17 +593,14 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
     out of budget raises BudgetExceeded with the states counted so far.
     """
     n = tree.n
-    ecc = tree.eccentricities
-    root = min(range(n), key=ecc.__getitem__)
-    adj = tree.adjacency
-    depth = _bfs(adj, root)
-    kids = [[c for c in adj[v] if depth[c] > depth[v]] for v in range(n)]
+    order, _, kids, ecc = tree.rooting
+    root = order[0]
 
     budget = _Budget(limits)
     # states[v]: (D, R) -> (weight, link); a silent v links the children's
     # states it merged as (last child's key, (previous child's key, ...))
     states = [None] * n
-    for v in reversed(depth):
+    for v in reversed(order):
         acc = {(n, 0): (0, None)}
         for c in kids[v]:
             shifted = {}
@@ -737,7 +731,7 @@ def two_branch_value(tree: Tree) -> int:
     if len(p.branch) != 2:
         raise ShapeMismatch(f"tree has {len(p.branch)} branch vertices, not 2")
     b1, b2 = sorted(p.branch)
-    d = tree.ball(b1)[b2]
+    d = _bfs(tree.adjacency, b1)[b2]
     half_up = (d + 1) // 2
     return tree.n - 1 - min(half_up, p.loss_table[b1].loss, p.loss_table[b2].loss)
 

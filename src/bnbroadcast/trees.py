@@ -20,7 +20,13 @@ The decomposition vocabulary used throughout the package:
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
 Construction, components and the structural profile take near-linear
-time, and eccentricities three BFS runs per component.  A Tree's profile
+time.  A Tree roots itself once, on first use, at its least-index centre
+(`Tree.rooting`: BFS order, parents, child lists and eccentricities, from
+three BFS passes, `_centre_rooting`); its eccentricities, its diameter and
+the rooted DPs of the solvers all read that one rooting.  A forest's
+eccentricities take the same three passes per component.  The corpus builds
+its trees from their parent arrays (`Tree._from_parents`), which prove a
+tree by themselves, so they skip the edge checks.  A Tree's profile
 (TreeProfile) computes its degrees, leaves, branch, branch0 and branch1
 when it is made, by one endpath walk per leaf, and each other field on
 first read.  `Forest.ball` returns the vertices within a radius of one
@@ -39,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     BadVertexIndex,
@@ -71,6 +77,80 @@ def _bfs(adj, src, radius=None):
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+class Rooting(NamedTuple):
+    """A tree rooted at its least-index centre; treat it as read-only.
+
+    order lists the vertices in BFS order from the root (the insertion
+    order of `_bfs(adj, root)`), parent[v] is v's parent (-1 at the root),
+    kids[v] lists v's children in adjacency order, and ecc is the tuple of
+    eccentricities.
+    """
+
+    order: list
+    parent: list
+    kids: list
+    ecc: tuple
+
+
+def _tree_bfs(adj, src, parent):
+    """The vertices of src's component in BFS order, writing each one's
+    parent into `parent` (-1 at src); in a forest no visited set is needed."""
+    parent[src] = -1
+    order = [src]
+    for u in order:
+        p = parent[u]
+        for w in adj[u]:
+            if w != p:
+                parent[w] = u
+                order.append(w)
+    return order
+
+
+def _centre_rooting(adj, src, parent, kids, ecc):
+    """Root the component of src at its least-index centre, in three BFS
+    passes; returns its vertices in BFS order from that centre.
+
+    A BFS from src ends at a, and one from a ends at b, so a and b end a
+    longest path, of length D.  Its middle vertices, D // 2 and (D + 1) // 2
+    steps from b, are the centres, and R = (D + 1) // 2 is their
+    eccentricity.  The third BFS, from the least-index centre, writes
+    parent[v], kids[v] and ecc[v] for every vertex v of the component, with
+    ecc(v) = depth(v) + R - 1 on the other centre's side of a bicentral
+    tree and depth(v) + R everywhere else.  The three lists are indexed by
+    vertex and only the component's entries are written.
+    """
+    a = _tree_bfs(adj, src, parent)[-1]
+    v = _tree_bfs(adj, a, parent)[-1]
+    path = [v]
+    while parent[v] >= 0:
+        v = parent[v]
+        path.append(v)
+    d = len(path) - 1
+    r = (d + 1) // 2
+    c, other = sorted((path[d // 2], path[r]))  # equal when d is even
+    parent[c] = -1
+    ecc[c] = r
+    kids[c] = ks = list(adj[c])
+    for w in ks:
+        parent[w] = c
+        ecc[w] = r + 1
+    ecc[other] = r
+    order = [c, *ks]
+    rest = iter(order)
+    next(rest)
+    for u in rest:
+        p = parent[u]
+        e = ecc[u] + 1
+        kids[u] = ks = []
+        for w in adj[u]:
+            if w != p:
+                parent[w] = u
+                ecc[w] = e
+                ks.append(w)
+        order += ks
+    return order
 
 
 def _root(parent, x):
@@ -194,18 +274,17 @@ class Forest:
     def eccentricities(self) -> tuple:
         """Per-vertex eccentricity measured inside the vertex's own component.
 
-        Per component, a BFS from any vertex ends at a and one from a ends at
-        b, so a and b are the ends of a longest path and every vertex is
-        farthest from one of them: ecc(v) = max(d(v, a), d(v, b)).
+        A Tree reads its rooting; a forest roots each component in turn
+        (see `_centre_rooting`), with one set of scratch lists for all of
+        them, so many small components cost their total size.
         """
-        ecc = [-1] * self._n
-        for s in range(self._n):
+        if isinstance(self, Tree):
+            return self.rooting.ecc
+        n = self._n
+        parent, kids, ecc = [-1] * n, [None] * n, [-1] * n
+        for s in range(n):
             if ecc[s] < 0:
-                a = next(reversed(_bfs(self._adj, s)))
-                da = _bfs(self._adj, a)
-                db = _bfs(self._adj, next(reversed(da)))
-                for v, d in da.items():
-                    ecc[v] = max(d, db[v])
+                _centre_rooting(self._adj, s, parent, kids, ecc)
         return tuple(ecc)
 
     def eccentricity(self, v: int) -> int:
@@ -232,9 +311,47 @@ class Tree(Forest):
         except NotAForest as exc:
             raise NotATree(str(exc)) from None
 
+    @classmethod
+    def _from_parents(cls, parents) -> "Tree":
+        """The tree with the edges (parents[v], v) for 1 <= v < len(parents);
+        parents[0] is not read.
+
+        Every parent must be an int with 0 <= parents[v] < v, which already
+        makes n - 1 edges with no loop, no repeat and no cycle, so the tree
+        is built without Forest's edge checks.  Its edges and adjacency are
+        those of `Tree(n, edges)`: a vertex's parent is its least neighbour.
+        """
+        n = len(parents)
+        if n < 1:
+            raise NotATree("a tree has at least one vertex")
+        # v meets its parent before its children, all of them above v
+        adj = [[] for _ in range(n)]
+        for v in range(1, n):
+            p = parents[v]
+            if not 0 <= p < v:
+                raise NotATree(f"vertex {v} has parent {p!r}, not one of 0..{v - 1}")
+            adj[p].append(v)
+            adj[v].append(p)
+        tree = cls.__new__(cls)
+        tree._n = n
+        tree._edges = tuple(sorted(zip(parents[1:], range(1, n))))
+        tree._adj = tuple(map(tuple, adj))
+        tree._labels = None
+        return tree
+
+    @cached_property
+    def rooting(self) -> Rooting:
+        """The rooting at the least-index centre (see `_centre_rooting`)."""
+        n = self._n
+        parent, kids, ecc = [-1] * n, [None] * n, [-1] * n
+        order = _centre_rooting(self._adj, 0, parent, kids, ecc)
+        return Rooting(order, parent, kids, tuple(ecc))
+
     @cached_property
     def diameter(self) -> int:
-        return max(self.eccentricities)
+        # the last vertex in BFS order is a deepest one, an end of a longest path
+        rooting = self.rooting
+        return rooting.ecc[rooting.order[-1]]
 
     @cached_property
     def profile(self) -> "TreeProfile":
@@ -347,7 +464,7 @@ class TreeProfile:
 
     @cached_property
     def interior(self) -> Forest:
-        return induced_subgraph(self.tree, self.branch01 | self.deg2_internal)
+        return _induced(self.tree, self.branch01 | self.deg2_internal)
 
 
 def induced_subgraph(tree: Forest, vertices) -> Forest:
@@ -355,9 +472,14 @@ def induced_subgraph(tree: Forest, vertices) -> Forest:
     vs = sorted(set(vertices))
     for v in vs:
         tree._check_vertex(v)
+    return _induced(tree, vs)
+
+
+def _induced(tree, vertices):
+    """induced_subgraph on distinct vertices known to be valid."""
+    vs = sorted(vertices)
     index = {v: i for i, v in enumerate(vs)}
-    keep = set(vs)
-    edges = [(index[u], index[v]) for u, v in tree.edges if u in keep and v in keep]
+    edges = [(index[u], index[v]) for u, v in tree.edges if u in index and v in index]
     return Forest(len(vs), edges, labels=tuple(vs))
 
 
@@ -396,7 +518,7 @@ def branch_subtree(tree: Tree, b: int) -> Tree:
         end, chain = _walk_past_deg2(tree, l, tree.adjacency[l][0])
         vs.add(l)
         vs.update(chain)
-    sub = induced_subgraph(tree, vs)
+    sub = _induced(tree, vs)
     return Tree(sub.n, sub.edges, labels=sub.labels)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -88,5 +90,27 @@ def trees_up_to():
         for n in range(lo, hi + 1):
             for t in enumerate_trees(n):
                 yield n, t
+
+    return gen
+
+
+@pytest.fixture(scope="session")
+def random_trees():
+    """Callable yielding `count` random trees of lo..hi vertices from `seed`.
+
+    Half the vertices hang off the previous one, so long chains and many
+    leaves make rooted subtrees repeat; the labels are shuffled so that
+    adjacency order differs from construction order.
+    """
+
+    def gen(seed, count, lo, hi):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(lo, hi)
+            label = list(range(n))
+            rng.shuffle(label)
+            up = [v - 1 if rng.random() < 0.5 else rng.randrange(v)
+                  for v in range(1, n)]
+            yield Tree(n, [(label[v], label[u]) for v, u in enumerate(up, 1)])
 
     return gen

@@ -777,8 +777,9 @@ class TestOwnLoopsReadAdjacency:
         assert code == 0, err
         assert jsonl(out)[-1]["trees"] == 48
 
-    def test_question1_scan_validates_no_vertex(self, run, monkeypatch):
-        # every vertex the scan reads comes from the tree's own adjacency
+    @pytest.fixture
+    def checked_vertices(self, monkeypatch):
+        """The vertices `Forest._check_vertex` is called on."""
         calls = []
         check_vertex = trees.Forest._check_vertex
 
@@ -787,10 +788,22 @@ class TestOwnLoopsReadAdjacency:
             return check_vertex(self, v)
 
         monkeypatch.setattr(trees.Forest, "_check_vertex", counted)
+        return calls
+
+    def test_question1_scan_validates_no_vertex(self, run, checked_vertices):
+        # every vertex the scan reads comes from the tree's own adjacency
         code, out, err = run(["search", "--check", "question1", "--max-n", "10"])
         assert code == 0, err
         assert jsonl(out)[-1]["solved"] > 0
-        assert calls == []
+        assert checked_vertices == []
+
+    def test_sandwich_scan_validates_no_vertex(self, run, checked_vertices):
+        # the interior forest and the two-branch formula's distance read
+        # vertices the profile picked
+        code, out, err = run(["search", "--check", "sandwich", "--max-n", "10"])
+        assert code == 0, err
+        assert jsonl(out)[-1]["solved"] > 0
+        assert checked_vertices == []
 
 
 def fresh_env():

@@ -6,7 +6,6 @@ definitions before being frozen into assertions.
 """
 
 import itertools
-import random
 import sys
 import tracemalloc
 
@@ -175,19 +174,9 @@ class TestDpSolver:
                      "cat:leafcounts=2,1,3,0,2,2,1,3,1,2"):
             assert_matches_full_table(fam(spec))
 
-    def test_matches_full_table_on_relabelled_random_trees(self):
-        # half the vertices hang off the previous one, so long chains and
-        # many leaves make classes repeat; the labels are shuffled so that
-        # adjacency order differs from construction order
-        rng = random.Random(2024)
-        for _ in range(12):
-            n = rng.randint(50, 300)
-            label = list(range(n))
-            rng.shuffle(label)
-            up = [v - 1 if rng.random() < 0.5 else rng.randrange(v)
-                  for v in range(1, n)]
-            edges = [(label[v], label[u]) for v, u in enumerate(up, 1)]
-            assert_matches_full_table(Tree(n, edges))
+    def test_matches_full_table_on_relabelled_random_trees(self, random_trees):
+        for t in random_trees(2024, 12, 50, 300):
+            assert_matches_full_table(t)
 
     def test_tails_have_a_closed_form_below_the_root(self):
         # what lets bn_number_dp store inn and pick only below height - 1

@@ -1,5 +1,8 @@
 """Structural decomposition tests against hand-evaluated examples."""
 
+import sys
+import time
+
 import pytest
 
 import oracles
@@ -23,6 +26,8 @@ from bnbroadcast import (
     leaf_set,
     parse_family_spec,
 )
+from bnbroadcast.corpus import _free_sequences, _seq_to_parents
+from bnbroadcast.trees import _bfs
 
 
 def path(n):
@@ -168,6 +173,92 @@ class TestProfile:
         assert p.loss_table[0].farthest == 1000 and p.loss_table[0].loss == 2000
         assert t.eccentricity(0) == 1000 and t.diameter == 2000
         assert "distances" not in vars(t)
+
+
+def assert_rooting_matches_distances(t):
+    order, parent, kids, ecc = t.rooting
+    rows = t.distances
+    assert ecc == tuple(max(row) for row in rows) == t.eccentricities, t.edges
+    root = order[0]
+    assert root == min(v for v in range(t.n) if ecc[v] == min(ecc)), t.edges
+    adj = t.adjacency
+    assert order == list(_bfs(adj, root)), t.edges
+    depth = rows[root]
+    assert parent[root] == -1
+    for v in range(t.n):
+        assert kids[v] == [w for w in adj[v] if depth[w] > depth[v]], (t.edges, v)
+        for w in kids[v]:
+            assert parent[w] == v, (t.edges, w)
+    assert t.diameter == max(ecc)
+
+
+class TestRooting:
+    """`Tree.rooting` against the distance matrix and `_bfs`."""
+
+    def test_every_tree_to_order_10(self):
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                assert_rooting_matches_distances(t)
+
+    def test_relabelled_random_trees(self, random_trees):
+        for t in random_trees(2024, 12, 50, 300):
+            assert_rooting_matches_distances(t)
+
+    def test_bicentral_root_is_the_lesser_centre(self):
+        # path 3 - 0 - 1 - 2 - 4 - 5: centres 1 and 2
+        t = Tree(6, [(3, 0), (0, 1), (1, 2), (2, 4), (4, 5)])
+        assert t.rooting.order[0] == 1
+        assert t.eccentricities == (4, 3, 3, 5, 4, 5)
+
+    def test_forest_of_many_components_is_linear(self):
+        # an n-sized list per component would write 8 * 10^8 cells here
+        n = 40_000
+        f = Forest(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        t0 = time.perf_counter()
+        ecc = f.eccentricities
+        assert time.perf_counter() - t0 < 1.0
+        assert ecc == (1,) * n
+
+    def test_long_path_needs_no_recursion(self):
+        n = 200_000
+        t = Tree(n, [(v, v + 1) for v in range(n - 1)])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            order, parent, kids, ecc = t.rooting
+        finally:
+            sys.setrecursionlimit(limit)
+        assert order[0] == (n - 1) // 2 and ecc[0] == ecc[-1] == n - 1
+        assert t.diameter == n - 1
+
+
+class TestFromParents:
+    """`Tree._from_parents`, the corpus's constructor, builds what
+    `Tree(n, edges)` builds from the same edges, and refuses bad parents."""
+
+    def test_every_corpus_tree_to_order_12(self):
+        for n in range(1, 13):
+            for seq in _free_sequences(n):
+                parents = _seq_to_parents(seq)
+                t = Tree._from_parents(parents)
+                edges = [(v, parents[v]) for v in range(n - 1, 0, -1)]
+                ref = Tree(n, edges)
+                assert t.n == n and t.labels is None
+                assert t.edges == ref.edges and t.adjacency == ref.adjacency, seq
+
+    @pytest.mark.parametrize("parents, vertex", [
+        ([-1, 0, 2], 2), ([-1, 0, 3, 1], 2), ([-1, -1], 1), ([-1, 0, 1, -2], 3),
+    ])
+    def test_bad_parent(self, parents, vertex):
+        with pytest.raises(NotATree, match=f"vertex {vertex} "):
+            Tree._from_parents(parents)
+
+    def test_empty(self):
+        with pytest.raises(NotATree):
+            Tree._from_parents([])
 
 
 class TestLazyProfile:
