@@ -10,11 +10,16 @@ and visits only the primary ones: those rooted at a centre, with a fixed
 choice between the two centres of a bicentral tree.  Every free tree comes
 out exactly once, and no sequence is generated only to be rejected.  The
 paper's in-place version takes constant amortized time per tree; the list
-version here takes O(n), no more than building the `Tree` does.
+version here takes O(n), no more than building the `Tree` does.  Each tree
+is built from its sequence in one pass, with its edges, its adjacency and
+its rooting at the centre the sequence is rooted at (`_level_tree`), so no
+scanned tree is rooted again by BFS.
 
 Family builders use documented labelings: heads and spine vertices take the
 lowest indices, then bridge or spacing chains, then leaves, each group in
-declaration order.  This keeps golden outputs readable and stable.
+declaration order.  This keeps golden outputs readable and stable.  A spec
+whose order exceeds 258047, the largest order graph6 holds, raises BadSpec
+before any of its tree is built.
 
 Interchange formats are a plain "u v" edge list and graph6, whose order
 header is one byte below order 63 and four bytes ('~' and 18 bits) up to
@@ -29,7 +34,7 @@ from math import isqrt
 from typing import Iterator, Optional, Union
 
 from .errors import BadSpec, NotATree, ParseError, UnsupportedLongForm
-from .trees import Tree
+from .trees import Rooting, Tree
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +124,38 @@ def _free_sequences(n: int) -> Iterator[list]:
         seq = _successor(seq)
 
 
-def _seq_to_parents(seq):
-    """Parent array from a level sequence (root first, parent of root -1)."""
-    parents = [-1] * len(seq)
-    stack = []  # vertices on the path to the current node, by level
-    for v, level in enumerate(seq):
-        del stack[level - 1 :]
-        if stack:
-            parents[v] = stack[-1]
-        stack.append(v)
-    return parents
+def _level_tree(seq):
+    """The tree of a level sequence from `_free_sequences`, with its rooting
+    at vertex 0, in one pass over the sequence.
+
+    Vertices are numbered in sequence order, a preorder: a vertex's parent
+    is the last vertex before it one level up, and is its least neighbour,
+    and its children follow in index order.  The vertices of a level have
+    their parents in the order of the level above, so the BFS order from
+    the root sorts the vertices by (level, index).  The root is the
+    least-index centre; its eccentricity R is the depth of the first
+    branch, the deepest.  ecc(v) = depth(v) + R, except on the first branch
+    of a bicentral sequence (see `_is_primary`), the side of the other
+    centre, vertex 1, where ecc(v) = depth(v) + R - 1.
+    """
+    n = len(seq)
+    parent = [-1] * n
+    kids = [[] for _ in range(n)]
+    last = [0] * (n + 1)  # last[l]: the latest vertex at level l
+    for v in range(1, n):
+        level = seq[v]
+        parent[v] = p = last[level - 1]
+        kids[p].append(v)
+        last[level] = v
+    adj = (tuple(kids[0]), *[(p, *ks) for p, ks in zip(parent[1:], kids[1:])])
+    edges = tuple([(p, c) for p, ks in enumerate(kids) for c in ks])
+    r = max(seq) - 1
+    ecc = [level + r - 1 for level in seq]
+    m = _second_branch(seq)
+    if max(seq[m:], default=1) == r:
+        ecc[1:m] = [e - 1 for e in ecc[1:m]]
+    order = sorted(range(n), key=seq.__getitem__)
+    return Tree._from_rooting(edges, adj, Rooting(order, parent, kids, tuple(ecc)))
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:
@@ -136,12 +163,13 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 
     Trees come in the order of `_free_sequences`, with nothing generated and
     rejected.  Vertices are numbered in the order of the level sequence of
-    the centre rooting (a preorder), so vertex 0 is a centre.
+    the centre rooting (a preorder), so vertex 0 is a centre, and each tree
+    comes with that rooting (`Tree.rooting`), read off its sequence.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     for seq in _free_sequences(n):
-        yield Tree._from_parents(_seq_to_parents(seq))
+        yield _level_tree(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +214,15 @@ def _grow_leg(edges, attach, length, nxt):
     return nxt
 
 
+def _check_order(n):
+    """n, or BadSpec when it is above the largest order graph6 holds, so
+    that every tree built from a spec has a graph6 id."""
+    if n > _G6_MAX_ORDER:
+        raise BadSpec(f"order {n} exceeds {_G6_MAX_ORDER}, the largest "
+                      "order a family spec may have")
+    return n
+
+
 def build_family(spec: FamilySpec) -> Tree:
     """Construct the labeled tree a family spec describes.
 
@@ -194,11 +231,14 @@ def build_family(spec: FamilySpec) -> Tree:
     spider's heads are 0 and 1, then the bridge interior from head 0's side,
     then head 0's legs, then head 1's.  A caterpillar's spine is 0..m-1 in
     order, then the spacing chains, then the leaves grouped by spine vertex.
+    The order is worked out from the spec before anything is built, and one
+    above graph6's largest, 258,047, raises BadSpec.
     """
     if isinstance(spec, PathSpec):
         if spec.n < 1:
             raise BadSpec("path needs at least one vertex")
-        return Tree(spec.n, [(i, i + 1) for i in range(spec.n - 1)])
+        n = _check_order(spec.n)
+        return Tree(n, [(i, i + 1) for i in range(n - 1)])
 
     if isinstance(spec, SpiderSpec):
         legs = tuple(spec.legs)
@@ -206,11 +246,12 @@ def build_family(spec: FamilySpec) -> Tree:
             raise BadSpec("a spider needs at least 3 legs")
         if any(not isinstance(l, int) or l < 1 for l in legs):
             raise BadSpec("spider leg lengths must be integers >= 1")
+        n = _check_order(1 + sum(legs))
         edges = []
         nxt = 1
         for l in legs:
             nxt = _grow_leg(edges, 0, l, nxt)
-        t = Tree(1 + sum(legs), edges)
+        t = Tree(n, edges)
         assert len(t.adjacency[0]) == len(legs)
         return t
 
@@ -223,6 +264,7 @@ def build_family(spec: FamilySpec) -> Tree:
                 raise BadSpec("leg lengths must be integers >= 1")
         if not isinstance(spec.bridge, int) or spec.bridge < 1:
             raise BadSpec("bridge length must be an integer >= 1")
+        n = _check_order(2 + sum(legs1) + sum(legs2) + spec.bridge - 1)
         edges = []
         nxt = 2
         cur = 0
@@ -235,7 +277,7 @@ def build_family(spec: FamilySpec) -> Tree:
             nxt = _grow_leg(edges, 0, l, nxt)
         for l in legs2:
             nxt = _grow_leg(edges, 1, l, nxt)
-        t = Tree(2 + sum(legs1) + sum(legs2) + spec.bridge - 1, edges)
+        t = Tree(n, edges)
         assert t.ball(0)[1] == spec.bridge
         assert len(t.adjacency[0]) == len(legs1) + 1
         assert len(t.adjacency[1]) == len(legs2) + 1
@@ -253,6 +295,7 @@ def build_family(spec: FamilySpec) -> Tree:
         if any(not isinstance(s, int) or s < 1 for s in spacing):
             raise BadSpec("spacing entries must be integers >= 1")
         m = len(counts)
+        n = _check_order(m + sum(spacing) - (m - 1) + sum(counts))
         edges = []
         nxt = m
         for i, gap in enumerate(spacing):
@@ -263,7 +306,7 @@ def build_family(spec: FamilySpec) -> Tree:
             for _ in range(c):
                 edges.append((i, nxt))
                 nxt += 1
-        t = Tree(m + sum(spacing) - (m - 1) + sum(counts), edges)
+        t = Tree(n, edges)
         if __debug__:
             d0 = t.ball(0)
             assert all(d0[i + 1] - d0[i] == gap for i, gap in enumerate(spacing))
@@ -341,6 +384,8 @@ def parse_edge_list(text: str) -> Tree:
             raise ParseError(f"non-integer endpoint in {raw!r}", line=lineno) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative vertex in {raw!r}", line=lineno)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", line=lineno)
         key = (min(u, v), max(u, v))
         if key in seen:
             raise ParseError(f"duplicate edge {key}", line=lineno)

@@ -78,6 +78,7 @@ their definitional scan read it, and serve only as oracles.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -431,17 +432,18 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
 
     Pass 1 walks the vertices in post-order: it assigns each its class,
     interning the classes the table lacks, whose height and first deepest
-    child are recorded once, spends the vertex's states on the node
-    budget, and records the last class that reads each class.  `nodes`
-    counts every state, len(out[v]) + ecc(v) per vertex, whether stored,
-    shared or in a closed-form tail, so where a budget stops, like the
-    value and the witness, depends neither on how much is stored nor on
-    the sharing; a budget that runs out raises BudgetExceeded before any
-    table is filled.  Pass 2 fills the new classes in id order, children
-    first, with _fill.
+    child are recorded once, adds the vertex's states to `nodes`, and
+    records the last class that reads each class.  `nodes` counts every
+    state, len(out[v]) + ecc(v) per vertex, whether stored, shared or in a
+    closed-form tail, so where a budget stops, like the value and the
+    witness, depends neither on how much is stored nor on the sharing.  The
+    count is a local, compared with limits.max_nodes after each vertex: the
+    first vertex that takes it past the cap raises BudgetExceeded(nodes),
+    before any table is filled.  Pass 2 fills the new classes in id order,
+    children first, with _fill.
 
-    An optimal broadcast is read back top-down from the root, mapping the
-    class's pick positions to each vertex's children.  The witness is
+    An optimal broadcast is read back top-down from the root in BFS order,
+    mapping the class's pick positions to each vertex's children.  The witness is
     checked by bn_violation, linear on an independent broadcast, before it
     is returned.
     """
@@ -449,8 +451,8 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
     order, _, kids, ecc = tree.rooting
     root = order[0]
 
-    budget = _Budget(limits)
-    spend = budget.spend
+    nodes = 0
+    cap = (limits and limits.max_nodes) or math.inf  # max_nodes is None or >= 1
     shared = classes is not None
     table = classes if shared else _ClassTable()
     ids, members, heights, deeps = table.ids, table.members, table.heights, table.deeps
@@ -481,11 +483,15 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
                 if k is None:
                     k = ids[key] = new_class(key)
                 cls[v] = k
-                spend(heights[k] + ecc[v])
+                nodes += heights[k] + ecc[v]
             else:
-                spend(1 + ecc[v])
+                nodes += 1 + ecc[v]
+            if nodes > cap:
+                raise BudgetExceeded(nodes)
         rc = cls[root] = new_class(tuple(map(cls.__getitem__, kids[root])))
-        spend((heights[rc] or 1) + ecc[root])
+        nodes += (heights[rc] or 1) + ecc[root]
+        if nodes > cap:
+            raise BudgetExceeded(nodes)
 
         # pass 2: a class's tables are (out, inn, height), pick and ends
         for k in range(base, rc + 1):
@@ -512,26 +518,35 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
         for k in range(ecc[root] - 1, -1, -1):
             if rinn[k] > value or (rinn[k] == value and state == 0):
                 value, state = rinn[k], -(k + 1)
+        # in BFS order, so each vertex's state is set before it is read
         strengths = [0] * n
-        stack = [(root, state)]
-        while stack:
-            v, state = stack.pop()
+        states = [0] * n
+        states[root] = state
+        for v in order:
+            state = states[v]
+            ks = kids[v]
+            if not ks:
+                if state < 0:  # inn[v][k] of a leaf: its own ball, k + 1
+                    strengths[v] = -state
+                continue
             c = cls[v]
             if state == 0:
-                stack.extend(zip(kids[v], ends[c]))
+                for w, e in zip(ks, ends[c]):
+                    states[w] = e
             elif state > 0:
-                # r >= height(v): the ball from above covers the whole subtree
-                if state < heights[c]:
-                    stack.extend(zip(kids[v], itertools.repeat(state - 1)))
+                # out[v][r]: the ball from above reaches each child with r - 1
+                state -= 1
+                for w in ks:
+                    states[w] = state
             else:
                 k = -state - 1
                 i = picks[c][k] if k < len(picks[c]) else deeps[c]
-                states = [k] * len(kids[v])
+                for w in ks:
+                    states[w] = k
                 if i < 0:
                     strengths[v] = k + 1
                 else:
-                    states[i] = -(k + 2)
-                stack.extend(zip(kids[v], states))
+                    states[ks[i]] = -(k + 2)
     except BaseException:
         table.truncate(base)
         raise
@@ -542,7 +557,7 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
         raise InternalInconsistency(
             f"DP witness {strengths} does not realise the value {value}"
         )
-    return SolveResult(value=value, witness=witness, nodes=budget.nodes)
+    return SolveResult(value=value, witness=witness, nodes=nodes)
 
 
 def _pareto(cands):

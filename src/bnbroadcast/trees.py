@@ -20,16 +20,19 @@ The decomposition vocabulary used throughout the package:
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
 Construction, components and the structural profile take near-linear
-time.  A Tree roots itself once, on first use, at its least-index centre
-(`Tree.rooting`: BFS order, parents, child lists and eccentricities, from
-three BFS passes, `_centre_rooting`); its eccentricities, its diameter and
-the rooted DPs of the solvers all read that one rooting.  A forest's
-eccentricities take the same three passes per component.  The corpus builds
-its trees from their parent arrays (`Tree._from_parents`), which prove a
-tree by themselves, so they skip the edge checks.  A Tree's profile
-(TreeProfile) computes its degrees, leaves, branch, branch0 and branch1
-when it is made, by one endpath walk per leaf, and each other field on
-first read.  `Forest.ball` returns the vertices within a radius of one
+time.  A Tree is rooted once at its least-index centre (`Tree.rooting`:
+BFS order, parents, child lists and eccentricities); its eccentricities,
+its diameter and the rooted DPs of the solvers all read that one rooting.
+A corpus tree is made with its rooting, which the corpus reads off the
+tree's level sequence along with its edges and adjacency
+(`Tree._from_rooting`, which checks nothing); any other tree roots itself
+on first use by three BFS passes (`_centre_rooting`), and a forest's
+eccentricities take the same three passes per component.  A Tree's
+profile (TreeProfile) computes its degrees, leaves, branch, branch0 and
+branch1 when it is made, by one endpath walk per leaf, and each other
+field on first read; it keeps the tree's order, adjacency and edges, not
+the tree, so that a tree holds no reference cycle and is freed as soon as
+its last reference goes.  `Forest.ball` returns the vertices within a radius of one
 vertex with their distances, by a BFS that stops at the radius (`_bfs`),
 so it costs the size of the ball, not the order of the forest; the
 broadcast predicates, the witnesses and the closed formulas read
@@ -312,36 +315,23 @@ class Tree(Forest):
             raise NotATree(str(exc)) from None
 
     @classmethod
-    def _from_parents(cls, parents) -> "Tree":
-        """The tree with the edges (parents[v], v) for 1 <= v < len(parents);
-        parents[0] is not read.
-
-        Every parent must be an int with 0 <= parents[v] < v, which already
-        makes n - 1 edges with no loop, no repeat and no cycle, so the tree
-        is built without Forest's edge checks.  Its edges and adjacency are
-        those of `Tree(n, edges)`: a vertex's parent is its least neighbour.
-        """
-        n = len(parents)
-        if n < 1:
-            raise NotATree("a tree has at least one vertex")
-        # v meets its parent before its children, all of them above v
-        adj = [[] for _ in range(n)]
-        for v in range(1, n):
-            p = parents[v]
-            if not 0 <= p < v:
-                raise NotATree(f"vertex {v} has parent {p!r}, not one of 0..{v - 1}")
-            adj[p].append(v)
-            adj[v].append(p)
+    def _from_rooting(cls, edges, adj, rooting) -> "Tree":
+        """The tree with these sorted edges, this sorted adjacency and this
+        rooting at its least-index centre, none of them checked: the caller
+        builds all three together (`corpus.enumerate_trees` does, from a
+        level sequence) and they must be what `Tree(n, edges)` makes."""
         tree = cls.__new__(cls)
-        tree._n = n
-        tree._edges = tuple(sorted(zip(parents[1:], range(1, n))))
-        tree._adj = tuple(map(tuple, adj))
+        tree._n = len(adj)
+        tree._edges = edges
+        tree._adj = adj
         tree._labels = None
+        tree.rooting = rooting
         return tree
 
     @cached_property
     def rooting(self) -> Rooting:
-        """The rooting at the least-index centre (see `_centre_rooting`)."""
+        """The rooting at the least-index centre (see `_centre_rooting`);
+        a corpus tree is made with it."""
         n = self._n
         parent, kids, ecc = [-1] * n, [None] * n, [-1] * n
         order = _centre_rooting(self._adj, 0, parent, kids, ecc)
@@ -389,10 +379,12 @@ class TreeProfile:
     """
 
     def __init__(self, tree: Tree):
-        n = tree.n
-        adj = tree.adjacency
+        # the profile keeps what it reads, not the tree, which caches it:
+        # a back reference would leave every tree to the cycle collector
+        self._n = n = tree.n
+        self._adj = adj = tree.adjacency
+        self._edges = tree.edges
         self._deg = deg = [len(a) for a in adj]
-        self.tree = tree
         self.leaves = frozenset(v for v in range(n) if deg[v] <= 1)
         self.branch = branch = frozenset(v for v in range(n) if deg[v] >= 3)
         # per leaf of degree one, in increasing order: (leaf, the endpath's
@@ -402,7 +394,7 @@ class TreeProfile:
         for l in sorted(self.leaves):
             if deg[l] == 0:
                 continue
-            end, chain = _walk_past_deg2(tree, l, adj[l][0])
+            end, chain = _walk_past_deg2(adj, l, adj[l][0])
             walks.append((l, end, chain))
             if end in counts:
                 counts[end] += 1
@@ -411,7 +403,7 @@ class TreeProfile:
 
     @cached_property
     def stems(self) -> frozenset:
-        adj, deg = self.tree.adjacency, self._deg
+        adj, deg = self._adj, self._deg
         return frozenset(w for v in self.leaves if deg[v] == 1 for w in adj[v])
 
     @cached_property
@@ -424,7 +416,7 @@ class TreeProfile:
     @cached_property
     def deg2_internal(self) -> frozenset:
         deg = self._deg
-        return frozenset(v for v in range(self.tree.n) if deg[v] == 2) - self.deg2_external
+        return frozenset(v for v in range(self._n) if deg[v] == 2) - self.deg2_external
 
     @cached_property
     def _leaf_dists(self) -> dict:
@@ -464,7 +456,7 @@ class TreeProfile:
 
     @cached_property
     def interior(self) -> Forest:
-        return _induced(self.tree, self.branch01 | self.deg2_internal)
+        return _induced(self._edges, self.branch01 | self.deg2_internal)
 
 
 def induced_subgraph(tree: Forest, vertices) -> Forest:
@@ -472,24 +464,25 @@ def induced_subgraph(tree: Forest, vertices) -> Forest:
     vs = sorted(set(vertices))
     for v in vs:
         tree._check_vertex(v)
-    return _induced(tree, vs)
+    return _induced(tree.edges, vs)
 
 
-def _induced(tree, vertices):
-    """induced_subgraph on distinct vertices known to be valid."""
+def _induced(edges, vertices):
+    """induced_subgraph, given the graph's edges, on distinct vertices known
+    to be valid."""
     vs = sorted(vertices)
     index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in tree.edges if u in index and v in index]
-    return Forest(len(vs), edges, labels=tuple(vs))
+    kept = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+    return Forest(len(vs), kept, labels=tuple(vs))
 
 
-def _walk_past_deg2(tree, start, first):
-    """Follow the degree-2 chain leaving `start` through `first`.
+def _walk_past_deg2(adj, start, first):
+    """Follow the degree-2 chain leaving `start` through `first`, in the
+    graph of adjacency `adj`.
 
     Returns (endpoint, chain) where chain lists the degree-2 vertices passed
     and endpoint is the first vertex of degree != 2.
     """
-    adj = tree.adjacency
     chain = []
     prev, cur = start, first
     while len(adj[cur]) == 2:
@@ -515,10 +508,10 @@ def branch_subtree(tree: Tree, b: int) -> Tree:
     ls = leaf_set(tree, b)
     vs = {b}
     for l in ls:
-        end, chain = _walk_past_deg2(tree, l, tree.adjacency[l][0])
+        end, chain = _walk_past_deg2(tree.adjacency, l, tree.adjacency[l][0])
         vs.add(l)
         vs.update(chain)
-    sub = _induced(tree, vs)
+    sub = _induced(tree.edges, vs)
     return Tree(sub.n, sub.edges, labels=sub.labels)
 
 
@@ -536,7 +529,7 @@ def branch_leaf_representation(tree: Tree) -> Tree:
     edges = set()
     for v in kept:
         for nb in tree.adjacency[v]:
-            end, _ = _walk_past_deg2(tree, v, nb)
+            end, _ = _walk_past_deg2(tree.adjacency, v, nb)
             if v < end:
                 edges.add((index[v], index[end]))
     return Tree(len(kept), edges, labels=tuple(kept))
@@ -552,7 +545,7 @@ def branch_representation(tree: Tree) -> Forest:
     edges = set()
     for v in kept:
         for nb in tree.adjacency[v]:
-            end, _ = _walk_past_deg2(tree, v, nb)
+            end, _ = _walk_past_deg2(tree.adjacency, v, nb)
             if end in p.branch and v < end:
                 edges.add((index[v], index[end]))
     return Forest(len(kept), edges, labels=tuple(kept))

@@ -17,11 +17,12 @@ leaves out the states of a vertex v from height(v) - 1 up.
 tree_profile is the structural profile computed eagerly, every field at
 once, by its own endpath walk; the package's TreeProfile computes most of
 its fields on first read.
-The enumeration internals used are the rooted successor
-(`corpus._successor`, counted against A000081 on its own) and the
-level-sequence decoder: the centroid generator walks every rooted tree and
-keeps representatives by centroid and canonical form, where the package
-picks centre rootings without generating the rest.  Agreement between
+The enumeration internal used is the rooted successor
+(`corpus._successor`, counted against A000081 on its own), with a
+level-sequence decoder of its own (seq_to_parents): the centroid generator
+walks every rooted tree and keeps representatives by centroid and
+canonical form, where the package picks centre rootings without generating
+the rest.  Agreement between
 these and the shipped code is the point of the tests that use them.
 """
 
@@ -31,7 +32,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from bnbroadcast import Broadcast, Forest, LeafDistances, SolveResult, Tree
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
-from bnbroadcast.corpus import _seq_to_parents, _successor
+from bnbroadcast.corpus import _successor
 
 
 def prufer_decode(seq, n):
@@ -158,13 +159,25 @@ def centroid_canon(n, edges):
     return min(_canon_levels(adj, c) for c in _centroids(n, adj))
 
 
+def seq_to_parents(seq):
+    """Parent array from a level sequence (root first, parent of root -1)."""
+    parents = [-1] * len(seq)
+    stack = []  # vertices on the path to the current node, by level
+    for v, level in enumerate(seq):
+        del stack[level - 1 :]
+        if stack:
+            parents[v] = stack[-1]
+        stack.append(v)
+    return parents
+
+
 def enumerate_trees_by_centroid(n):
     """All free trees of order n, one per class, by rejection: walk every
     rooted level sequence and keep it when its root is a centroid whose
     canonical sequence is the least among the centroid rootings.  Vertices
     are numbered in level-sequence order."""
     for seq in rooted_sequences(n):
-        parents = _seq_to_parents(seq)
+        parents = seq_to_parents(seq)
         edges = [(parents[v], v) for v in range(1, n)]
         adj = _adjacency(n, edges)
         cents = _centroids(n, adj)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from bnbroadcast import (
+    BadSpec,
     SolveLimits,
     bn_number_restricted,
     broadcasts,
@@ -563,6 +565,11 @@ class TestInputs:
     def test_bad_g6(self, run):
         assert run(["analyze", "--g6", "B"])[0] == 2
 
+    def test_self_loop_message(self, run):
+        code, out, err = run(["analyze", "-"], stdin_text="0 1\n1 1\n1 2\n")
+        assert code == 2 and out == ""
+        assert err == "error: line 2: self-loop at vertex 1\n"
+
     def test_no_input_message(self, run):
         code, _, err = run(["analyze"])
         assert code == 2 and err == "error: no input given (positional or --g6)\n"
@@ -747,6 +754,44 @@ class TestLargeInputs:
         assert err.startswith("error:")
 
 
+HUGE = 10**20
+
+
+def cap_address_space():
+    """Give a child process 512 MiB of address space: a tree built by
+    mistake fails at once instead of filling the machine's memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+
+class TestHugeFamilySpecs:
+    """A spec's order is worked out before anything is built, and one above
+    graph6's largest order is refused with exit 2."""
+
+    @pytest.mark.parametrize("spec, order", [
+        (f"path:{HUGE}", HUGE),
+        (f"spider:{HUGE},1,1", HUGE + 3),
+        (f"dspider:{HUGE},1/1/1,1", HUGE + 5),
+        (f"dspider:1,1/{HUGE}/1,1", HUGE + 5),
+        (f"cat:leafcounts={HUGE}", HUGE + 1),
+        (f"cat:leafcounts=1,1;spacing={HUGE}", HUGE + 3),
+    ])
+    def test_refused_at_once(self, spec, order):
+        start = time.perf_counter()
+        code, out, err = fresh_process(["bounds", spec], preexec_fn=cap_address_space,
+                                       timeout=10)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (f"error: order {order} exceeds 258047, the largest "
+                       "order a family spec may have\n")
+
+    def test_largest_order_is_built(self):
+        assert build_family(parse_family_spec("path:258047")).n == 258047
+        with pytest.raises(BadSpec, match="order 258048 "):
+            build_family(parse_family_spec("path:258048"))
+
+
 class TestOwnLoopsReadAdjacency:
     """The package's own loops read `Forest.adjacency`; the validating
     `neighbors` and `degree` are for callers."""
@@ -797,6 +842,21 @@ class TestOwnLoopsReadAdjacency:
         assert jsonl(out)[-1]["solved"] > 0
         assert checked_vertices == []
 
+    def test_question1_scan_roots_no_tree_by_bfs(self, run, monkeypatch):
+        # every corpus tree is made with its rooting, read off its sequence
+        calls = []
+        centre_rooting = trees._centre_rooting
+
+        def counted(*args):
+            calls.append(args[1])
+            return centre_rooting(*args)
+
+        monkeypatch.setattr(trees, "_centre_rooting", counted)
+        code, out, err = run(["search", "--check", "question1", "--max-n", "10"])
+        assert code == 0, err
+        assert jsonl(out)[-1]["solved"] > 0
+        assert calls == []
+
     def test_sandwich_scan_validates_no_vertex(self, run, checked_vertices):
         # the interior forest and the two-branch formula's distance read
         # vertices the profile picked
@@ -816,11 +876,12 @@ def fresh_env():
     return env
 
 
-def fresh_process(args, flags=()):
+def fresh_process(args, flags=(), preexec_fn=None, timeout=120):
     """(exit code, stdout, stderr) of the command line in a new interpreter."""
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "bnbroadcast.cli", *args],
-        env=fresh_env(), capture_output=True, text=True, timeout=120,
+        env=fresh_env(), capture_output=True, text=True, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -195,6 +195,13 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("0 -1\n")
 
+    def test_self_loop(self):
+        # named as a loop, not as one edge too many for the order
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list("0 1\n1 1\n1 2\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: self-loop at vertex 1"
+
     def test_round_trip(self):
         for t in enumerate_trees(7):
             text = emit_edge_list(t)

@@ -1,7 +1,9 @@
 """Structural decomposition tests against hand-evaluated examples."""
 
+import gc
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -16,17 +18,18 @@ from bnbroadcast import (
     NotBranchVertex,
     Shape,
     Tree,
+    bn_number_dp,
     branch_leaf_representation,
     branch_representation,
     branch_subtree,
     build_family,
     classify_shape,
+    conjectured_upper_bound,
     enumerate_trees,
     induced_subgraph,
     leaf_set,
     parse_family_spec,
 )
-from bnbroadcast.corpus import _free_sequences, _seq_to_parents
 from bnbroadcast.trees import _bfs
 
 
@@ -235,30 +238,50 @@ class TestRooting:
         assert t.diameter == n - 1
 
 
-class TestFromParents:
-    """`Tree._from_parents`, the corpus's constructor, builds what
-    `Tree(n, edges)` builds from the same edges, and refuses bad parents."""
+class TestLevelTrees:
+    """A corpus tree is built with its rooting from its level sequence;
+    its edges, adjacency and rooting are those of `Tree(n, edges)`, which
+    roots by three BFS passes."""
+
+    @staticmethod
+    def assert_rebuilds_alike(max_n):
+        for n in range(1, max_n + 1):
+            for t in enumerate_trees(n):
+                ref = Tree(n, t.edges)
+                assert t.n == n and t.labels is None
+                assert t.edges == ref.edges and t.adjacency == ref.adjacency, t.edges
+                assert t.rooting == ref.rooting, t.edges
 
     def test_every_corpus_tree_to_order_12(self):
-        for n in range(1, 13):
-            for seq in _free_sequences(n):
-                parents = _seq_to_parents(seq)
-                t = Tree._from_parents(parents)
-                edges = [(v, parents[v]) for v in range(n - 1, 0, -1)]
-                ref = Tree(n, edges)
-                assert t.n == n and t.labels is None
-                assert t.edges == ref.edges and t.adjacency == ref.adjacency, seq
+        self.assert_rebuilds_alike(12)
 
-    @pytest.mark.parametrize("parents, vertex", [
-        ([-1, 0, 2], 2), ([-1, 0, 3, 1], 2), ([-1, -1], 1), ([-1, 0, 1, -2], 3),
-    ])
-    def test_bad_parent(self, parents, vertex):
-        with pytest.raises(NotATree, match=f"vertex {vertex} "):
-            Tree._from_parents(parents)
+    @pytest.mark.slow
+    def test_every_corpus_tree_to_order_15(self):
+        self.assert_rebuilds_alike(15)
 
-    def test_empty(self):
-        with pytest.raises(NotATree):
-            Tree._from_parents([])
+    def test_freed_by_reference_counting(self):
+        # nothing a scan reads points back at the tree, so the tree goes
+        # with its last reference, without the cycle collector
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for t in enumerate_trees(9):
+                if len(t.profile.branch) == 2:
+                    break
+            p = t.profile
+            for name in oracles.PROFILE_FIELDS:
+                getattr(p, name)
+            del p
+            t.rooting
+            value = bn_number_dp(t).value
+            conjectured = conjectured_upper_bound(t)
+            assert value <= conjectured
+            tree = weakref.ref(t)
+            del t
+            assert tree() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestLazyProfile:
