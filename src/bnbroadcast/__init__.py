@@ -45,7 +45,6 @@ from .errors import (
     BadSpec,
     BadVertexIndex,
     BudgetExceeded,
-    DegeneratePath,
     GraphError,
     InternalInconsistency,
     InvalidBroadcast,
@@ -54,7 +53,6 @@ from .errors import (
     NotAForest,
     NotATree,
     NotBnIndependent,
-    NotBranchVertex,
     ParseError,
     ShapeMismatch,
     StrengthExceedsEccentricity,
@@ -84,10 +82,5 @@ from .trees import (
     Shape,
     Tree,
     TreeProfile,
-    branch_leaf_representation,
-    branch_representation,
-    branch_subtree,
     classify_shape,
-    induced_subgraph,
-    leaf_set,
 )

@@ -66,6 +66,7 @@ from .solve import (
     SolveLimits,
     _ClassTable,
     _SandwichEscape,
+    _max_independent_set,
     bn_number_dp,
     compute_bounds,
     conjectured_upper_bound,
@@ -170,7 +171,8 @@ def _parse_limits(text):
 def cmd_analyze(args):
     tree, desc = _load_tree(args)
     p = tree.profile
-    alpha_int, _ = independence_number(p.interior)
+    inner = p.interior
+    alpha_int, _ = _max_independent_set(tree.adjacency, inner)
     data = {
         "schema": SCHEMA,
         "tool": _tool(),
@@ -199,12 +201,9 @@ def cmd_analyze(args):
             for b in sorted(p.branch)
         },
         "interior": {
-            "order": p.interior.n,
-            "vertices": list(p.interior.labels),
-            "edges": [
-                sorted([p.interior.labels[u], p.interior.labels[v]])
-                for u, v in p.interior.edges
-            ],
+            "order": len(inner),
+            "vertices": sorted(inner),
+            "edges": [[u, v] for u, v in tree.edges if u in inner and v in inner],
             "independence": alpha_int,
         },
     }

@@ -26,16 +26,8 @@ class BadVertexIndex(GraphError):
     """A vertex reference falls outside 0..n-1."""
 
 
-class DegeneratePath(GraphError):
-    """The branch-leaf representation is undefined on paths."""
-
-
 class NoBranchVertices(GraphError):
     """The operation needs at least one vertex of degree >= 3."""
-
-
-class NotBranchVertex(GraphError):
-    """The named vertex has degree < 3."""
 
 
 class InvalidBroadcast(GraphError):

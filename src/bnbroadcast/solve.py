@@ -32,8 +32,9 @@ counts its states as `nodes`:
   broadcaster, largest reach) states.  `search --check chain` calls it.
 
 * independence_number finds the lexicographically least maximum
-  independent set with one weighted DP (_max_independent_set), which
-  conjectured_upper_bound also runs on the branch01 vertices.
+  independent set with one weighted DP (_max_independent_set), which the
+  lower bound also runs on the interior and conjectured_upper_bound on the
+  branch01 vertices, both on the tree's own adjacency.
 
 Every exact solver, DP or oracle, returns SolveResult(value, witness,
 nodes), or raises BudgetExceeded(nodes) when it counts more nodes than its
@@ -681,15 +682,13 @@ def lower_bound_witness(tree: Tree) -> tuple:
     p = tree.profile
     if not p.branch:
         raise NoBranchVertices("the lower bound needs a branch vertex")
-    return _lower_bound_witness(tree, independence_number(p.interior))
+    return _lower_bound_witness(tree, _max_independent_set(tree.adjacency, p.interior))
 
 
 def _lower_bound_witness(tree, interior_mis):
-    """lower_bound_witness given (alpha, X) of the interior forest, X in the
-    forest's own vertex numbers."""
+    """lower_bound_witness given (alpha, X) of the interior forest."""
     p = tree.profile
-    alpha_int, x_local = interior_mis
-    x = frozenset(p.interior.labels[i] for i in x_local)
+    alpha_int, x = interior_mis
 
     strengths = [0] * tree.n
     for b in p.branch2plus | (p.branch1 - x):
@@ -826,7 +825,7 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
     report keeps the nodes it spent and no value or witness.
     """
     p = tree.profile
-    interior_mis = independence_number(p.interior)
+    interior_mis = _max_independent_set(tree.adjacency, p.interior)
 
     lower = upper = conjectured = witness_lower = None
     if p.branch:

@@ -15,8 +15,8 @@ The decomposition vocabulary used throughout the package:
   path every degree-2 vertex is external.
 * leaf set of a branch vertex b: leaves joined to b by an endpath.  Branch
   vertices are split by leaf-set size into branch0 / branch1 / branch2plus.
-* interior: the forest induced by branch0 + branch1 + internal degree-2
-  vertices.
+* interior: the vertices of branch0 + branch1 + internal degree-2 vertices;
+  its induced forest is read on the tree's own adjacency, never copied.
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
 Construction, components and the structural profile take near-linear
@@ -30,11 +30,14 @@ on first use by three BFS passes (`_centre_rooting`), and a forest's
 eccentricities take the same three passes per component.  A Tree's
 profile (TreeProfile) computes its degrees, leaves, branch, branch0 and
 branch1 when it is made, by one endpath walk per leaf, and each other
-field on first read; it keeps the tree's order, adjacency and edges, not
-the tree, so that a tree holds no reference cycle and is freed as soon as
-its last reference goes.  `Forest.ball` returns the vertices within a radius of one
-vertex with their distances, by a BFS that stops at the radius (`_bfs`),
-so it costs the size of the ball, not the order of the forest; the
+field on first read; it keeps the tree's order and adjacency, not the
+tree, so that a tree holds no reference cycle and is freed as soon as its
+last reference goes.  Every vertex set of the profile, the interior
+included, is in the tree's own numbering: the package makes no relabelled
+copy of a tree or of a subgraph.  `Forest.ball` returns the vertices
+within a radius of one vertex with their distances, by a BFS that stops
+at the radius (`_bfs`), so it costs the size of the ball, not the order
+of the forest; the
 broadcast predicates, the witnesses and the closed formulas read
 distances only this way, and the package's own loops call `_bfs` directly
 on vertices they know to be valid.  `Forest.distance` and
@@ -50,14 +53,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import (
-    BadVertexIndex,
-    DegeneratePath,
-    NoBranchVertices,
-    NotAForest,
-    NotATree,
-    NotBranchVertex,
-)
+from .errors import BadVertexIndex, NotAForest, NotATree
 
 
 def _bfs(adj, src, radius=None):
@@ -186,14 +182,9 @@ def _check_edges(n, edges):
 
 
 class Forest:
-    """Simple acyclic graph on 0..n-1, immutable after construction.
+    """Simple acyclic graph on 0..n-1, immutable after construction."""
 
-    `labels` optionally records, per local vertex, the vertex name in a host
-    graph this forest was cut from.  It is carried along but never
-    interpreted here.
-    """
-
-    def __init__(self, n: int, edges: Iterable = (), labels: Optional[tuple] = None):
+    def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
             raise NotAForest("order must be nonnegative")
         self._n = n
@@ -208,11 +199,6 @@ class Forest:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise BadVertexIndex("labels length must equal order")
-        self._labels = labels
 
     @property
     def n(self) -> int:
@@ -221,10 +207,6 @@ class Forest:
     @property
     def edges(self) -> tuple:
         return self._edges
-
-    @property
-    def labels(self) -> Optional[tuple]:
-        return self._labels
 
     @property
     def adjacency(self) -> tuple:
@@ -301,16 +283,18 @@ class Forest:
 class Tree(Forest):
     """Connected forest with n >= 1."""
 
-    def __init__(self, n: int, edges: Iterable = (), labels: Optional[tuple] = None):
+    def __init__(self, n: int, edges: Iterable = ()):
         if n < 1:
             raise NotATree("a tree has at least one vertex")
         # counted before the O(n) lists are built, so a huge order named by
         # a few edges costs nothing; acyclic with n - 1 edges, hence connected
         edges = tuple(edges)
-        if len(edges) != n - 1:
-            raise NotATree(f"order {n} needs {n - 1} edges, got {len(edges)}")
         try:
-            super().__init__(n, edges, labels)
+            if len(edges) != n - 1:
+                # a loop or a repeated edge is named before the count
+                _check_edges(n, edges)
+                raise NotATree(f"order {n} needs {n - 1} edges, got {len(edges)}")
+            super().__init__(n, edges)
         except NotAForest as exc:
             raise NotATree(str(exc)) from None
 
@@ -324,7 +308,6 @@ class Tree(Forest):
         tree._n = len(adj)
         tree._edges = edges
         tree._adj = adj
-        tree._labels = None
         tree.rooting = rooting
         return tree
 
@@ -373,9 +356,8 @@ class TreeProfile:
     and cached.  leaf_sets maps each branch vertex to the leaves its
     endpaths reach, leaf_distance each of those leaves to its distance from
     that branch vertex, and loss_table each branch vertex to its leaf set's
-    distance statistics.  interior is the forest induced by branch01 union
-    the internal degree-2 vertices; its `labels` map interior indices back
-    to tree vertices.
+    distance statistics.  interior is the vertex set branch01 union the
+    internal degree-2 vertices, in the tree's own numbering.
     """
 
     def __init__(self, tree: Tree):
@@ -383,7 +365,6 @@ class TreeProfile:
         # a back reference would leave every tree to the cycle collector
         self._n = n = tree.n
         self._adj = adj = tree.adjacency
-        self._edges = tree.edges
         self._deg = deg = [len(a) for a in adj]
         self.leaves = frozenset(v for v in range(n) if deg[v] <= 1)
         self.branch = branch = frozenset(v for v in range(n) if deg[v] >= 3)
@@ -455,25 +436,8 @@ class TreeProfile:
         return self.branch0 | self.branch1
 
     @cached_property
-    def interior(self) -> Forest:
-        return _induced(self._edges, self.branch01 | self.deg2_internal)
-
-
-def induced_subgraph(tree: Forest, vertices) -> Forest:
-    """Forest induced on `vertices`; local index i is original `labels[i]`."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        tree._check_vertex(v)
-    return _induced(tree.edges, vs)
-
-
-def _induced(edges, vertices):
-    """induced_subgraph, given the graph's edges, on distinct vertices known
-    to be valid."""
-    vs = sorted(vertices)
-    index = {v: i for i, v in enumerate(vs)}
-    kept = [(index[u], index[v]) for u, v in edges if u in index and v in index]
-    return Forest(len(vs), kept, labels=tuple(vs))
+    def interior(self) -> frozenset:
+        return self.branch01 | self.deg2_internal
 
 
 def _walk_past_deg2(adj, start, first):
@@ -490,65 +454,6 @@ def _walk_past_deg2(adj, start, first):
         a, b = adj[cur]
         prev, cur = cur, (b if a == prev else a)
     return cur, chain
-
-
-def leaf_set(tree: Tree, b: int) -> frozenset:
-    """Leaves joined to branch vertex b by an endpath."""
-    tree._check_vertex(b)
-    if b not in tree.profile.branch:
-        raise NotBranchVertex(f"vertex {b} has degree {tree.degree(b)}")
-    return tree.profile.leaf_sets[b]
-
-
-def branch_subtree(tree: Tree, b: int) -> Tree:
-    """Subtree spanned by the paths from b to each leaf in its leaf set.
-
-    Order 1 when the leaf set is empty.  Local labels map back to the tree.
-    """
-    ls = leaf_set(tree, b)
-    vs = {b}
-    for l in ls:
-        end, chain = _walk_past_deg2(tree.adjacency, l, tree.adjacency[l][0])
-        vs.add(l)
-        vs.update(chain)
-    sub = _induced(tree.edges, vs)
-    return Tree(sub.n, sub.edges, labels=sub.labels)
-
-
-def branch_leaf_representation(tree: Tree) -> Tree:
-    """Suppress every degree-2 vertex; defined only off paths.
-
-    The result keeps the leaves and branch vertices and joins two of them
-    when their connecting path in the tree is internally degree-2.
-    """
-    p = tree.profile
-    if not p.branch:
-        raise DegeneratePath("branch-leaf representation is undefined on paths")
-    kept = sorted(p.leaves | p.branch)
-    index = {v: i for i, v in enumerate(kept)}
-    edges = set()
-    for v in kept:
-        for nb in tree.adjacency[v]:
-            end, _ = _walk_past_deg2(tree.adjacency, v, nb)
-            if v < end:
-                edges.add((index[v], index[end]))
-    return Tree(len(kept), edges, labels=tuple(kept))
-
-
-def branch_representation(tree: Tree) -> Forest:
-    """Graph on the branch vertices: adjacent when no branch vertex separates them."""
-    p = tree.profile
-    if not p.branch:
-        raise NoBranchVertices("tree has no vertex of degree >= 3")
-    kept = sorted(p.branch)
-    index = {v: i for i, v in enumerate(kept)}
-    edges = set()
-    for v in kept:
-        for nb in tree.adjacency[v]:
-            end, _ = _walk_past_deg2(tree.adjacency, v, nb)
-            if end in p.branch and v < end:
-                edges.add((index[v], index[end]))
-    return Forest(len(kept), edges, labels=tuple(kept))
 
 
 def classify_shape(tree: Tree) -> frozenset:

@@ -221,6 +221,15 @@ def lex_least_independent_set(n, edges):
                 return k, frozenset(combo)
 
 
+def induced_edges(vertices, edges):
+    """(k, edges) of the forest that `edges` induce on `vertices`, with the
+    vertices renumbered 0..k-1 in increasing order, for the two oracles
+    above."""
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return len(index), [(index[u], index[v]) for u, v in edges
+                        if u in index and v in index]
+
+
 def distance_rows(n, edges):
     """All-pairs distances by Floyd-Warshall; -1 across components."""
     inf = n + 1
@@ -376,8 +385,7 @@ def hearing_by_subsets(tree):
 
 
 def tree_profile(tree):
-    """Every field of `tree.profile`, computed at once, as a dict; interior
-    as (order, edges, labels)."""
+    """Every field of `tree.profile`, computed at once, as a dict."""
     n = tree.n
     adj = tree.adjacency
     deg = [len(a) for a in adj]
@@ -414,12 +422,6 @@ def tree_profile(tree):
         total = sum(ds)
         loss_table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)
 
-    kept = sorted(branch0 | branch1 | deg2_internal)
-    index = {v: i for i, v in enumerate(kept)}
-    interior = (len(kept),
-                tuple(sorted((index[u], index[v]) for u, v in tree.edges
-                             if u in index and v in index)),
-                tuple(kept))
     return {
         "tree": tree,
         "leaves": leaves,
@@ -434,7 +436,7 @@ def tree_profile(tree):
         "branch2plus": branch2plus,
         "branch01": branch0 | branch1,
         "loss_table": loss_table,
-        "interior": interior,
+        "interior": branch0 | branch1 | deg2_internal,
     }
 
 
@@ -451,8 +453,6 @@ def profile_mismatches(tree, names=PROFILE_FIELDS):
     bad = []
     for name in names:
         got = getattr(p, name)
-        if name == "interior":
-            got = (got.n, got.edges, got.labels)
         if got != want[name] or (isinstance(got, dict) and list(got) != list(want[name])):
             bad.append(name)
     return bad

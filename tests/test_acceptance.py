@@ -63,7 +63,8 @@ def test_criterion_02_sandwich_bounds_and_constructive_witness(
         if not p.branch:
             continue
         weight, f = lower_bound_witness(t)
-        alpha_int, _ = independence_number(p.interior)
+        alpha_int = oracles.brute_independence(
+            *oracles.induced_edges(p.interior, t.edges))
         assert weight == n - len(p.branch) - len(p.deg2_internal) + alpha_int
         assert f.weight == weight and is_bn_independent(f), t.edges
         witnessed += 1

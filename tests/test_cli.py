@@ -4,6 +4,7 @@ import concurrent.futures
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -857,9 +858,31 @@ class TestOwnLoopsReadAdjacency:
         assert jsonl(out)[-1]["solved"] > 0
         assert calls == []
 
+    @pytest.mark.parametrize("argv", (["analyze"], ["bounds", "--exact"], ["witness"]))
+    def test_per_tree_commands_build_only_the_input_tree(self, run, monkeypatch,
+                                                         tmp_path, argv):
+        # the interior and the formulas are read on the input tree's own
+        # numbering, so no relabelled copy of it is made
+        rnd = random.Random(200)
+        edges = tmp_path / "t200.txt"
+        edges.write_text("".join(f"{rnd.randrange(v)} {v}\n" for v in range(1, 200)))
+        calls = []
+        forest_init = trees.Forest.__init__
+
+        def counted(self, n, *args, **kwargs):
+            calls.append(n)
+            return forest_init(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(trees.Forest, "__init__", counted)
+        for source, n in ((D14, 14), (str(edges), 200)):
+            calls.clear()
+            code, out, err = run(argv + [source, "--json"])
+            assert code == 0, err
+            assert calls == [n], source
+
     def test_sandwich_scan_validates_no_vertex(self, run, checked_vertices):
-        # the interior forest and the two-branch formula's distance read
-        # vertices the profile picked
+        # the interior and the two-branch formula's distance read vertices
+        # the profile picked
         code, out, err = run(["search", "--check", "sandwich", "--max-n", "10"])
         assert code == 0, err
         assert jsonl(out)[-1]["solved"] > 0

@@ -17,7 +17,7 @@ from bnbroadcast import (
     bn_number_dp,
     BroadcastAnalysis,
     bn_violation,
-    branch_representation,
+    enumerate_trees,
     hearing_number,
     hearing_violation,
     hears,
@@ -29,6 +29,7 @@ from bnbroadcast import (
     lower_bound_witness,
 )
 from bnbroadcast.broadcasts import _undominated
+from bnbroadcast.solve import _max_independent_set
 
 
 @st.composite
@@ -98,27 +99,21 @@ class TestProfileInvariants:
 
     @given(trees())
     def test_subtree_counting_identity(self, t):
-        from bnbroadcast import branch_subtree
-
+        # a branch vertex's subtree is its endpaths, whose edges number its
+        # total leaf distance
         p = t.profile
         assume(p.branch)
-        total = sum(branch_subtree(t, b).n - 1 for b in p.branch)
+        total = sum(p.loss_table[b].total for b in p.branch)
         assert total == t.n - len(p.branch) - len(p.deg2_internal)
 
     @given(trees())
     def test_interior_composition(self, t):
         p = t.profile
         want = p.branch0 | p.branch1 | p.deg2_internal
-        assert set(p.interior.labels) == want
-        # acyclic by construction: fewer edges than vertices per component
-        assert len(p.interior.edges) < max(p.interior.n, 1) or p.interior.n == 0
-
-    @given(trees())
-    def test_branch_representation_is_tree(self, t):
-        assume(t.profile.branch)
-        r = branch_representation(t)
-        assert r.n == len(t.profile.branch)
-        assert set(r.labels) == t.profile.branch
+        assert p.interior == want
+        # a forest: fewer induced edges than vertices
+        inner = [e for e in t.edges if set(e) <= p.interior]
+        assert len(inner) < max(len(p.interior), 1) or not p.interior
 
     @given(trees(max_n=14), st.booleans())
     def test_lazy_fields_match_eager_oracle(self, t, backwards):
@@ -176,6 +171,23 @@ class TestIndependenceInvariants:
         assert independence_number(h) == oracles.lex_least_independent_set(
             h.n, h.edges
         )
+
+    @staticmethod
+    def assert_interior_set_is_lex_least(t):
+        inner = sorted(t.profile.interior)
+        k, local = oracles.lex_least_independent_set(
+            *oracles.induced_edges(inner, t.edges))
+        want = (k, frozenset(inner[i] for i in local))
+        assert _max_independent_set(t.adjacency, t.profile.interior) == want, t.edges
+
+    @given(trees(max_n=16))
+    def test_interior_set_is_lex_least(self, t):
+        self.assert_interior_set_is_lex_least(t)
+
+    def test_interior_set_is_lex_least_to_order_10(self):
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                self.assert_interior_set_is_lex_least(t)
 
     @given(trees(min_n=2, max_n=9))
     def test_characteristic_broadcast_is_independent(self, t):
@@ -281,7 +293,8 @@ class TestWitnessInvariants:
     def test_lower_bound_witness_checks_out(self, t):
         p = t.profile
         assume(p.branch)
-        alpha_int, _ = independence_number(p.interior)
+        alpha_int = oracles.brute_independence(
+            *oracles.induced_edges(p.interior, t.edges))
         weight, f = lower_bound_witness(t)
         assert weight == t.n - len(p.branch) - len(p.deg2_internal) + alpha_int
         assert f.weight == weight

@@ -10,26 +10,21 @@ import pytest
 import oracles
 from bnbroadcast import (
     BadVertexIndex,
-    DegeneratePath,
     Forest,
-    NoBranchVertices,
     NotAForest,
     NotATree,
-    NotBranchVertex,
     Shape,
     Tree,
     bn_number_dp,
-    branch_leaf_representation,
-    branch_representation,
-    branch_subtree,
     build_family,
     classify_shape,
     conjectured_upper_bound,
     enumerate_trees,
-    induced_subgraph,
-    leaf_set,
+    independence_number,
     parse_family_spec,
 )
+from bnbroadcast import trees
+from bnbroadcast.solve import _max_independent_set
 from bnbroadcast.trees import _bfs
 
 
@@ -39,6 +34,11 @@ def path(n):
 
 def spider(*legs):
     return build_family(parse_family_spec("spider:" + ",".join(map(str, legs))))
+
+
+def interior_edges(t):
+    inner = t.profile.interior
+    return [(u, v) for u, v in t.edges if u in inner and v in inner]
 
 
 class TestConstruction:
@@ -61,6 +61,32 @@ class TestConstruction:
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(NotATree):
             Tree(3, [(0, 1)])
+
+    def test_bad_edge_named_before_the_count(self):
+        with pytest.raises(NotATree, match="self-loop at vertex 1"):
+            Tree(3, [(0, 1), (1, 1), (1, 2)])
+        with pytest.raises(NotATree, match=r"repeated edge \(0, 1\)"):
+            Tree(3, [(0, 1), (1, 0), (1, 2)])
+        with pytest.raises(NotATree, match="order 3 needs 2 edges, got 3"):
+            Tree(3, [(0, 1), (1, 2), (0, 2)])
+
+    def test_edges_checked_once(self, monkeypatch):
+        calls = []
+        check_edges = trees._check_edges
+
+        def counted(n, edges):
+            calls.append(n)
+            return check_edges(n, edges)
+
+        monkeypatch.setattr(trees, "_check_edges", counted)
+        Tree(4, [(0, 1), (1, 2), (1, 3)])
+        assert calls == [4]
+
+    def test_huge_order_with_few_edges_fails_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(NotATree, match="needs 999999999 edges, got 1"):
+            Tree(10**9, [(0, 1)])
+        assert time.perf_counter() - t0 < 0.1
 
     def test_bad_vertex(self):
         with pytest.raises(BadVertexIndex):
@@ -116,7 +142,7 @@ class TestProfile:
         t = spider(1, 2, 3)
         p = t.profile
         assert p.branch == {0}
-        assert leaf_set(t, 0) == {1, 3, 6}
+        assert p.leaf_sets[0] == {1, 3, 6}
         lt = p.loss_table[0]
         assert (lt.farthest, lt.total, lt.loss) == (3, 6, 3)
         assert p.leaf_distance == {1: 1, 3: 2, 6: 3}
@@ -130,7 +156,7 @@ class TestProfile:
         # every interior degree-2 vertex counts as external on a path
         assert p.deg2_external == {1, 2, 3, 4}
         assert not p.deg2_internal
-        assert p.interior.n == 0
+        assert p.interior == frozenset()
 
     def test_d14(self, d14):
         p = d14.profile
@@ -139,7 +165,7 @@ class TestProfile:
         assert p.deg2_internal == {2, 3, 4, 5}
         assert p.loss_table[0].loss == 2 and p.loss_table[1].loss == 2
         # interior is the bridge path
-        assert p.interior.n == 4 and len(p.interior.edges) == 3
+        assert p.interior == {2, 3, 4, 5} and len(interior_edges(d14)) == 3
 
     def test_t26(self, t26):
         p = t26.profile
@@ -148,7 +174,8 @@ class TestProfile:
         assert p.branch1 == {1, 2}
         assert p.branch2plus == {3, 4, 5}
         assert p.deg2_internal == {6, 7, 8, 9}
-        assert p.interior.n == 7 and len(p.interior.edges) == 6
+        assert p.interior == {0, 1, 2, 6, 7, 8, 9}
+        assert len(interior_edges(t26)) == 6
 
     def test_t18(self, t18):
         p = t18.profile
@@ -157,15 +184,11 @@ class TestProfile:
         assert not p.deg2_internal
         assert (0, 4) not in t18.edges and (4, 0) not in t18.edges
 
-    def test_leaf_set_errors(self, d14):
-        with pytest.raises(NotBranchVertex):
-            leaf_set(d14, 2)
-        with pytest.raises(BadVertexIndex):
-            leaf_set(d14, 99)
-
     def test_counting_identity_d14(self, d14):
+        # a branch vertex's subtree is its endpaths, one edge per unit of
+        # leaf distance
         p = d14.profile
-        total = sum(branch_subtree(d14, b).n - 1 for b in p.branch)
+        total = sum(p.loss_table[b].total for b in p.branch)
         assert total == d14.n - len(p.branch) - len(p.deg2_internal)
 
 
@@ -248,9 +271,10 @@ class TestLevelTrees:
         for n in range(1, max_n + 1):
             for t in enumerate_trees(n):
                 ref = Tree(n, t.edges)
-                assert t.n == n and t.labels is None
+                assert t.n == n
                 assert t.edges == ref.edges and t.adjacency == ref.adjacency, t.edges
                 assert t.rooting == ref.rooting, t.edges
+                assert vars(t).keys() == vars(ref).keys(), t.edges
 
     def test_every_corpus_tree_to_order_12(self):
         self.assert_rebuilds_alike(12)
@@ -306,85 +330,46 @@ class TestLazyProfile:
 
 
 class TestRepresentations:
-    def test_bl_spider(self):
-        t = spider(1, 2, 3)
-        bl = branch_leaf_representation(t)
-        assert bl.n == 4
-        assert sorted(bl.degree(v) for v in range(4)) == [1, 1, 1, 3]
-
-    def test_bl_star_unchanged(self):
-        t = spider(1, 1, 1)
-        bl = branch_leaf_representation(t)
-        assert bl.n == t.n and sorted(bl.edges) == sorted(t.edges)
-
-    def test_bl_d14_double_star(self, d14):
-        bl = branch_leaf_representation(d14)
-        assert bl.n == 6
-        heads = [v for v in range(6) if bl.degree(v) == 3]
-        assert len(heads) == 2
-        assert tuple(sorted(heads)) in bl.edges
-
-    def test_bl_path_error(self):
-        with pytest.raises(DegeneratePath):
-            branch_leaf_representation(path(5))
-
-    def test_branch_rep_spider(self):
-        br = branch_representation(spider(2, 2, 2))
-        assert br.n == 1 and not br.edges
-
-    def test_branch_rep_d14(self, d14):
-        br = branch_representation(d14)
-        assert br.n == 2 and br.edges == ((0, 1),)
-        assert br.labels == (0, 1)
-
-    def test_branch_rep_four_stem_caterpillar(self):
-        t = build_family(parse_family_spec("cat:leafcounts=2,2,2,2"))
-        br = branch_representation(t)
-        assert br.n == 4
-        assert sorted(br.degree(v) for v in range(4)) == [1, 1, 2, 2]
-
-    def test_branch_rep_path_error(self):
-        with pytest.raises(NoBranchVertices):
-            branch_representation(path(4))
+    """The interior is a vertex set of the tree, and a branch vertex's
+    subtree is its endpaths: both are read on the tree's own numbering."""
 
     def test_subtree_b0_is_k1(self, t26):
-        sub = branch_subtree(t26, 0)
-        assert sub.n == 1 and sub.labels == (0,)
+        p = t26.profile
+        assert p.leaf_sets[0] == frozenset() and p.loss_table[0].total == 0
 
     def test_subtree_spider_head_is_whole(self):
         t = spider(1, 2, 3)
-        sub = branch_subtree(t, 0)
-        assert sub.n == t.n
+        assert t.profile.loss_table[0].total == t.n - 1
 
     def test_subtree_d14_head(self, d14):
-        sub = branch_subtree(d14, 0)
-        assert sub.n == 5
-        assert 0 in sub.labels and 1 not in sub.labels
+        p = d14.profile
+        assert p.loss_table[0].total == 4
+        assert 1 not in p.leaf_sets[0]
 
     def test_interior_d14(self, d14):
         inner = d14.profile.interior
-        assert inner.labels == (2, 3, 4, 5)
-        assert len(inner.edges) == 3
+        assert inner == {2, 3, 4, 5}
+        assert len(interior_edges(d14)) == 3
 
     def test_interior_spider_empty(self):
-        assert spider(2, 2, 2).profile.interior.n == 0
+        assert spider(2, 2, 2).profile.interior == frozenset()
 
 
 class TestInducedSubgraph:
+    """Independent sets of an induced subgraph, read on the tree's own
+    adjacency."""
+
     def test_empty(self, d14):
-        assert induced_subgraph(d14, []).n == 0
+        assert _max_independent_set(d14.adjacency, []) == (0, frozenset())
 
     def test_full(self, d14):
-        g = induced_subgraph(d14, range(14))
-        assert g.n == 14 and len(g.edges) == 13
+        assert _max_independent_set(d14.adjacency, range(14)) == independence_number(d14)
 
     def test_t18_branch01_independent(self, t18):
-        g = induced_subgraph(t18, t18.profile.branch01)
-        assert g.n == 2 and not g.edges
-
-    def test_bad_vertex(self, d14):
-        with pytest.raises(BadVertexIndex):
-            induced_subgraph(d14, [0, 14])
+        b01 = t18.profile.branch01
+        assert len(b01) == 2
+        assert not any(u in b01 and v in b01 for u, v in t18.edges)
+        assert _max_independent_set(t18.adjacency, b01) == (2, b01)
 
 
 class TestClassify:
