@@ -11,13 +11,15 @@ counts its states as `nodes`:
 * bn_number_dp computes the boundary-independence number in
   O(n * diameter) states.  compute_bounds and the corpus search call it.
   Below the root, the states of a vertex v whose ball reaches the parent
-  with height(v) - 1 or more to spare have a closed form (a ball from a
-  deepest descendant of v), so only the states below that are stored,
-  about half of them on a path.  The stored states below the root depend
-  only on the rooted subtree, so they are filled once per class of rooted
-  subtrees (the ordered tuple of the children's classes), not once per
-  vertex: once for all the equal legs of a spider, once per height for
-  both halves of a path.  A first pass assigns the classes and spends the
+  with K(v) or more to spare have a closed form (a ball from a deepest
+  descendant of v), so only the states below that are stored.  K(v) is at
+  most height(v) - 1 and is read off the first deepest child's out list;
+  it is 0 on a path or a spider's leg, where a class is filled with no
+  per-state work.  The stored states below the root depend only on the
+  rooted subtree, so they are filled once per class of rooted subtrees
+  (the ordered tuple of the children's classes), not once per vertex:
+  once for all the equal legs of a spider, once per height for both
+  halves of a path.  A first pass assigns the classes and spends the
   node budget vertex by vertex, so an exhausted budget stops before any
   table is filled; a second fills each new class once, children first.
   The corpus search owns one table of classes per scan (per worker process
@@ -307,18 +309,23 @@ def bn_number_restricted(tree: Tree, limits: Optional[SolveLimits] = None) -> So
     return _max_weight_dfs(tree, caps, limits)
 
 
-def _fill(children, h, top, caps=None):
+def _fill(children, h, top, caps, rest):
     """One vertex's stored states from its children's: the recurrence of
     bn_number_dp, whose docstring defines the states.
 
     `children` yields each child's (out, inn, height) in adjacency order,
-    h is the vertex's height and `top` is how many inn states to store.
+    h is the vertex's height and `top` is how many inn and pick states to
+    store: K(v) below the root, ecc(v) at the root.  A child's inn list
+    shorter than a state asks for is read as its closed-form tail.
     caps[i], when given, is child i's ecc(c) - 1, past which it passes no
     ball up; below the root it is never under top, so callers there pass
-    None.  Returns (out, inn, pick, ends): pick[k] is the position of the
-    child that passes ball k up, -1 when v is the centre, and ends[i] is
-    child i's traceback state under g[v]: -1 (inn[c][0]) when a ball
-    ending at v covers its edge best, else 0.
+    None.  `rest` is out[v] past state top: below the root the first
+    deepest child's out[D][top:h - 1], since past K(v) the children's sum
+    is out[D] itself; at the root, whose sum is filled in full, [].
+    Returns (out, inn, pick, ends): pick[k] is the position of the child
+    that passes ball k up, -1 when v is the centre, and ends[i] is child
+    i's traceback state under g[v]: -1 (inn[c][0]) when a ball ending at v
+    covers its edge best, else 0.
     """
     S = [0] * top
     bonus = list(range(1, top + 1))
@@ -328,9 +335,9 @@ def _fill(children, h, top, caps=None):
     for i, (oc, ic, hc) in enumerate(children):
         li, lo = len(ic), len(oc)
         # S[k]: the children under a ball that reaches v with k+1 to spare;
-        # out[c] is no longer than S, except a leaf's [0] when top is 0
+        # only the first deepest child's out list can run past top
         if top:
-            for k, x in enumerate(oc):
+            for k, x in enumerate(oc if lo <= top else oc[:top]):
                 S[k] += x
         # bonus[k]: the ball's own radius, from v as centre or passed up
         m = top if caps is None or caps[i] > top else caps[i]
@@ -343,7 +350,7 @@ def _fill(children, h, top, caps=None):
         i0 = ic[0] if li else 1 + hc
         ends.append(-1 if i0 >= oc[0] else 0)
         g += max(oc[0], i0)
-    out = [g] + S[: h - 1] if h else [g]
+    out = [g] + S[: h - 1] + rest if h else [g]
     return out, [s + b for s, b in zip(S, bonus)], up, ends
 
 
@@ -395,23 +402,48 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
       and reaches the parent with k to spare; pick[v][k] is the child that
       passes it up, or -1 when v is the centre.
 
-    Below the root only the states k < height(v) - 1 are stored; above
-    them the tail has a closed form.  For a non-root v and
-    height(v) - 1 <= k < ecc(v):
+    Below the root only the states k < K(v) <= height(v) - 1 are stored;
+    above them the tail has a closed form.  For a non-root v and
+    K(v) <= k < ecc(v):
 
         inn[v][k] = k + 1 + height(v), and pick[v][k] is the first child
         of greatest height (-1 for a leaf).
 
-    Such a ball covers the whole subtree of v, so the best one has the
-    largest radius, from a deepest descendant w.  Its strength
-    k + 1 + depth(w) - depth(v) is available: rooted at a centre with
-    R = ecc(root), ecc(w) = depth(w) + R - delta, where delta is 1 on the
-    other centre's side of a bicentral tree and 0 otherwise, so the
-    strength is at most ecc(w) exactly when k < ecc(v).  A child's tail
-    k + 2 + height(c) beats v's own k + 1, and ties keep the first child.
+    It holds from height(v) - 1 on: such a ball covers the whole subtree
+    of v, so the best one has the largest radius, from a deepest
+    descendant w.  Its strength k + 1 + depth(w) - depth(v) is available:
+    rooted at a centre with R = ecc(root), ecc(w) = depth(w) + R - delta,
+    where delta is 1 on the other centre's side of a bicentral tree and 0
+    otherwise, so the strength is at most ecc(w) exactly when k < ecc(v).
+    A child's tail k + 2 + height(c) beats v's own k + 1, and ties keep
+    the first child.
     The root keeps its full table: the argument needs w on v's side, and
     in a bicentral tree the root's deepest descendants on the other
     centre's side have eccentricity 2R - 1, one short of the tail's ball.
+
+    The tail often starts lower, at K(v), which the first deepest child D
+    (height h_D) decides.  Let H< and H> be the greatest heights of the
+    children before and after D (-1 where there are none), and
+    thr = min(height(v) if D is first else h_D - H< - 1, h_D - H>).  K(v)
+    is the least k >= max(H<, H>, K(D) - 1, 0) with out[D][k] <= thr,
+    capped at height(v) - 1 (K of a leaf is 0, its inn list being empty):
+
+    * out lists are nonincreasing: out[v][r] = sum of out[c][r - 1] for
+      r >= 1, and out[v][0] = g[v] >= sum of out[c][0]; induct from a
+      leaf's [0].  So once the test passes at some k it passes at every
+      later k.
+    * at such a k >= H<, H>, every other child c has out[c][k] = 0, so
+      S[k], the children's sum under a ball with k + 1 to spare at v, is
+      out[D][k]; and c is in its own tail at k + 1 > K(c), as D is at
+      k + 1 >= K(D).  D's candidate k + 2 + h_D - out[D][k] then makes
+      inn[v][k] = S[k] + k + 2 + h_D = k + 1 + height(v).
+    * out[D][k] <= thr is _fill's tie rule for that candidate: it is at
+      least v's own ball k + 1 (a tie goes to a child), beats every
+      earlier child's k + 2 + h_c strictly and loses to no later one.
+
+    Past K(v) the sum S is out[D] itself, so out[v] is [g[v]], S up to
+    K(v), then a slice of out[D].  On a path or a spider's leg K is 0 at
+    every vertex below the root, so a class's fill does no per-state work.
 
     Below the root the stored states depend only on the rooted subtree:
     a non-root child c has ecc(c) - 1 >= height(v) - 1, so no child's ball
@@ -433,15 +465,17 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
 
     Pass 1 walks the vertices in post-order: it assigns each its class,
     interning the classes the table lacks, whose height and first deepest
-    child are recorded once, adds the vertex's states to `nodes`, and
-    records the last class that reads each class.  `nodes` counts every
-    state, len(out[v]) + ecc(v) per vertex, whether stored, shared or in a
-    closed-form tail, so where a budget stops, like the value and the
-    witness, depends neither on how much is stored nor on the sharing.  The
-    count is a local, compared with limits.max_nodes after each vertex: the
-    first vertex that takes it past the cap raises BudgetExceeded(nodes),
-    before any table is filled.  Pass 2 fills the new classes in id order,
-    children first, with _fill.
+    child are recorded once (with max(H<, H>) and thr for pass 2), adds
+    the vertex's states to `nodes`, and records the last class that reads
+    each class.  `nodes` counts every state, len(out[v]) + ecc(v) per
+    vertex, whether stored, shared or in a closed-form tail, so where a
+    budget stops, like the value and the witness, depends neither on how
+    much is stored nor on the sharing.  The count is a local, compared
+    with limits.max_nodes after each vertex: the first vertex that takes
+    it past the cap raises BudgetExceeded(nodes), before any table is
+    filled.  Pass 2 fills the new classes in id order, children first,
+    with _fill, each up to its K(v), which a scan of out[D] from
+    max(H<, H>, K(D) - 1, 0) finds.
 
     An optimal broadcast is read back top-down from the root in BFS order,
     mapping the class's pick positions to each vertex's children.  The witness is
@@ -461,17 +495,27 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
     base = len(members)
     cls = [0] * n  # class 0 is the leaf's
     last = {}  # per class: the last class of this solve that reads it
+    tails = []  # per new class of this solve: (max(H<, H>, 0), thr)
 
     def new_class(key):
         k = len(members)
-        h, d = 0, -1
+        # pre and post: H< and H>, the greatest heights before and after
+        # the first deepest child, -1 where there is no such child
+        h, d, pre, post = 0, -1, -1, -1
         for i, j in enumerate(key):
-            if heights[j] >= h:
-                h, d = heights[j] + 1, i
+            hj = heights[j]
+            if hj >= h:
+                h, d, pre, post = hj + 1, i, h - 1, -1
+            elif hj > post:
+                post = hj
             last[j] = k
         members.append(key)
         heights.append(h)
         deeps.append(d)
+        start, thr = pre, h if pre < 0 else h - 2 - pre
+        if post > pre:  # else thr <= h - 2 - post already
+            start, thr = post, min(thr, h - 1 - post)
+        tails.append((start if start > 0 else 0, thr))
         return k
 
     try:
@@ -498,11 +542,19 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
         for k in range(base, rc + 1):
             key, h = members[k], heights[k]
             if k < rc:
-                top, caps = h - 1, None
+                # top = K(v), from the first deepest child's tables
+                out_d, inn_d, _ = tabs[key[deeps[k]]]
+                top, thr = tails[k - base]
+                if top < len(inn_d) - 1:
+                    top = len(inn_d) - 1
+                while top < h - 1 and out_d[top] > thr:
+                    top += 1
+                caps, rest = None, out_d[top : h - 1]
             else:
                 # the root's children pass no ball past their ecc - 1
-                top, caps = ecc[root], [ecc[c] - 1 for c in kids[root]]
-            out_k, inn_k, pick_k, ends_k = _fill(map(tabs.__getitem__, key), h, top, caps)
+                top, caps, rest = ecc[root], [ecc[c] - 1 for c in kids[root]], []
+            out_k, inn_k, pick_k, ends_k = _fill(
+                map(tabs.__getitem__, key), h, top, caps, rest)
             if not shared:
                 for j in key:
                     if last[j] == k:

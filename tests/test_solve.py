@@ -45,11 +45,45 @@ def fam(text):
     return build_family(parse_family_spec(text))
 
 
+LONG_SPECS = ("path:400", "path:800", "path:1100", "spider:200,200,200",
+              "spider:150,150,150,150", "spider:100,100,100,100,100,100,100")
+
+
+def spine(length):
+    """The caterpillar spec whose spine of `length` vertices has one leaf
+    per vertex."""
+    return "cat:leafcounts=" + ",".join(["1"] * length)
+
+
 def assert_matches_full_table(t):
     got, want = bn_number_dp(t), oracles.bn_number_dp_full(t)
     assert got.value == want.value, t.edges
     assert got.witness.strengths == want.witness.strengths, t.edges
     assert got.nodes == want.nodes, t.edges
+
+
+def tail_starts(tables):
+    """K(v) of every vertex by the rule in bn_number_dp's docstring, read
+    from the oracle's full tables (oracles.bn_dp_tables): the least k >=
+    max(H<, H>, K(D) - 1, 0) with out[D][k] <= thr, capped at height(v) - 1,
+    where D is the first deepest child and K(D) the length of its stored
+    inn list."""
+    _, kids, height, out, _, _, _ = tables
+    starts = [0] * len(kids)
+    for v in sorted(range(len(kids)), key=height.__getitem__):  # children first
+        hs = [height[c] for c in kids[v]]
+        if not hs:
+            continue
+        i = hs.index(max(hs))
+        d, hd = kids[v][i], hs[i]
+        pre, post = max(hs[:i], default=-1), max(hs[i + 1:], default=-1)
+        thr = min(height[v] if pre < 0 else hd - pre - 1,
+                  height[v] if post < 0 else hd - post)
+        k = max(pre, post, starts[d] - 1, 0)
+        while k < height[v] - 1 and out[d][k] > thr:
+            k += 1
+        starts[v] = k
+    return starts
 
 
 class TestIndependence:
@@ -164,8 +198,17 @@ class TestDpSolver:
                 assert_matches_full_table(t)
 
     def test_matches_full_table_on_long_specs(self):
-        for spec in ("path:400", "path:401", "spider:200,200,200"):
+        # a spine with a leaf per vertex stores inn states below K(v) > 0
+        for spec in LONG_SPECS + ("path:401", spine(300)):
             assert_matches_full_table(fam(spec))
+        # K(v) keeps _fill's tie rule, where the deepest child's tail ball
+        # must beat every earlier sibling and lose to no later one: at
+        # vertex 1 the deepest child 8 follows the leaf 6, which wins state
+        # 0; at vertex 4 the deepest child 6 is followed by 7, of equal
+        # height, which wins state 0
+        for edges in ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 6), (1, 8), (4, 7), (5, 8)],
+                      [(0, 1), (0, 3), (1, 4), (2, 7), (4, 6), (4, 7), (5, 6), (6, 8)]):
+            assert_matches_full_table(Tree(9, edges))
 
     def test_matches_full_table_where_classes_repeat(self):
         # equal rooted subtrees share one table; here they sit in different
@@ -179,23 +222,39 @@ class TestDpSolver:
             assert_matches_full_table(t)
 
     def test_tails_have_a_closed_form_below_the_root(self):
-        # what lets bn_number_dp store inn and pick only below height - 1
+        # what lets bn_number_dp store inn and pick only below K(v)
+        corpus = [t for n in range(1, 12) for t in enumerate_trees(n)]
         root_exceptions = 0
-        for n in range(1, 12):
-            for t in enumerate_trees(n):
-                root, kids, height, _, inn, _, pick = oracles.bn_dp_tables(t)
-                for v in range(t.n):
-                    deepest = max(kids[v], key=height.__getitem__, default=-1)
-                    tail = [(inn[v][k], pick[v][k])
-                            for k in range(max(height[v] - 1, 0), t.eccentricities[v])]
-                    closed = [(k + 1 + height[v], deepest)
-                              for k in range(max(height[v] - 1, 0), t.eccentricities[v])]
-                    if v != root:
-                        assert tail == closed, (t.edges, v)
-                    elif tail != closed:
-                        root_exceptions += 1
+        for t in corpus + [fam(spec) for spec in LONG_SPECS]:
+            tables = oracles.bn_dp_tables(t)
+            root, kids, height, _, inn, _, pick = tables
+            starts = tail_starts(tables)
+            for v in range(t.n):
+                deepest = max(kids[v], key=height.__getitem__, default=-1)
+                h, e = height[v], t.eccentricities[v]
+                k0 = starts[v] if v != root else max(h - 1, 0)
+                tail = (inn[v][k0:e], pick[v][k0:e])
+                closed = (list(range(k0 + 1 + h, e + 1 + h)), [deepest] * (e - k0))
+                if v != root:
+                    assert tail == closed, (t.edges, v)
+                elif tail != closed:
+                    root_exceptions += 1
         # the root keeps its full table: there the tail can differ
         assert root_exceptions > 0
+        # on a chain the tail holds from state 0
+        for spec in ("path:401", "spider:200,200,200"):
+            tables = oracles.bn_dp_tables(fam(spec))
+            starts = tail_starts(tables)
+            assert not any(k for v, k in enumerate(starts) if v != tables[0]), spec
+
+    def test_stores_no_inn_state_on_chains(self):
+        # with K(v) = 0 below the root a path's or a spider's classes keep
+        # no inn state; filled up to height - 1 they would keep 150,426 on
+        # path:1100 and 19,701 on spider:200,200,200
+        for spec in ("path:1100", "spider:200,200,200"):
+            table = solve._ClassTable()
+            bn_number_dp(fam(spec), classes=table)
+            assert sum(len(inn) for _, inn, _ in table.tabs) == 0, spec
 
     def test_nodes_frozen(self):
         # counted before the tails were stored in closed form; every state
@@ -214,17 +273,21 @@ class TestDpSolver:
             assert exc.value.nodes == nodes, spec
 
     def test_drops_tables_once_read(self):
-        # a long path's tables, one per height, go as soon as the next
-        # height is filled; keeping them all would take about 9.5 MB
-        t = fam("path:1100")
-        t.eccentricities
-        tracemalloc.start()
-        try:
-            bn_number_dp(t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        # a class's tables, one per height on a long chain, go as soon as
+        # the class that reads them is filled.  A path keeps no inn state,
+        # so keeping all its tables takes about 1.7 MB; a caterpillar spine
+        # still stores O(height) states per class, and keeping all of a
+        # 1,500-vertex spine's takes about 10 MB
+        for spec in ("path:1100", spine(1500)):
+            t = fam(spec)
+            t.eccentricities
+            tracemalloc.start()
+            try:
+                bn_number_dp(t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, spec
 
     def test_nodes_deterministic(self, d14):
         assert bn_number_dp(d14).nodes == bn_number_dp(d14).nodes > 0
