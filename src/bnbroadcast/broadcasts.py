@@ -30,7 +30,6 @@ and nothing is heard across components.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -43,21 +42,24 @@ from .errors import (
 from .trees import Forest, _bfs
 
 
-@dataclass(frozen=True)
-class Broadcast:
-    """Value object binding a strength tuple to its host graph."""
-
+class _Broadcast(NamedTuple):
     host: Forest
     strengths: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "strengths", tuple(self.strengths))
-        if len(self.strengths) != self.host.n:
+
+class Broadcast(_Broadcast):
+    """Value object binding a strength tuple to its host graph."""
+
+    __slots__ = ()
+
+    def __new__(cls, host, strengths):
+        strengths = tuple(strengths)
+        if len(strengths) != host.n:
             raise InvalidBroadcast(
-                f"expected {self.host.n} strengths, got {len(self.strengths)}"
+                f"expected {host.n} strengths, got {len(strengths)}"
             )
-        eccs = self.host.eccentricities
-        for v, s in enumerate(self.strengths):
+        eccs = host.eccentricities
+        for v, s in enumerate(strengths):
             if not isinstance(s, int):
                 raise InvalidBroadcast(f"strength of vertex {v} is not an integer")
             if s < 0:
@@ -66,6 +68,12 @@ class Broadcast:
                 raise StrengthExceedsEccentricity(
                     f"vertex {v}: strength {s} exceeds eccentricity {eccs[v]}"
                 )
+        return tuple.__new__(cls, (host, strengths))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def weight(self) -> int:
@@ -98,8 +106,7 @@ class BnViolation(NamedTuple):
     edge: tuple
 
 
-@dataclass(frozen=True)
-class BroadcastAnalysis:
+class BroadcastAnalysis(NamedTuple):
     """Per-broadcaster neighbourhoods and the edge coverage map of one broadcast.
 
     covered_by maps every edge to the tuple of broadcasters covering it

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import threading
@@ -75,8 +74,6 @@ from .solve import (
     lower_bound_witness,
 )
 from .trees import Shape, classify_shape
-
-log = logging.getLogger("bnbroadcast")
 
 SCHEMA = 4
 
@@ -470,6 +467,17 @@ def _print_record(rec):
     print(json.dumps(rec, sort_keys=True))
 
 
+def _log_info(msg, *args):
+    """Log msg at INFO on the "bnbroadcast" logger, if logging is loaded.
+
+    main imports logging only under BNB_LOG, and a caller that configures
+    logging has loaded it too.  Without the module no handler exists, and
+    logging's last-resort handler drops INFO anyway, so nothing is lost."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("bnbroadcast").info(msg, *args)
+
+
 def cmd_search(args):
     if args.min_n < 1 or args.max_n < args.min_n:
         raise BadSpec("need 1 <= min-n <= max-n")
@@ -485,7 +493,7 @@ def cmd_search(args):
     # once, so it gets no more of them than there are CPUs to run them
     jobs = min(args.jobs, _usable_cpus())
     if jobs > 1:
-        # imported here: the process pool's modules would add about a tenth
+        # imported here: the process pool's modules would add about a third
         # to the start-up of every other command
         from concurrent.futures import ProcessPoolExecutor
         context = ProcessPoolExecutor(jobs, initializer=_start_worker)
@@ -511,9 +519,9 @@ def cmd_search(args):
             if args.check == "question1":
                 order["margins"] = dict(margins)
             _print_record(order)
-            log.info("order %d: %d trees, %d solved, %d over budget, %d violations",
-                     n, order["trees"], order["solved"],
-                     order["budget_exceeded"], order["violations"])
+            _log_info("order %d: %d trees, %d solved, %d over budget, "
+                      "%d violations", n, order["trees"], order["solved"],
+                      order["budget_exceeded"], order["violations"])
             for key in keys:
                 totals[key] += order[key]
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -621,6 +629,8 @@ def build_parser():
 def main(argv=None) -> int:
     level = os.environ.get("BNB_LOG")
     if level:
+        # imported only here, so that no other run pays for loading it
+        import logging
         logging.basicConfig(
             level=getattr(logging, level.upper(), logging.INFO),
             stream=sys.stderr,

@@ -29,9 +29,8 @@ UnsupportedLongForm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import BadSpec, NotATree, ParseError, UnsupportedLongForm
 from .trees import Rooting, Tree
@@ -176,25 +175,21 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 # parametric families
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class SpiderSpec:
+class SpiderSpec(NamedTuple):
     legs: tuple
 
 
-@dataclass(frozen=True)
-class DoubleSpiderSpec:
+class DoubleSpiderSpec(NamedTuple):
     legs1: tuple
     bridge: int
     legs2: tuple
 
 
-@dataclass(frozen=True)
-class CaterpillarSpec:
+class CaterpillarSpec(NamedTuple):
     """Spine with leaf_counts[i] leaves at spine vertex i; spacing[i] is the
     distance between spine vertices i and i+1 (default 1 everywhere)."""
 

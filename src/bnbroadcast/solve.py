@@ -82,8 +82,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .broadcasts import (
     Broadcast,
@@ -101,20 +100,28 @@ from .errors import (
 from .trees import Forest, Shape, Tree, _bfs, classify_shape
 
 
-@dataclass(frozen=True)
-class SolveLimits:
+class _SolveLimits(NamedTuple):
+    max_nodes: Optional[int] = None
+
+
+class SolveLimits(_SolveLimits):
     """The exact solvers' budget: at most max_nodes nodes (each solver's
     states), None meaning unlimited."""
 
-    max_nodes: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes <= 0:
+    def __new__(cls, max_nodes=None):
+        if max_nodes is not None and max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
+        return tuple.__new__(cls, (max_nodes,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     value: int
     witness: Broadcast
     nodes: int
@@ -823,8 +830,7 @@ def caterpillar_value(tree: Tree) -> int:
     return tree.n - len(p.branch) + len(p.branch01)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Everything the bounds pipeline knows about one tree.
 
     The sandwich lower <= exact <= upper and formula == exact are enforced

@@ -48,7 +48,6 @@ only the oracle solvers and the tests make one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -338,8 +337,7 @@ class Shape(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class LeafDistances:
+class LeafDistances(NamedTuple):
     """Leaf-set distance statistics of one branch vertex."""
 
     farthest: int

@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import json
+import logging
 import os
 import random
 import subprocess
@@ -890,9 +891,11 @@ class TestOwnLoopsReadAdjacency:
 
 
 def fresh_env():
-    """The environment of a new interpreter that imports this checkout."""
+    """The environment of a new interpreter that imports this checkout,
+    without the caller's BNB_LOG, whose progress lines would go to stderr."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("BNB_LOG", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
@@ -1008,3 +1011,79 @@ class TestTopLevel:
         flags = [line for line in proc.stdout.splitlines()
                  if line in ("True", "False")]
         assert flags == ["False", str(cli._usable_cpus() > 1)]
+
+
+def modules_added(argv, environ=None):
+    """The start-up-heavy modules that `cli.main(argv)` adds to a new
+    interpreter, and whether logging is loaded afterwards."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "from bnbroadcast import cli\n"
+              "cli.main(sys.argv[1:])\n"
+              "heavy = ('dataclasses', 'inspect', 'logging')\n"
+              "print(sorted(m for m in heavy\n"
+              "             if m in sys.modules and m not in before))\n"
+              "print('logging' in sys.modules)\n")
+    env = dict(fresh_env(), **(environ or {}))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *_, added, logging_loaded = proc.stdout.splitlines()
+    return added, logging_loaded == "True"
+
+
+class TestStartUp:
+    """A command imports what it runs: no dataclasses (and so no inspect),
+    and logging only when BNB_LOG asks for it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["bounds", "spider:3,4,5", "--exact", "--json"],
+        ["search", "--max-n", "5"],
+    ], ids=" ".join)
+    def test_no_heavy_imports(self, argv):
+        assert modules_added(argv) == ("[]", False)
+
+    def test_bnb_log_loads_logging(self):
+        _, logging_loaded = modules_added(["search", "--max-n", "3"],
+                                          {"BNB_LOG": "info"})
+        assert logging_loaded
+
+
+class TestProgressLog:
+    """BNB_LOG=info logs one line per finished order of a search on stderr,
+    and nothing is logged without it."""
+
+    LINES = [
+        "INFO bnbroadcast: order 1: 1 trees, 0 solved, 0 over budget, 0 violations",
+        "INFO bnbroadcast: order 2: 1 trees, 0 solved, 0 over budget, 0 violations",
+        "INFO bnbroadcast: order 3: 1 trees, 0 solved, 0 over budget, 0 violations",
+        "INFO bnbroadcast: order 4: 2 trees, 1 solved, 0 over budget, 0 violations",
+    ]
+
+    def search(self, environ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bnbroadcast.cli", "search", "--max-n", "4",
+             "--jobs", "1"],
+            env=dict(fresh_env(), **environ), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr
+
+    def test_one_line_per_order(self):
+        out, err = self.search({"BNB_LOG": "info"})
+        assert err.splitlines() == self.LINES
+        # the records, all but the timed summary, are the same without it
+        assert out.splitlines()[:-1] == self.search({})[0].splitlines()[:-1]
+
+    def test_silent_without_bnb_log(self):
+        assert self.search({})[1] == ""
+
+    def test_a_callers_own_logging_configuration(self, run, monkeypatch, caplog):
+        monkeypatch.delenv("BNB_LOG", raising=False)
+        caplog.set_level(logging.INFO, logger="bnbroadcast")
+        code, _, _ = run(["search", "--max-n", "4", "--jobs", "1"])
+        assert code == 0
+        got = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records]
+        assert got == self.LINES

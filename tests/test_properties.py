@@ -1,7 +1,5 @@
 """Randomized invariants over trees, forests, and broadcasts."""
 
-from dataclasses import fields
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -278,8 +276,12 @@ class TestPredicatesMatchMatrix:
             for v in range(g.n):
                 assert hears(f, u, v) == (s[v] > 0 and 0 <= dist[u][v] <= s[v])
         a, want = analyze(f), oracles.analyze_by_matrix(f, dist)
-        for field in fields(BroadcastAnalysis):
-            assert getattr(a, field.name) == getattr(want, field.name), field.name
+        assert BroadcastAnalysis._fields == (
+            "broadcast", "v_plus", "v_one", "v_plusplus", "heard", "boundary",
+            "private_heard", "private_boundary", "undominated", "covered_by",
+            "uncovered_edges")
+        for name in BroadcastAnalysis._fields:
+            assert getattr(a, name) == getattr(want, name), name
         assert _undominated(f) == want.undominated
         # the second formulations of independence and maximality
         independent = bn_violation(f) is None
