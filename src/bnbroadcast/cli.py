@@ -9,7 +9,8 @@ A tree comes from the positional argument or from a --g6 string.  The
 positional argument is a family spec when it starts with a known kind
 prefix, otherwise it names a file ('-' for stdin).  All structured output
 is deterministic: identical inputs and limits give byte-identical JSON
-apart from the timing fields.  The only solver budget, --limits nodes=N,
+apart from the timing fields.  `--json` prints the text of
+`json.dumps(data, indent=2, sort_keys=True)`, written by `_dumps`.  The only solver budget, --limits nodes=N,
 counts solver states, never time, so a budget stops at the same state on
 every machine.
 
@@ -30,7 +31,8 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .broadcasts import (
@@ -124,10 +126,66 @@ def _broadcast_dict(f: Broadcast):
 
 def _emit(data, args):
     if getattr(args, "json", False):
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(_dumps(data))
     else:
         for line in _human_lines(data):
             print(line)
+
+
+_INF = float("inf")
+
+
+def _dumps(obj, nl="\n"):
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, where every
+    dict key is a str; `nl` is the line break and indent of obj's own line.
+
+    CPython's json writes indented text with its pure-Python encoder; this
+    walk writes the same text in a fraction of the time.  A list of plain
+    ints, and a list of int pairs such as `edges`, are written with one
+    join each.  A value json cannot write raises TypeError, as it does in
+    json.dumps; so does a key that is not a str, which json would convert.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == _INF:
+            return "Infinity"
+        if obj == -_INF:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        # exact types: a bool is an int, but json writes it as a literal
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            body = sep.join(["%d"] * len(obj)) % tuple(obj)
+        elif (kinds <= {list, tuple} and set(map(len, obj)) == {2}
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            pair = f"[{inner}  %d,{inner}  %d{inner}]"
+            body = sep.join([pair] * len(obj)) % tuple(chain.from_iterable(obj))
+        else:
+            body = sep.join([_dumps(v, inner) for v in obj])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                         for k, v in sorted(obj.items())])
+        return f"{{{inner}{body}{nl}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _human_lines(obj, indent=""):
@@ -626,13 +684,27 @@ def build_parser():
     return parser
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def _log_level(text):
+    """The logging level BNB_LOG names: one of _LOG_LEVELS in any case, or
+    a decimal integer; anything else means INFO."""
+    if text.upper() in _LOG_LEVELS:
+        return text.upper()
+    try:
+        return int(text)
+    except ValueError:
+        return "INFO"
+
+
 def main(argv=None) -> int:
     level = os.environ.get("BNB_LOG")
     if level:
         # imported only here, so that no other run pays for loading it
         import logging
         logging.basicConfig(
-            level=getattr(logging, level.upper(), logging.INFO),
+            level=_log_level(level),
             stream=sys.stderr,
             format="%(levelname)s %(name)s: %(message)s",
         )

@@ -29,10 +29,11 @@ UnsupportedLongForm.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .errors import BadSpec, NotATree, ParseError, UnsupportedLongForm
+from .errors import BadSpec, GraphError, NotATree, ParseError, UnsupportedLongForm
 from .trees import Rooting, Tree
 
 
@@ -363,7 +364,28 @@ def looks_like_family(text: str) -> bool:
 
 def parse_edge_list(text: str) -> Tree:
     """Lines "u v" of 0-based endpoints; '#' comments and blank lines are
-    ignored.  No edges at all means the one-vertex tree."""
+    ignored.  No edges at all means the one-vertex tree.
+
+    One pass splits the lines into words and reads the endpoints, and
+    `Tree` checks range, loops, repeats and cycles.  Text that either
+    rejects is read again line by line (`_parse_edge_lines`), which raises
+    the error naming its line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(map(str.split, lines))
+    if set(map(len, rows)) <= {0, 2}:
+        try:
+            ends = list(map(int, chain.from_iterable(rows)))
+            return Tree(1 + max(ends, default=0), zip(ends[0::2], ends[1::2]))
+        except (ValueError, GraphError):
+            pass
+    return _parse_edge_lines(text)
+
+
+def _parse_edge_lines(text):
+    """`parse_edge_list` one line at a time, checking each edge as it is
+    read: slower, but its errors name the line at fault."""
     edges = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -20,7 +20,12 @@ The decomposition vocabulary used throughout the package:
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
 Construction, components and the structural profile take near-linear
-time.  A Tree is rooted once at its least-index centre (`Tree.rooting`:
+time.  Construction checks the edges one by one (`_check_edges`), takes
+each vertex's sorted neighbours straight from the sorted edges, and tells
+n - 1 edges that make a tree by one connectivity sweep (`_connected`); a
+union-find (`_check_acyclic`) runs only for other edge counts or to name
+the edge that closes a cycle.  A Tree's only component is all of it.  A
+Tree is rooted once at its least-index centre (`Tree.rooting`:
 BFS order, parents, child lists and eccentricities); its eccentricities,
 its diameter and the rooted DPs of the solvers all read that one rooting.
 A corpus tree is made with its rooting, which the corpus reads off the
@@ -159,6 +164,31 @@ def _root(parent, x):
     return x
 
 
+def _connected(adj):
+    """Whether the graph of adjacency `adj`, on at least one vertex, is
+    connected: one sweep from vertex 0."""
+    seen = [False] * len(adj)
+    seen[0] = True
+    reached = [0]
+    for u in reached:
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+    return len(reached) == len(adj)
+
+
+def _check_acyclic(n, edges):
+    """Raise NotAForest naming the first edge, in the given order, that
+    closes a cycle; a union-find over the vertices 0..n-1."""
+    parent = list(range(n))
+    for u, v in edges:
+        ru, rv = _root(parent, u), _root(parent, v)
+        if ru == rv:
+            raise NotAForest(f"edge ({u}, {v}) closes a cycle")
+        parent[ru] = rv
+
+
 def _check_edges(n, edges):
     """Normalize an edge iterable to sorted tuples, validating references."""
     seen = set()
@@ -187,17 +217,19 @@ class Forest:
         if n < 0:
             raise NotAForest("order must be nonnegative")
         self._n = n
-        self._edges = _check_edges(n, edges)
+        keys = _check_edges(n, edges)
         adj = [[] for _ in range(n)]
-        parent = list(range(n))
-        for u, v in self._edges:
-            ru, rv = _root(parent, u), _root(parent, v)
-            if ru == rv:
-                raise NotAForest(f"edge ({u}, {v}) closes a cycle")
-            parent[ru] = rv
+        # in sorted edge order every vertex meets its lesser neighbours
+        # first, in increasing order, then its greater ones
+        for u, v in keys:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        adj = tuple(map(tuple, adj))
+        # n - 1 edges are acyclic exactly when they connect the n vertices
+        if len(keys) != n - 1 or not _connected(adj):
+            _check_acyclic(n, keys)
+        self._edges = keys
+        self._adj = adj
 
     @property
     def n(self) -> int:
@@ -309,6 +341,11 @@ class Tree(Forest):
         tree._adj = adj
         tree.rooting = rooting
         return tree
+
+    @cached_property
+    def components(self) -> tuple:
+        """A tree is connected: one component, every vertex."""
+        return (tuple(range(self._n)),)
 
     @cached_property
     def rooting(self) -> Rooting:

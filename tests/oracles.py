@@ -17,6 +17,10 @@ leaves out the states of a vertex v from height(v) - 1 up.
 tree_profile is the structural profile computed eagerly, every field at
 once, by its own endpath walk; the package's TreeProfile computes most of
 its fields on first read.
+parse_edge_list is the package's former edge-list parser, which checked
+each line as it read it; forest_parts is the former Forest construction,
+`trees._check_edges` followed by a union-find over the sorted edges and a
+sort of every adjacency list.
 The enumeration internal used is the rooted successor
 (`corpus._successor`, counted against A000081 on its own), with a
 level-sequence decoder of its own (seq_to_parents): the centroid generator
@@ -30,9 +34,11 @@ import bisect
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from bnbroadcast import Broadcast, Forest, LeafDistances, SolveResult, Tree
+from bnbroadcast import (Broadcast, Forest, LeafDistances, NotAForest, ParseError,
+                         SolveResult, Tree)
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
 from bnbroadcast.corpus import _successor
+from bnbroadcast.trees import _check_edges
 
 
 def prufer_decode(seq, n):
@@ -65,6 +71,61 @@ def _adjacency(n, edges):
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def parse_edge_list(text: str) -> Tree:
+    """Lines "u v" of 0-based endpoints; '#' comments and blank lines are
+    ignored.  No edges at all means the one-vertex tree."""
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'u v', got {raw!r}", line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer endpoint in {raw!r}", line=lineno) from None
+        if u < 0 or v < 0:
+            raise ParseError(f"negative vertex in {raw!r}", line=lineno)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", line=lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParseError(f"duplicate edge {key}", line=lineno)
+        seen.add(key)
+        edges.append(key)
+    n = 1 + max((max(e) for e in edges), default=0)
+    return Tree(n, edges)
+
+
+def forest_parts(n, edges):
+    """(edges, adjacency) of Forest(n, edges), or the NotAForest (or
+    BadVertexIndex) it raises: the edges checked one by one, then joined by
+    a union-find in sorted order, which names the first edge that closes a
+    cycle."""
+    if n < 0:
+        raise NotAForest("order must be nonnegative")
+    edges = _check_edges(n, edges)
+    adj = [[] for _ in range(n)]
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            raise NotAForest(f"edge ({u}, {v}) closes a cycle")
+        parent[ru] = rv
+        adj[u].append(v)
+        adj[v].append(u)
+    return edges, tuple(tuple(sorted(a)) for a in adj)
 
 
 def free_canon(n, edges):

@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnbroadcast import (
     BadSpec,
@@ -30,7 +32,7 @@ from bnbroadcast import (
     trees,
 )
 from bnbroadcast import cli
-from bnbroadcast.cli import _pool_map, build_parser, main
+from bnbroadcast.cli import _dumps, _pool_map, build_parser, main
 
 D14 = "dspider:2,2/5/2,2"
 
@@ -1087,3 +1089,101 @@ class TestProgressLog:
         assert code == 0
         got = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records]
         assert got == self.LINES
+
+
+# JSON values as the commands build them and beyond: str keys; lists of
+# ints with bools among them (a bool is an int to isinstance, a literal to
+# json); int pairs as lists and tuples next to other lists; strings with
+# quotes, control and non-ASCII characters; the floats json spells itself
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e300, -1e-300, float("nan"), float("-inf")]),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u2028\U0001f600"]),
+)
+INT_LISTS = st.lists(st.one_of(st.integers(), st.booleans()), max_size=6)
+INT_PAIRS = st.lists(
+    st.one_of(st.tuples(st.integers(), st.integers()),
+              st.lists(st.integers(), min_size=2, max_size=2),
+              st.lists(st.integers(), max_size=3)),
+    max_size=5,
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES | INT_LISTS | INT_PAIRS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    """`--json` output is written by cli._dumps, which must give the text
+    of `json.dumps(..., indent=2, sort_keys=True)` on every value."""
+
+    @settings(max_examples=400)
+    @given(JSON_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}}, [[], {}, [[]], ()], [True, 1, False, 0],
+        [[1, 2], [3, True]], [(1, 2), [3, 4], [5]], [[1, 2], (3, 4)],
+        {"b": [[0, 1]], "a": [0, 1], "c": [0.5, 1]}, [-0.0, 1e300, float("nan")],
+        "\"\u00e9\x07\u2028",
+    ], ids=repr)
+    def test_edge_cases(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        object(), {"a": {1, 2}}, [1, b"x"], [[1, 2], [3, 1j]], {"a": [None, Path(".")]},
+    ], ids=repr)
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def log_level(value):
+    """The root logger's level after `main` in a fresh process run with
+    BNB_LOG=value, and the process's stderr."""
+    script = ("import logging\n"
+              "from bnbroadcast import cli\n"
+              "assert cli.main(['search', '--max-n', '1']) == 0\n"
+              "print(logging.getLogger().level)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(fresh_env(), BNB_LOG=value),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+class TestLogLevel:
+    """BNB_LOG takes the five level names in any case and decimal integers;
+    any other value logs at INFO, with no traceback."""
+
+    @pytest.mark.parametrize("value, level", [
+        ("debug", 10), ("Info", 20), ("WARNING", 30), ("error", 40),
+        ("critical", 50), ("10", 10), ("35", 35),
+    ])
+    def test_names_and_numbers(self, value, level):
+        got, err = log_level(value)
+        assert got == level
+        assert ("order 1:" in err) == (level <= logging.INFO)
+
+    @pytest.mark.parametrize("value", ["basic_format", "verbose", "fatal", "1.5"])
+    def test_anything_else_logs_at_info(self, value):
+        assert log_level(value) == (20, "INFO bnbroadcast: order 1: 1 trees, "
+                                        "0 solved, 0 over budget, 0 violations\n")
+
+    def test_version_runs_under_any_value(self):
+        for value in ("basic_format", "10"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bnbroadcast.cli", "--version"],
+                env=dict(fresh_env(), BNB_LOG=value),
+                capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), value
+            assert proc.stdout.startswith("bnbroadcast ")

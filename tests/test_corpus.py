@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bnbroadcast import (
     BadSpec,
     CaterpillarSpec,
     DoubleSpiderSpec,
+    GraphError,
     NotATree,
     ParseError,
     PathSpec,
@@ -208,6 +211,92 @@ class TestEdgeList:
             assert text.endswith("\n")
             back = parse_edge_list(text)
             assert (back.n, back.edges) == (t.n, t.edges)
+
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_matches_the_line_by_line_oracle(self, data):
+        text = data.draw(edge_list_texts())
+        assert parsed(parse_edge_list, text) == parsed(oracles.parse_edge_list, text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n1 2\n2 0\n", None), ("0 1\n1 2\n2 0\n3 4\n", None),
+        ("0 1\n2 3\n", None), ("0 1\n\n0 -1\n", 3),
+        ("0 1\r\n1 0\r\n", 2), ("0 1\n1\x0c2\n", 2), ("0 +1\n1 \u0662\n0 1_0\n", None),
+    ])
+    def test_errors_word_as_before(self, text, line):
+        got = parsed(parse_edge_list, text)
+        assert got == parsed(oracles.parse_edge_list, text)
+        assert got[2] == line
+
+
+def parsed(parse, text):
+    """(n, edges, adjacency) of parse(text), or the type, message and line
+    of the error it raised."""
+    try:
+        t = parse(text)
+    except GraphError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return t.n, t.edges, t.adjacency
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+# ways to write a vertex that int() reads
+NUMERALS = (str, lambda s: "+" + s, lambda s: s.translate(ARABIC_INDIC),
+            lambda s: s[0] + "_" + s[1:] if len(s) > 1 and s[0] != "-" else s)
+# lines that are no edge: skipped ones, and malformed ones
+SKIPPED_LINES = ("", "   ", "\t", "# a comment", "#0 1", "# 5 5")
+BAD_LINES = ("1 2 3", "7", "x 1", "1.5 2", "0 1 2 # three", "0\x0c1", "1 ")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list text of a random tree, its edges mutated: a loop, a
+    repeat or reversed repeat, an edge that may close a cycle, a negative
+    end, a dropped or added edge; written with signs, underscores,
+    non-ASCII digits, tabs, trailing comments, blank and comment lines,
+    now and then a malformed line, and LF, CRLF, CR or form-feed line
+    ends."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["loop", "repeat", "cycle", "negative",
+                                     "drop", "add"]))
+        if n < 2 or (not edges and kind != "add"):
+            continue
+        i = draw(st.integers(0, max(len(edges) - 1, 0)))
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n))
+        if kind == "loop":
+            edges[i] = (u, u)
+        elif kind == "repeat":
+            a, b = draw(st.sampled_from(edges))
+            edges[i] = draw(st.sampled_from([(a, b), (b, a)]))
+        elif kind == "cycle":
+            edges[i] = (u, v)
+        elif kind == "negative":
+            edges[i] = (u, -v - 1)
+        elif kind == "drop":
+            del edges[i]
+        else:
+            edges.append((u, v))
+    lines = []
+    for u, v in draw(st.permutations(edges)):
+        if draw(st.booleans()):
+            u, v = v, u
+        a, b = (draw(st.sampled_from(NUMERALS))(str(x)) for x in (u, v))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        comment = draw(st.sampled_from(["", " ", "# c", " #0 1", "\t# x"]))
+        lines.append(lead + a + sep + b + comment)
+    others = draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        others.append(draw(st.sampled_from(BAD_LINES)))
+    for other in others:
+        lines.insert(draw(st.integers(0, len(lines))), other)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n\x0c")
 
 
 class TestGraph6:

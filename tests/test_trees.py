@@ -6,11 +6,14 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bnbroadcast import (
     BadVertexIndex,
     Forest,
+    GraphError,
     NotAForest,
     NotATree,
     Shape,
@@ -104,6 +107,88 @@ class TestConstruction:
     def test_single_vertex(self):
         t = Tree(1)
         assert t.eccentricity(0) == 0 and t.diameter == 0
+
+
+@st.composite
+def edge_lists(draw, keep_count=False):
+    """(n, edges): a random tree's edges in random order and orientation,
+    sometimes mutated: a loop, a repeat (reversed or not), an edge that may
+    close a cycle, an end out of range, a value that is no pair of ints,
+    and, unless keep_count, an edge dropped or added."""
+    n = draw(st.integers(0 if not keep_count else 1, 9))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges = list(tree)
+    kinds = ["loop", "repeat", "cycle", "range", "odd"]
+    if not keep_count:
+        kinds += ["drop", "add"]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(kinds))
+        if n < 2 or (not edges and kind != "add"):
+            continue
+        i = draw(st.integers(0, max(len(edges) - 1, 0)))
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "loop":
+            edges[i] = (u, u)
+        elif kind == "repeat":
+            a, b = draw(st.sampled_from(tree))
+            edges[i] = draw(st.sampled_from([(a, b), (b, a)]))
+        elif kind == "cycle":
+            edges[i] = (u, v) if u != v else (u, (u + 1) % n)
+        elif kind == "range":
+            edges[i] = (u, draw(st.sampled_from([-1, n, n + 5])))
+        elif kind == "odd":
+            edges[i] = draw(st.sampled_from([(0, 1, 2), (0.0, 1), "01", [u, v]]))
+        elif kind == "drop":
+            del edges[i]
+        else:
+            edges.append((u, v))
+    edges = [e[::-1] if draw(st.booleans()) and isinstance(e, tuple) else e
+             for e in draw(st.permutations(edges))]
+    return n, edges
+
+
+def built(make, n, edges):
+    """(edges, adjacency) of make(n, edges), or the type and message of
+    the error it raised."""
+    try:
+        g = make(n, edges)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return g if isinstance(g, tuple) else (g.edges, g.adjacency)
+
+
+class TestConstructionAgainstOracle:
+    """Forest and Tree join their edges by one connectivity sweep, and run
+    a union-find only to name the edge that closes a cycle; the edges, the
+    adjacency and every error are those of oracles.forest_parts, the
+    former construction."""
+
+    @settings(max_examples=400)
+    @given(edge_lists())
+    def test_forest(self, case):
+        n, edges = case
+        assert built(Forest, n, edges) == built(oracles.forest_parts, n, edges)
+
+    @settings(max_examples=400)
+    @given(edge_lists(keep_count=True))
+    def test_tree_with_n_minus_1_edges(self, case):
+        n, edges = case
+        want = built(oracles.forest_parts, n, edges)
+        if want[0] is NotAForest:
+            want = (NotATree, want[1])
+        assert built(Tree, n, edges) == want
+
+    def test_a_cycle_beside_a_lone_vertex(self):
+        # n - 1 edges that do not connect: the union-find names the cycle
+        edges = [(3, 4), (1, 2), (0, 1), (0, 2)]
+        with pytest.raises(NotATree, match=r"^edge \(1, 2\) closes a cycle$"):
+            Tree(5, edges)
+        assert built(Forest, 5, edges) == built(oracles.forest_parts, 5, edges)
+
+    def test_components_of_a_tree(self, trees_up_to):
+        for _, t in trees_up_to(1, 10):
+            assert t.components == Forest(t.n, t.edges).components
+            assert t.components == (tuple(range(t.n)),)
 
 
 class TestDistances:
