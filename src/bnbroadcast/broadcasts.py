@@ -11,17 +11,15 @@ it and every other check reads its verdict.  The equivalent edge-level
 reading (no edge covered twice, from `analyze`) and the component criterion
 for maximality are second formulations that the tests compare against.
 
-The predicates read distances only from the balls B(v, f(v)) of the
-broadcasters, each found by a BFS that stops at the boundary
-(`Forest.ball`, or `trees._bfs` where the centre is known to be valid),
-and from one sweep per component (`_reach`); none builds
-the n x n distance matrix.  The balls of a boundary-independent broadcast
-share no edge, so together they hold at most n - 1 + b vertices for b
-broadcasters, and every predicate is linear on such a broadcast;
-bn_violation stops at the first ball that overlaps an earlier one, so its
-verdict is linear on any broadcast, and hearing_violation reads two sweeps
-and one BFS whatever the broadcast.  overlap_scan, the definitional scan
-over a distance matrix, stays for the oracle solvers.
+The verdicts sweep the host's rooting (`Forest.rooting`) and read no
+ball, so each is linear on any broadcast: bn_violation sweeps it up once,
+`_undominated` and hearing_violation up and down (`_reach`).  Only a
+violation found reads balls, to name its pair.  analyze and hears read
+the balls B(v, f(v)), each by a BFS that stops at the boundary
+(`Forest.ball`); a boundary-independent broadcast's balls share no edge,
+so together they hold at most n - 1 + b vertices for b broadcasters.
+None builds the n x n distance matrix; overlap_scan, the definitional
+scan over one, stays for the oracle solvers.
 
 Hosts may be forests: eccentricity is measured inside a vertex's component
 and nothing is heard across components.
@@ -39,7 +37,7 @@ from .errors import (
     ParseError,
     StrengthExceedsEccentricity,
 )
-from .trees import Forest, _bfs
+from .trees import Forest
 
 
 class _Broadcast(NamedTuple):
@@ -141,7 +139,7 @@ def _reach(host, sources):
     value, the source v it comes from, and the largest value at x from any
     other source; -n - 1 where there is none.
 
-    One BFS per component, an upward pass and a downward pass: a best route
+    An upward and a downward sweep of the host's rooting: a best route
     into x through x's parent never comes from x's own subtree, and when a
     source outside x's subtree is among the two best at x, it is among the
     two best at x's parent.
@@ -153,23 +151,27 @@ def _reach(host, sources):
     by2 = [-1] * n
     for v, s in sources:
         best[v], by[v] = s, v
-    adj = host.adjacency
-    for comp in host.components:
-        depth = host.ball(comp[0])
-        up = [(x, y) for x in reversed(depth) for y in adj[x]
-              if depth[y] < depth[x]]
-        # each (x, y): offer y the two best at x, one step further on
-        for x, y in up + [(y, x) for x, y in reversed(up)]:
-            for value, source in ((best[x] - 1, by[x]), (second[x] - 1, by2[x])):
-                if source == by[y]:
-                    if value > best[y]:
-                        best[y] = value
-                elif value > best[y]:
-                    second[y], by2[y] = best[y], by[y]
-                    best[y], by[y] = value, source
-                elif value > second[y]:
-                    second[y], by2[y] = value, source
+    order, parent, _, _ = host.rooting
+    up = [(x, parent[x]) for x in reversed(order) if parent[x] >= 0]
+    # each (x, y): offer y the two best at x, one step further on
+    for x, y in up + [(y, x) for x, y in reversed(up)]:
+        for value, source in ((best[x] - 1, by[x]), (second[x] - 1, by2[x])):
+            if source == by[y]:
+                if value > best[y]:
+                    best[y] = value
+            elif value > best[y]:
+                second[y], by2[y] = best[y], by[y]
+                best[y], by[y] = value, source
+            elif value > second[y]:
+                second[y], by2[y] = value, source
     return best, by, second
+
+
+def _from_others(host, sources):
+    """Per vertex u, the largest s - d(v, u) over the pairs (v, s) in
+    `sources` with v != u (-n - 1 where there is none), from one `_reach`."""
+    best, by, second = _reach(host, sources)
+    return [second[u] if by[u] == u else best[u] for u in range(host.n)]
 
 
 def analyze(f: Broadcast) -> BroadcastAnalysis:
@@ -273,27 +275,6 @@ def overlap_scan(strengths, dist) -> Optional[tuple]:
     return None
 
 
-def _first_overlapping(f):
-    """First broadcaster whose ball shares a vertex with an earlier ball off
-    the boundary of one of them, or None.
-
-    Sweeps the balls in increasing order of their centres, noting for each
-    vertex heard whether some ball hears it inside its boundary, and stops
-    at the first clash: it reads the balls of an independent prefix, at most
-    n - 1 + b vertices, and one ball more.
-    """
-    adj, strengths = f.host.adjacency, f.strengths
-    inside = {}
-    for t in f.broadcasters:
-        s = strengths[t]
-        for w, d in _bfs(adj, t, s).items():
-            was = inside.get(w)
-            if was is not None and (was or d < s):
-                return t
-            inside[w] = d < s
-    return None
-
-
 def bn_violation(f: Broadcast) -> Optional[BnViolation]:
     """First boundary-independence violation in scan order, or None.
 
@@ -301,19 +282,37 @@ def bn_violation(f: Broadcast) -> Optional[BnViolation]:
     inside at least one of the two balls, and an edge covered by both.  It
     is the one overlap_scan finds first over the distance matrix: the least
     pair u < v, then the least vertex.
+
+    Broadcasters u and v clash exactly when d(u, v) < f(u) + f(v).  One
+    upward sweep of the rooting keeps, per vertex x, the two largest
+    f(u) - d(u, x) from distinct branches below x (x itself or one child's
+    subtree); a pair meeting at x clashes when its values sum past 0.  Only
+    a clash reads balls, to name the least clashing u and its partner.
     """
-    t = _first_overlapping(f)
-    if t is None:
-        return None
     host, s = f.host, f.strengths
-    # the balls before t are independent, so every clash involves one from t
-    # on; the balls of u and v share a vertex off a boundary exactly when
-    # d(u, v) < f(u) + f(v), and some u < t clashes with t
-    later = {v: s[v] for v in f.broadcasters if v >= t}
-    reach, _, _ = _reach(host, later.items())
-    u = next(u for u in f.broadcasters if s[u] + reach[u] > 0)
+    order, parent, _, _ = host.rooting
+    low = -host.n - 1  # below any f(u) - d(u, x), and stays so going up
+    top = [sv or low for sv in s]
+    nxt = [low] * host.n
+    for x in reversed(order):
+        value = top[x]
+        if value + nxt[x] > 0:
+            break
+        p = parent[x]
+        if p >= 0:
+            value -= 1
+            if value > top[p]:
+                nxt[p], top[p] = top[p], value
+            elif value > nxt[p]:
+                nxt[p] = value
+    else:
+        return None
+    bs = f.broadcasters
+    heard = _from_others(host, ((v, s[v]) for v in bs))
+    u = next(u for u in bs if s[u] + heard[u] > 0)
     du = host.ball(u)
-    v = next(v for v, sv in later.items() if v in du and du[v] < s[u] + sv)
+    # u is the least broadcaster that clashes, so its partners follow it
+    v = next(v for v in bs if v > u and v in du and du[v] < s[u] + s[v])
     su, sv = s[u], s[v]
     dv = host.ball(v, sv)
     w = min(x for x, d in dv.items() if du[x] <= su and (du[x] < su or d < sv))
@@ -350,16 +349,10 @@ def hearing_violation(f: Broadcast) -> Optional[tuple]:
     """
     host, s = f.host, f.strengths
     bs = f.broadcasters
-
-    def others(sources):
-        """Per vertex u, the best value at u from a source other than u."""
-        best, by, second = _reach(host, sources)
-        return [second[u] if by[u] == u else best[u] for u in range(host.n)]
-
-    near = others((v, 0) for v in bs)
+    near = _from_others(host, ((v, 0) for v in bs))
     if all(near[u] < -s[u] for u in bs):
         return None
-    heard = others((v, s[v]) for v in bs)
+    heard = _from_others(host, ((v, s[v]) for v in bs))
     u = next(u for u in bs if near[u] >= -s[u] or heard[u] >= 0)
     du = host.ball(u)
     return u, min(v for v in bs if v != u and v in du and du[v] <= max(s[u], s[v]))

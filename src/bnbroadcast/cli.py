@@ -373,11 +373,13 @@ def cmd_verify(args):
 
 
 def dot_source(tree, f=None):
-    """Graphviz text; broadcasters labeled v/strength, boundaries dashed."""
+    """Graphviz text; broadcasters labeled v/strength, boundaries dashed.
+    One ball is held at a time, so memory stays linear however they overlap."""
     strengths = f.strengths if f is not None else (0,) * tree.n
     boundary = set()
-    if f is not None:
-        boundary.update(*analyze(f).boundary.values())
+    for v, s in enumerate(strengths):
+        if s:
+            boundary.update(u for u, d in tree.ball(v, s).items() if d == s)
     lines = ["graph tree {", "  node [shape=circle];"]
     for v in range(tree.n):
         attrs = []

@@ -70,9 +70,38 @@ more leaves and for one-leaf branch vertices outside X, distance plus one
 for the single leaf of one-leaf branch vertices in X, and strength one to
 the remaining X vertices.  The result is verified before being returned.
 
+Subdivision lemma (question 1).  Let T' be T with the edge uv replaced by
+the path u, x, v.  Then alpha(T) <= alpha(T') <= alpha(T) + 1 for the
+boundary-independence number alpha, and conj(T') >= conj(T) + 1 when T
+has a branch vertex.  A broadcast is boundary independent exactly when
+d(a, b) >= f(a) + f(b) for any two broadcasters; from T' to T a distance
+falls by 1 if its path crossed x and stays otherwise.
+
+* Lower half: f on T, silent at x, is a broadcast of T', as no distance
+  or eccentricity of an old vertex shrinks.
+* Upper half: moving or lowering one strength of an optimal f on T' by
+  one makes a broadcast of T.  If f(w) = ecc'(w) > ecc(w), w hears every
+  vertex and broadcasts alone: lower it (move it as below if w = x).  If
+  x broadcasts, u is silent, as d'(x, u) = 1; give u the strength
+  f(x) - 1 <= ecc'(x) - 1 <= ecc(u).  Then d(u, b) >= d'(x, b) - 1 for
+  every old b, and a pair a, b across x had d'(a, b) >= f(a) + f(b) +
+  2f(x).  If x is silent, write p(a) = f(a) - d'(a, x): a pair across x
+  needed p(a) + p(b) <= 0 in T' and needs <= -1 in T.  Two broadcasters
+  on one side with p >= 0 would clash through u or v, so if a, say on
+  u's side, has p(a) >= 0, every b across has p(b) <= -p(a) <= 0 and
+  every other a' beside a has p(a') <= -1: lower f(a) by one.  If no p
+  is >= 0, no pair fails.
+* conj: x lies on an endpath exactly when uv does, so n grows by one, the
+  branch vertices, their leaf sets and branch01 stay, and branch01 loses
+  at most the induced edge uv, which never lowers its independence number.
+
+So margin(T) = conj(T) - alpha(T) never falls under subdivision, and a
+smallest tree with a negative margin has no vertex of degree 2.  No code
+assumes the lemma (tests/test_solve.py checks it), nor question 1.
+
 The DPs, the bounds, the witnesses and the closed formulas read distances
 only from BFS balls (`Forest.ball`, or `trees._bfs` from a vertex known to
-be valid), from the tree's centre rooting (`Tree.rooting`) and from the
+be valid), from the tree's centre rooting (`Forest.rooting`) and from the
 structural profile, so none of them builds the O(n^2) distance matrix;
 bn_number_enum and _max_weight_dfs (bn_number, bn_number_restricted) and
 their definitional scan read it, and serve only as oracles.

@@ -24,28 +24,27 @@ time.  Construction checks the edges one by one (`_check_edges`), takes
 each vertex's sorted neighbours straight from the sorted edges, and tells
 n - 1 edges that make a tree by one connectivity sweep (`_connected`); a
 union-find (`_check_acyclic`) runs only for other edge counts or to name
-the edge that closes a cycle.  A Tree's only component is all of it.  A
-Tree is rooted once at its least-index centre (`Tree.rooting`:
-BFS order, parents, child lists and eccentricities); its eccentricities,
-its diameter and the rooted DPs of the solvers all read that one rooting.
-A corpus tree is made with its rooting, which the corpus reads off the
-tree's level sequence along with its edges and adjacency
-(`Tree._from_rooting`, which checks nothing); any other tree roots itself
-on first use by three BFS passes (`_centre_rooting`), and a forest's
-eccentricities take the same three passes per component.  A Tree's
-profile (TreeProfile) computes its degrees, leaves, branch, branch0 and
-branch1 when it is made, by one endpath walk per leaf, and each other
-field on first read; it keeps the tree's order and adjacency, not the
-tree, so that a tree holds no reference cycle and is freed as soon as its
-last reference goes.  Every vertex set of the profile, the interior
-included, is in the tree's own numbering: the package makes no relabelled
-copy of a tree or of a subgraph.  `Forest.ball` returns the vertices
-within a radius of one vertex with their distances, by a BFS that stops
-at the radius (`_bfs`), so it costs the size of the ball, not the order
-of the forest; the
-broadcast predicates, the witnesses and the closed formulas read
-distances only this way, and the package's own loops call `_bfs` directly
-on vertices they know to be valid.  `Forest.distance` and
+the edge that closes a cycle.  Every host has one rooting
+(`Forest.rooting`: BFS order, parents, child lists and eccentricities,
+each component at its least-index centre); the eccentricities, a tree's
+diameter, the solvers' rooted DPs and the broadcast predicates' sweeps
+all read it.  A corpus tree is made with its rooting, read off its level
+sequence with its edges and adjacency (`Tree._from_rooting`, which
+checks nothing); any other host roots itself on first use by three BFS
+passes per component (`_centre_rooting`).  A Tree's profile
+(TreeProfile) computes its degrees, leaves, branch, branch0 and branch1
+when it is made, by one endpath walk per leaf, and each other field on
+first read; it keeps the tree's order and adjacency, not the tree, so
+that a tree holds no reference cycle and is freed as soon as its last
+reference goes.  Every vertex set of the profile, the interior included,
+is in the tree's own numbering: the package makes no relabelled copy of
+a tree or of a subgraph.  `Forest.ball` returns the vertices within a
+radius of one vertex with their distances, by a BFS that stops at the
+radius (`_bfs`), so it costs the size of the ball, not the order of the
+forest; the witnesses, the closed formulas and the broadcast predicates
+(these only to name a violation, or in `analyze`) read distances only
+this way or from the rooting, and the package's own loops call `_bfs`
+directly on vertices they know to be valid.  `Forest.distance` and
 `Forest.distances` answer pairwise queries from an n x n matrix of one BFS
 row per vertex (O(n^2) time and space), built on the first pairwise read:
 only the oracle solvers and the tests make one.
@@ -83,12 +82,12 @@ def _bfs(adj, src, radius=None):
 
 
 class Rooting(NamedTuple):
-    """A tree rooted at its least-index centre; treat it as read-only.
+    """Each component of a host rooted at its least-index centre; read-only.
 
-    order lists the vertices in BFS order from the root (the insertion
-    order of `_bfs(adj, root)`), parent[v] is v's parent (-1 at the root),
-    kids[v] lists v's children in adjacency order, and ecc is the tuple of
-    eccentricities.
+    order lists the components in order of least vertex, each in BFS order
+    from its root (as `_bfs(adj, root)` inserts them); parent[v] is -1 at a
+    root, kids[v] lists v's children in adjacency order, and ecc holds the
+    eccentricities, each measured inside its component.
     """
 
     order: list
@@ -287,21 +286,22 @@ class Forest:
         return self.distances[u][v]
 
     @cached_property
-    def eccentricities(self) -> tuple:
-        """Per-vertex eccentricity measured inside the vertex's own component.
-
-        A Tree reads its rooting; a forest roots each component in turn
-        (see `_centre_rooting`), with one set of scratch lists for all of
-        them, so many small components cost their total size.
-        """
-        if isinstance(self, Tree):
-            return self.rooting.ecc
+    def rooting(self) -> Rooting:
+        """Every component rooted by `_centre_rooting` into one set of lists,
+        so many small ones cost their total size; a corpus tree is made
+        with it."""
         n = self._n
         parent, kids, ecc = [-1] * n, [None] * n, [-1] * n
+        order = []
         for s in range(n):
             if ecc[s] < 0:
-                _centre_rooting(self._adj, s, parent, kids, ecc)
-        return tuple(ecc)
+                order += _centre_rooting(self._adj, s, parent, kids, ecc)
+        return Rooting(order, parent, kids, tuple(ecc))
+
+    @cached_property
+    def eccentricities(self) -> tuple:
+        """Per-vertex eccentricity inside the vertex's component."""
+        return self.rooting.ecc
 
     def eccentricity(self, v: int) -> int:
         self._check_vertex(v)
@@ -341,20 +341,6 @@ class Tree(Forest):
         tree._adj = adj
         tree.rooting = rooting
         return tree
-
-    @cached_property
-    def components(self) -> tuple:
-        """A tree is connected: one component, every vertex."""
-        return (tuple(range(self._n)),)
-
-    @cached_property
-    def rooting(self) -> Rooting:
-        """The rooting at the least-index centre (see `_centre_rooting`);
-        a corpus tree is made with it."""
-        n = self._n
-        parent, kids, ecc = [-1] * n, [None] * n, [-1] * n
-        order = _centre_rooting(self._adj, 0, parent, kids, ecc)
-        return Rooting(order, parent, kids, tuple(ecc))
 
     @cached_property
     def diameter(self) -> int:
@@ -410,7 +396,12 @@ class TreeProfile:
         for l in sorted(self.leaves):
             if deg[l] == 0:
                 continue
-            end, chain = _walk_past_deg2(adj, l, adj[l][0])
+            prev, end = l, adj[l][0]
+            chain = []
+            while deg[end] == 2:
+                chain.append(end)
+                a, b = adj[end]
+                prev, end = end, (b if a == prev else a)
             walks.append((l, end, chain))
             if end in counts:
                 counts[end] += 1
@@ -473,22 +464,6 @@ class TreeProfile:
     @cached_property
     def interior(self) -> frozenset:
         return self.branch01 | self.deg2_internal
-
-
-def _walk_past_deg2(adj, start, first):
-    """Follow the degree-2 chain leaving `start` through `first`, in the
-    graph of adjacency `adj`.
-
-    Returns (endpoint, chain) where chain lists the degree-2 vertices passed
-    and endpoint is the first vertex of degree != 2.
-    """
-    chain = []
-    prev, cur = start, first
-    while len(adj[cur]) == 2:
-        chain.append(cur)
-        a, b = adj[cur]
-        prev, cur = cur, (b if a == prev else a)
-    return cur, chain
 
 
 def classify_shape(tree: Tree) -> frozenset:

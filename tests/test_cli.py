@@ -672,25 +672,32 @@ class TestLargeInputs:
 
     @pytest.fixture
     def ball_sizes(self, monkeypatch):
-        """The order of every ball `Forest.ball` returns, and of every ball
-        the broadcast predicates read by a direct BFS."""
+        """The order of every ball `Forest.ball` returns, the only BFS the
+        broadcast predicates run."""
         sizes = []
         ball = trees.Forest.ball
-        bfs = trees._bfs
 
         def counted(self, v, radius=None):
             found = ball(self, v, radius)
             sizes.append(len(found))
             return found
 
-        def counted_bfs(adj, v, radius=None):
-            found = bfs(adj, v, radius)
-            sizes.append(len(found))
-            return found
-
         monkeypatch.setattr(trees.Forest, "ball", counted)
-        monkeypatch.setattr(broadcasts, "_bfs", counted_bfs)
+        assert not hasattr(broadcasts, "_bfs")
         return sizes
+
+    def test_passing_checks_read_no_ball(self, run, no_matrix, ball_sizes):
+        # the verdicts sweep the rooting; only a violation reads a ball
+        r = run_json(run, ["bounds", SPIDER_3K, "--exact"])["report"]
+        assert r["exact"] == 3000 and r["witness_lower"]["text"] == SPIDER_3K_WITNESS
+        d = run_json(run, ["witness", SPIDER_3K])
+        assert d["broadcast"]["text"] == SPIDER_3K_WITNESS
+        tree = build_family(parse_family_spec(SPIDER_3K))
+        f = broadcasts.parse_broadcast(SPIDER_3K_WITNESS, tree)
+        assert broadcasts.bn_violation(f) is None
+        assert broadcasts._undominated(f) == frozenset()
+        assert broadcasts.hearing_violation(f) is None
+        assert ball_sizes == []
 
     def test_verify_dense_path(self, run, no_matrix, ball_sizes, tmp_path):
         # every vertex at its eccentricity: each ball holds half the path
@@ -717,6 +724,23 @@ class TestLargeInputs:
         assert v["bn_violation"] == {"u": 2, "v": 4, "vertex": 0, "edge": [0, 1]}
         assert v["dominating"] and v["maximal_bn"] is None
         assert sum(ball_sizes) <= 10 * 3001
+
+    def test_export_dot_dense_path(self, run, no_matrix, monkeypatch, tmp_path):
+        # the even vertices at their eccentricities: the balls hold n^2 / 4
+        # vertices in all, and only the spheres are kept
+        def refuse(f):
+            raise AssertionError("export-dot analyzed the broadcast")
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        n = 2000
+        p = tmp_path / "dense.txt"
+        p.write_text(" ".join(f"{v}:{max(v, n - 1 - v)}" for v in range(0, n, 2)))
+        code, out, _ = run(["export-dot", f"path:{n}", "--broadcast", str(p)])
+        assert code == 0 and out.count(" -- ") == n - 1
+        dashed = [line for line in out.splitlines() if "style=dashed" in line]
+        assert dashed == ['  1999 [label="1999", style=dashed];']
+        assert '  1000 [label="1000/1000", penwidth=2];' in out
+        assert '  1001 [label="1001"];' in out
 
     def test_verify_violating_broadcast_large_spider(self, run, no_matrix, tmp_path):
         # the certificate the definitional scan finds over the distance matrix

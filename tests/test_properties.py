@@ -153,6 +153,51 @@ class TestGeometryInvariants:
         assert list(ball.values()) == sorted(ball.values())  # BFS order
 
 
+def assert_forest_rooting(g):
+    """`Forest.rooting` against the distance matrix: one block of `order`
+    per component, in order of least vertex, each in BFS order from the
+    component's least-index centre."""
+    order, parent, kids, ecc = g.rooting
+    rows = oracles.distance_rows(g.n, g.edges)
+    adj = g.adjacency
+    assert sorted(order) == list(range(g.n))
+    roots, least, i = [], [], 0
+    while i < g.n:
+        root = order[i]
+        comp = [w for w, d in enumerate(rows[root]) if d >= 0]
+        assert order[i:i + len(comp)] == list(g.ball(root)), g.edges
+        ecc_in = {v: max(rows[v][w] for w in comp) for v in comp}
+        assert all(ecc[v] == ecc_in[v] for v in comp), g.edges
+        radius = min(ecc_in.values())
+        assert root == min(v for v in comp if ecc_in[v] == radius), g.edges
+        roots.append(root)
+        least.append(comp[0])
+        i += len(comp)
+    assert least == sorted(least)
+    assert [v for v in range(g.n) if parent[v] == -1] == sorted(roots)
+    for v in range(g.n):
+        assert kids[v] == [w for w in adj[v] if w != parent[v]], (g.edges, v)
+        assert all(parent[w] == v for w in kids[v]), (g.edges, v)
+    assert g.eccentricities == ecc
+
+
+class TestForestRooting:
+    @given(forests(max_n=14))
+    def test_matches_distance_rows(self, g):
+        assert_forest_rooting(g)
+
+    def test_isolated_vertices_and_paths(self):
+        # the path 3 - 7 - 4 - 9 is rooted at its lesser centre 4, and
+        # 5 - 8 - 6 at 8, between lone vertices 0, 1, 2
+        g = Forest(10, [(3, 7), (7, 4), (4, 9), (5, 8), (8, 6)])
+        assert_forest_rooting(g)
+        order, parent, kids, ecc = g.rooting
+        assert order == [0, 1, 2, 4, 7, 9, 3, 8, 5, 6]
+        assert parent == [-1, -1, -1, 7, -1, 8, 8, 4, -1, 4]
+        assert kids[4] == [7, 9] and kids[7] == [3] and kids[0] == []
+        assert ecc == (0, 0, 0, 3, 2, 2, 2, 2, 1, 3)
+
+
 class TestIndependenceInvariants:
     @given(forests())
     def test_matches_brute_force(self, g):

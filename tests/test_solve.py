@@ -630,3 +630,47 @@ class TestOptimaProperties:
         t = fam("spider:2,2,2")
         rep = oracles.optima_properties(t, oracles.bn_optima(t))
         assert 0 <= rep.overdominated_by2_count <= rep.low_strength_count
+
+
+class TestSubdivision:
+    """The subdivision lemma of solve.py's docstring: subdividing one edge
+    raises the value by 0 or 1 and the conjectured bound by at least 1, so
+    question 1's margin never falls."""
+
+    @staticmethod
+    def check_subdivisions(max_n):
+        count = 0
+        for n in range(2, max_n + 1):
+            for t in enumerate_trees(n):
+                value = bn_number_dp(t).value
+                conj = conjectured_upper_bound(t) if t.profile.branch else None
+                for e in t.edges:
+                    u, v = e
+                    s = Tree(n + 1, [d for d in t.edges if d != e] + [(u, n), (n, v)])
+                    gain = bn_number_dp(s).value - value
+                    assert gain in (0, 1), (t.edges, e)
+                    if conj is not None:
+                        conj_gain = conjectured_upper_bound(s) - conj
+                        assert 1 <= conj_gain and gain <= conj_gain, (t.edges, e)
+                    count += 1
+        return count
+
+    def test_every_subdivision_to_order_10(self):
+        assert self.check_subdivisions(10) == 1608
+
+    @pytest.mark.slow
+    def test_every_subdivision_to_order_12(self):
+        assert self.check_subdivisions(12) == 10019
+
+    def test_lower_bound_is_conjectured_without_internal_degree_2(self):
+        # n - |B| - |D2int| + alpha(interior) and n - |B| + alpha(branch01)
+        # are one number when D2int is empty
+        count = 0
+        for n in range(4, 13):
+            for t in enumerate_trees(n):
+                p = t.profile
+                if p.branch and not p.deg2_internal:
+                    weight, _ = lower_bound_witness(t)
+                    assert weight == conjectured_upper_bound(t), t.edges
+                    count += 1
+        assert count == 576
