@@ -13,13 +13,13 @@ for maximality are second formulations that the tests compare against.
 
 The verdicts sweep the host's rooting (`Forest.rooting`) and read no
 ball, so each is linear on any broadcast: bn_violation sweeps it up once,
-`_undominated` and hearing_violation up and down (`_reach`).  Only a
-violation found reads balls, to name its pair.  analyze and hears read
-the balls B(v, f(v)), each by a BFS that stops at the boundary
-(`Forest.ball`); a boundary-independent broadcast's balls share no edge,
-so together they hold at most n - 1 + b vertices for b broadcasters.
-None builds the n x n distance matrix; overlap_scan, the definitional
-scan over one, stays for the oracle solvers.
+hearing_violation and `_maximality_certificate` up and down (`_reach`).
+Only a violation found reads balls, to name its pair.  hears and analyze
+(which no command calls) read the balls B(v, f(v)), each by a BFS that
+stops at the boundary (`Forest.ball`); a boundary-independent broadcast's
+balls share no edge, so together they hold at most n - 1 + b vertices
+for b broadcasters.  None builds the n x n distance matrix; overlap_scan,
+the definitional scan over one, stays for the oracle solvers.
 
 Hosts may be forests: eccentricity is measured inside a vertex's component
 and nothing is heard across components.
@@ -58,7 +58,7 @@ class Broadcast(_Broadcast):
             )
         eccs = host.eccentricities
         for v, s in enumerate(strengths):
-            if not isinstance(s, int):
+            if type(s) is not int:  # a bool is an int to isinstance
                 raise InvalidBroadcast(f"strength of vertex {v} is not an integer")
             if s < 0:
                 raise NegativeStrength(f"vertex {v} has strength {s}")
@@ -87,12 +87,10 @@ class Broadcast(_Broadcast):
 
 def hears(f: Broadcast, u: int, v: int) -> bool:
     """Does u hear the broadcast from v?  False when v is silent or unreachable."""
+    f.host._check_vertex(u)
     f.host._check_vertex(v)
     s = f.strengths[v]
-    if s <= 0:
-        return False
-    f.host._check_vertex(u)
-    return u in f.host.ball(v, s)
+    return s > 0 and u in f.host.ball(v, s)
 
 
 class BnViolation(NamedTuple):
@@ -227,17 +225,10 @@ def analyze(f: Broadcast) -> BroadcastAnalysis:
     )
 
 
-def _undominated(f: Broadcast) -> frozenset:
-    """The vertices that hear no broadcaster, from one `_reach` sweep: O(n)
-    however much the balls overlap."""
-    s = f.strengths
-    reach, _, _ = _reach(f.host, ((v, s[v]) for v in f.broadcasters))
-    return frozenset(x for x, r in enumerate(reach) if r < 0)
-
-
 def is_dominating(f: Broadcast) -> bool:
-    """Every vertex hears at least one broadcaster."""
-    return not _undominated(f)
+    """Every vertex hears at least one broadcaster: one `_reach` sweep
+    (_maximality_certificate), O(n) however much the balls overlap."""
+    return not _maximality_certificate(f)[0]
 
 
 def _next_toward(host, w, dist):
@@ -365,29 +356,36 @@ def is_hearing_independent(f: Broadcast) -> bool:
 
 def is_maximal_bn(f: Broadcast) -> bool:
     """Is the boundary-independent broadcast maximal under pointwise increase?
-
-    Uses the dominating + non-private-boundary criterion of
-    _maximality_certificate.
-    """
+    One sweep decides it (_maximality_certificate)."""
     if bn_violation(f) is not None:
         raise NotBnIndependent("maximality requires a boundary-independent broadcast")
-    return _maximality_certificate(analyze(f)) is None
+    return _maximality_certificate(f)[1] is None
 
 
-def _maximality_certificate(a):
-    """Why the broadcast of analysis `a`, already known to be boundary
-    independent, is not maximal, or None when it is maximal.
+def _maximality_certificate(f: Broadcast):
+    """The vertices hearing no broadcaster, and why f is not maximal (None
+    when it is), from one `_reach` sweep; the certificate holds only when f
+    is boundary independent.
 
     The certificate is ("undominated_vertex", the least vertex hearing no
     broadcaster) or, with two or more broadcasters, ("expandable_broadcaster",
-    the least broadcaster whose boundary is all private).
+    the least broadcaster whose boundary is all private).  For f boundary
+    independent: a vertex on v's boundary that hears another broadcaster w
+    lies on w's boundary too, so d(v, w) = f(v) + f(w); and for such a tight
+    pair, the vertex f(v) along the path from v to w is on both boundaries.
+    No pair is closer, so v's boundary is all private exactly when what the
+    others have left at v, max f(w) - d(v, w) over w != v, is below -f(v).
     """
-    if a.undominated:
-        return "undominated_vertex", min(a.undominated)
-    if len(a.v_plus) >= 2:
-        return next((("expandable_broadcaster", v) for v in a.v_plus
-                     if not a.boundary[v] - a.private_boundary[v]), None)
-    return None
+    s, bs = f.strengths, f.broadcasters
+    best, _, second = _reach(f.host, ((v, s[v]) for v in bs))
+    undominated = frozenset(x for x, r in enumerate(best) if r < 0)
+    if undominated:
+        return undominated, ("undominated_vertex", min(undominated))
+    # f(v) itself is the best at v, so second[v] is what the others leave
+    expandable = [v for v in bs if second[v] < -s[v]]
+    if len(bs) >= 2 and expandable:
+        return undominated, ("expandable_broadcaster", expandable[0])
+    return undominated, None
 
 
 def format_broadcast(f: Broadcast) -> str:

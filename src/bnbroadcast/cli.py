@@ -38,8 +38,6 @@ from . import __version__
 from .broadcasts import (
     Broadcast,
     _maximality_certificate,
-    _undominated,
-    analyze,
     bn_violation,
     format_broadcast,
     hearing_violation,
@@ -331,20 +329,12 @@ def cmd_verify(args):
     violation = bn_violation(f)
     bn_ok = violation is None
     hearing = hearing_violation(f)
-
-    maximal = None
-    maximal_cert = None
+    undominated, cert = _maximality_certificate(f)
+    maximal = maximal_cert = None
     if bn_ok:
-        a = analyze(f)
-        undominated = a.undominated
-        cert = _maximality_certificate(a)
         maximal = cert is None
-        if not maximal:
-            kind, v = cert
-            maximal_cert = {"kind": kind, "vertex": v}
-    else:
-        # the balls overlap, so reading them all could take O(n^2)
-        undominated = _undominated(f)
+        if cert is not None:
+            maximal_cert = {"kind": cert[0], "vertex": cert[1]}
 
     data = {
         "schema": SCHEMA,
@@ -619,14 +609,15 @@ def cmd_search(args):
 # parser
 
 
-def _add_input_args(sub):
+def _add_input_args(sub, json_option=True):
     sub.add_argument("target", nargs="?", default=None, metavar="INPUT",
                      help="family spec (kind:..., e.g. dspider:2,2/5/2,2) or file "
                      "path ('-' for stdin)")
     sub.add_argument("--g6", help="graph6 string")
     sub.add_argument("--format", choices=("edgelist", "graph6"),
                      default="edgelist", help="file format (default edgelist)")
-    sub.add_argument("--json", action="store_true", help="emit JSON")
+    if json_option:
+        sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
 @cache
@@ -679,7 +670,7 @@ def build_parser():
     s.set_defaults(func=cmd_search)
 
     s = subs.add_parser("export-dot", help="Graphviz DOT rendering")
-    _add_input_args(s)
+    _add_input_args(s, json_option=False)
     s.add_argument("--broadcast", help="overlay this broadcast file")
     s.set_defaults(func=cmd_export_dot)
 

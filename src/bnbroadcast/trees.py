@@ -196,7 +196,7 @@ def _check_edges(n, edges):
             u, v = e
         except (TypeError, ValueError):
             raise NotAForest(f"edge {e!r} is not a pair") from None
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):  # refuses a bool too
             raise BadVertexIndex(f"edge {e!r} has non-integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
             raise BadVertexIndex(f"edge {e!r} out of range for order {n}")
@@ -252,7 +252,7 @@ class Forest:
         return len(self._adj[v])
 
     def _check_vertex(self, v):
-        if not (isinstance(v, int) and 0 <= v < self._n):
+        if not (type(v) is int and 0 <= v < self._n):
             raise BadVertexIndex(f"vertex {v!r} out of range for order {self._n}")
 
     @cached_property

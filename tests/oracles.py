@@ -10,10 +10,13 @@ the hearing-independence number is a maximum over broadcaster sets, and
 every optimal boundary-independent broadcast comes from the definitional
 scan over all strength vectors (bn_optima), for optima_properties to read.
 Maximality of a boundary-independent broadcast has a second criterion,
-the component count of maximal_by_components.  bn_number_dp_full is the
-package's boundary-independence DP with every state kept in a table: it
-shares the recurrence, so it checks the closed form by which the package
-leaves out the states of a vertex v from height(v) - 1 up.
+the component count of maximal_by_components, and its certificate a
+reference rule over the analysis (maximality_certificate); bn_strengths
+lists every boundary-independent broadcast of a small tree.
+bn_number_dp_full is the package's boundary-independence DP with every
+state kept in a table: it shares the recurrence, so it checks the closed
+form by which the package leaves out the states of a vertex v from
+height(v) - 1 up.
 tree_profile is the structural profile computed eagerly, every field at
 once, by its own endpath walk; the package's TreeProfile computes most of
 its fields on first read.
@@ -386,6 +389,40 @@ def maximal_by_components(f, a):
     remaining = Forest(f.host.n, covered)
     bs = set(a.v_plus)
     return all(len(bs.intersection(comp)) >= 2 for comp in remaining.components)
+
+
+def maximality_certificate(a):
+    """The certificate of `broadcasts._maximality_certificate` for a
+    boundary-independent broadcast, read off its analysis `a` (from
+    analyze_by_matrix): the least undominated vertex, or, with two or more
+    broadcasters, the least broadcaster whose boundary is all private."""
+    if a.undominated:
+        return "undominated_vertex", min(a.undominated)
+    if len(a.v_plus) >= 2:
+        return next((("expandable_broadcaster", v) for v in a.v_plus
+                     if not a.boundary[v] - a.private_boundary[v]), None)
+    return None
+
+
+def bn_strengths(dist):
+    """Every boundary-independent strength vector over the distance matrix
+    `dist` of a tree, in lexicographic order: each vector grows one vertex
+    at a time, and a prefix that overlap_scan rejects (the rest silent)
+    grows no further, as every extension of it overlaps too."""
+    n = len(dist)
+    found = []
+
+    def grow(prefix):
+        if len(prefix) == n:
+            found.append(tuple(prefix))
+            return
+        rest = [0] * (n - len(prefix) - 1)
+        for s in range(max(dist[len(prefix)]) + 1):
+            if overlap_scan(prefix + [s] + rest, dist) is None:
+                grow(prefix + [s])
+
+    grow([])
+    return found
 
 
 def bn_certificate(f, dist):

@@ -31,6 +31,7 @@ from bnbroadcast import (
     parse_broadcast,
     parse_family_spec,
 )
+from bnbroadcast.broadcasts import _maximality_certificate
 
 
 def path(n):
@@ -68,6 +69,18 @@ class TestConstruction:
         f = Broadcast(path(4), (2, 0, 0, 0))
         assert hears(f, 2, 0) and not hears(f, 3, 0)
         assert not hears(f, 0, 1)  # silent vertex
+
+    @pytest.mark.parametrize("u", [-1, 4, 99])
+    def test_hears_rejects_a_listener_out_of_range(self, u):
+        # whether the broadcaster is silent (1) or not (0)
+        f = Broadcast(path(4), (1, 0, 0, 0))
+        for v in (0, 1):
+            with pytest.raises(BadVertexIndex):
+                hears(f, u, v)
+
+    def test_bool_strength_rejected(self):
+        with pytest.raises(InvalidBroadcast, match="vertex 0 is not an integer"):
+            Broadcast(path(3), (True, 0, 0))
 
     @pytest.mark.parametrize("v", [-1, 4])
     def test_hears_rejects_a_broadcaster_out_of_range(self, v):
@@ -201,6 +214,22 @@ def check_second_formulations(f):
     if independent and len(a.v_plus) >= 2:
         assert is_maximal_bn(f) == oracles.maximal_by_components(f, a)
     return independent
+
+
+class TestMaximalityCertificate:
+    def test_every_independent_broadcast_to_order_7(self):
+        # the one-sweep certificate against the rule over the analysis
+        count = 0
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                dist = oracles.distance_rows(t.n, t.edges)
+                for strengths in oracles.bn_strengths(dist):
+                    f = Broadcast(t, strengths)
+                    a = oracles.analyze_by_matrix(f, dist)
+                    want = oracles.maximality_certificate(a)
+                    assert _maximality_certificate(f) == (a.undominated, want), f
+                    count += 1
+        assert count == 1482
 
 
 class TestSecondFormulations:

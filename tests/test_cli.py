@@ -265,30 +265,32 @@ class TestVerify:
         }
 
     def test_one_scan_per_verify(self, run, tmp_path, monkeypatch):
+        # one bn_violation call; domination and maximality come from one
+        # sweep, whether the broadcast is independent or not, never from
+        # analyze, which reads every ball
         calls = Counter()
-        for name in ("bn_violation", "analyze"):
-            original = getattr(broadcasts, name)
+        original = broadcasts.bn_violation
 
-            def counted(f, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(f)
+        def counted(f):
+            calls["bn_violation"] += 1
+            return original(f)
 
-            monkeypatch.setattr(broadcasts, name, counted)
-            monkeypatch.setattr(cli, name, counted)
-        bpath = self.write(tmp_path, "7:7 11:2 13:2\n")
-        d = run_json(run, ["verify", D14, "--broadcast", bpath])
-        assert d["maximal_bn"] is True
-        assert calls == {"bn_violation": 1, "analyze": 1}
-
-    def test_violating_verify_skips_analyze(self, run, tmp_path, monkeypatch):
         def refuse(f):
             raise AssertionError("analyze reads every ball")
 
-        monkeypatch.setattr(cli, "analyze", refuse)
+        monkeypatch.setattr(broadcasts, "bn_violation", counted)
+        monkeypatch.setattr(cli, "bn_violation", counted)
+        monkeypatch.setattr(broadcasts, "analyze", refuse)
+        assert not hasattr(cli, "analyze")
+        bpath = self.write(tmp_path, "7:7 11:2 13:2\n")
+        d = run_json(run, ["verify", D14, "--broadcast", bpath])
+        assert d["maximal_bn"] is True
+        assert calls == {"bn_violation": 1}
         bpath = self.write(tmp_path, "7:3 9:2\n")
         d = run_json(run, ["verify", D14, "--broadcast", bpath])
         assert d["bn_independent"] is False
         assert d["undominated"] == [1, 3, 4, 5, 10, 11, 12, 13]
+        assert calls == {"bn_violation": 2}
 
 
 class TestExportDot:
@@ -313,6 +315,12 @@ class TestExportDot:
         p.write_text("5:1\n")
         code, _, _ = run(["export-dot", "path:3", "--broadcast", str(p)])
         assert code == 2
+
+    def test_json_is_a_usage_error(self, run):
+        # DOT is the only output, so the option is not offered
+        code, out, err = run(["export-dot", "path:3", "--json"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --json" in err
 
 
 COUNT_KEYS = ("trees", "solved", "budget_exceeded", "not_applicable", "violations")
@@ -695,8 +703,12 @@ class TestLargeInputs:
         tree = build_family(parse_family_spec(SPIDER_3K))
         f = broadcasts.parse_broadcast(SPIDER_3K_WITNESS, tree)
         assert broadcasts.bn_violation(f) is None
-        assert broadcasts._undominated(f) == frozenset()
+        assert broadcasts.is_dominating(f)
         assert broadcasts.hearing_violation(f) is None
+        assert broadcasts.is_maximal_bn(f)
+        v = run_json(run, ["verify", SPIDER_3K, "--broadcast", "-"],
+                     SPIDER_3K_WITNESS + "\n")
+        assert v["maximal_bn"] is True and v["undominated"] == []
         assert ball_sizes == []
 
     def test_verify_dense_path(self, run, no_matrix, ball_sizes, tmp_path):
@@ -731,7 +743,7 @@ class TestLargeInputs:
         def refuse(f):
             raise AssertionError("export-dot analyzed the broadcast")
 
-        monkeypatch.setattr(cli, "analyze", refuse)
+        monkeypatch.setattr(broadcasts, "analyze", refuse)
         n = 2000
         p = tmp_path / "dense.txt"
         p.write_text(" ".join(f"{v}:{max(v, n - 1 - v)}" for v in range(0, n, 2)))

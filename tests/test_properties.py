@@ -26,7 +26,7 @@ from bnbroadcast import (
     is_maximal_bn,
     lower_bound_witness,
 )
-from bnbroadcast.broadcasts import _undominated
+from bnbroadcast.broadcasts import _maximality_certificate
 from bnbroadcast.solve import _max_independent_set
 
 
@@ -327,12 +327,16 @@ class TestPredicatesMatchMatrix:
             "uncovered_edges")
         for name in BroadcastAnalysis._fields:
             assert getattr(a, name) == getattr(want, name), name
-        assert _undominated(f) == want.undominated
         # the second formulations of independence and maximality
         independent = bn_violation(f) is None
         assert independent == all(len(xs) <= 1 for xs in want.covered_by.values())
         if independent and len(want.v_plus) >= 2:
             assert is_maximal_bn(f) == oracles.maximal_by_components(f, want)
+        # domination for any broadcast, the certificate for an independent one
+        undominated, cert = _maximality_certificate(f)
+        assert undominated == want.undominated
+        if independent:
+            assert cert == oracles.maximality_certificate(want)
 
 
 class TestWitnessInvariants:

@@ -10,6 +10,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bnbroadcast import (
@@ -638,20 +640,26 @@ class TestSubdivision:
     question 1's margin never falls."""
 
     @staticmethod
-    def check_subdivisions(max_n):
+    def check_subdivision(t, e, value, conj):
+        """Subdivide edge e of t, whose value is `value` and conjectured
+        bound `conj` (None without a branch vertex), by a new vertex n."""
+        n = t.n
+        u, v = e
+        s = Tree(n + 1, [d for d in t.edges if d != e] + [(u, n), (n, v)])
+        gain = bn_number_dp(s).value - value
+        assert gain in (0, 1), (t.edges, e)
+        if conj is not None:
+            conj_gain = conjectured_upper_bound(s) - conj
+            assert 1 <= conj_gain and gain <= conj_gain, (t.edges, e)
+
+    def check_subdivisions(self, max_n):
         count = 0
         for n in range(2, max_n + 1):
             for t in enumerate_trees(n):
                 value = bn_number_dp(t).value
                 conj = conjectured_upper_bound(t) if t.profile.branch else None
                 for e in t.edges:
-                    u, v = e
-                    s = Tree(n + 1, [d for d in t.edges if d != e] + [(u, n), (n, v)])
-                    gain = bn_number_dp(s).value - value
-                    assert gain in (0, 1), (t.edges, e)
-                    if conj is not None:
-                        conj_gain = conjectured_upper_bound(s) - conj
-                        assert 1 <= conj_gain and gain <= conj_gain, (t.edges, e)
+                    self.check_subdivision(t, e, value, conj)
                     count += 1
         return count
 
@@ -661,6 +669,16 @@ class TestSubdivision:
     @pytest.mark.slow
     def test_every_subdivision_to_order_12(self):
         assert self.check_subdivisions(12) == 10019
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_subdivision_of_random_trees(self, data):
+        # parent arrays with parent < child, so every labelled shape occurs
+        n = data.draw(st.integers(2, 40))
+        t = Tree(n, [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)])
+        e = data.draw(st.sampled_from(t.edges))
+        conj = conjectured_upper_bound(t) if t.profile.branch else None
+        self.check_subdivision(t, e, bn_number_dp(t).value, conj)
 
     def test_lower_bound_is_conjectured_without_internal_degree_2(self):
         # n - |B| - |D2int| + alpha(interior) and n - |B| + alpha(branch01)

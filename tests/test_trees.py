@@ -95,6 +95,20 @@ class TestConstruction:
         with pytest.raises(BadVertexIndex):
             Tree(2, [(0, 2)])
 
+    @pytest.mark.parametrize("edge", [(True, 0), (1, False)])
+    def test_bool_endpoint_rejected(self, edge):
+        # a bool is an int to isinstance, and would be written as true
+        with pytest.raises(BadVertexIndex, match="has non-integer endpoints"):
+            Tree(2, [edge])
+        with pytest.raises(BadVertexIndex, match="has non-integer endpoints"):
+            Forest(3, [edge])
+
+    def test_bool_vertex_rejected(self):
+        t = Tree(3, [(0, 1), (1, 2)])
+        for query in (t.neighbors, t.degree, t.eccentricity, t.ball):
+            with pytest.raises(BadVertexIndex, match="vertex True out of range"):
+                query(True)
+
     def test_self_loop_rejected(self):
         with pytest.raises(NotAForest):
             Forest(2, [(1, 1)])
