@@ -50,7 +50,6 @@ from .errors import (
     InvalidBroadcast,
     NegativeStrength,
     NoBranchVertices,
-    NotAForest,
     NotATree,
     NotBnIndependent,
     ParseError,
@@ -77,7 +76,6 @@ from .solve import (
     upper_bound,
 )
 from .trees import (
-    Forest,
     LeafDistances,
     Shape,
     Tree,

@@ -11,18 +11,15 @@ it and every other check reads its verdict.  The equivalent edge-level
 reading (no edge covered twice, from `analyze`) and the component criterion
 for maximality are second formulations that the tests compare against.
 
-The verdicts sweep the host's rooting (`Forest.rooting`) and read no
+The verdicts sweep the host's rooting (`Tree.rooting`) and read no
 ball, so each is linear on any broadcast: bn_violation sweeps it up once,
 hearing_violation and `_maximality_certificate` up and down (`_reach`).
 Only a violation found reads balls, to name its pair.  hears and analyze
 (which no command calls) read the balls B(v, f(v)), each by a BFS that
-stops at the boundary (`Forest.ball`); a boundary-independent broadcast's
+stops at the boundary (`Tree.ball`); a boundary-independent broadcast's
 balls share no edge, so together they hold at most n - 1 + b vertices
 for b broadcasters.  None builds the n x n distance matrix; overlap_scan,
 the definitional scan over one, stays for the oracle solvers.
-
-Hosts may be forests: eccentricity is measured inside a vertex's component
-and nothing is heard across components.
 """
 
 from __future__ import annotations
@@ -37,16 +34,16 @@ from .errors import (
     ParseError,
     StrengthExceedsEccentricity,
 )
-from .trees import Forest
+from .trees import Tree
 
 
 class _Broadcast(NamedTuple):
-    host: Forest
+    host: Tree
     strengths: tuple
 
 
 class Broadcast(_Broadcast):
-    """Value object binding a strength tuple to its host graph."""
+    """Value object binding a strength tuple to its host tree."""
 
     __slots__ = ()
 
@@ -179,7 +176,7 @@ def analyze(f: Broadcast) -> BroadcastAnalysis:
     when u hears v but hears nobody once v's strength is lowered by one.
     That is u hears v alone and, unless f(v) = 1 silences v, sits on v's
     boundary.  Edge (a, b) is covered by x when both ends lie in x's ball:
-    in a forest the ends of an edge are at distances from x that differ by
+    in a tree the ends of an edge are at distances from x that differ by
     one, so they never both lie on x's boundary.
     """
     host = f.host
@@ -393,7 +390,7 @@ def format_broadcast(f: Broadcast) -> str:
     return " ".join(f"{v}:{f.strengths[v]}" for v in f.broadcasters)
 
 
-def parse_broadcast(text: str, host: Forest) -> Broadcast:
+def parse_broadcast(text: str, host: Tree) -> Broadcast:
     """Parse the "v:strength" format; '#' starts a comment, blanks ignored."""
     strengths = [0] * host.n
     seen = set()

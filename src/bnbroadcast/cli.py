@@ -5,11 +5,12 @@ optional exact solve), witness (constructive lower-bound broadcast), verify
 (check a broadcast file against a host), search (scan the enumerated corpus
 for violations of a chosen claim), export-dot (Graphviz rendering).
 
-A tree comes from the positional argument or from a --g6 string.  The
-positional argument is a family spec when it starts with a known kind
-prefix, otherwise it names a file ('-' for stdin).  All structured output
-is deterministic: identical inputs and limits give byte-identical JSON
-apart from the timing fields.  `--json` prints the text of
+A tree comes from the positional argument or from a --g6 string, not
+both.  The positional argument is a family spec when it starts with a known
+kind prefix, otherwise it names a file ('-' for stdin, which a --broadcast
+file may not read as well).  All structured output is deterministic:
+identical inputs and limits give byte-identical JSON apart from the timing
+fields.  `--json` prints the text of
 `json.dumps(data, indent=2, sort_keys=True)`, written by `_dumps`.  The only solver budget, --limits nodes=N,
 counts solver states, never time, so a budget stops at the same state on
 every machine.
@@ -97,11 +98,15 @@ def _read_text(path):
 
 def _load_tree(args):
     """Resolve the input flags to (tree, descriptor)."""
-    if getattr(args, "g6", None):
-        return parse_graph6(args.g6), {"kind": "graph6", "value": args.g6}
     source = args.target
+    if args.g6 is not None:
+        if source is not None:
+            raise BadSpec("give INPUT or --g6, not both")
+        return parse_graph6(args.g6), {"kind": "graph6", "value": args.g6}
     if source is None:
         raise BadSpec("no input given (positional or --g6)")
+    if source == "-" == getattr(args, "broadcast", None):
+        raise BadSpec("INPUT and --broadcast cannot both read stdin")
     if looks_like_family(source):
         spec = parse_family_spec(source)
         return build_family(spec), {"kind": "family", "value": source}

@@ -164,7 +164,7 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     Trees come in the order of `_free_sequences`, with nothing generated and
     rejected.  Vertices are numbered in the order of the level sequence of
     the centre rooting (a preorder), so vertex 0 is a centre, and each tree
-    comes with that rooting (`Forest.rooting`), read off its sequence.
+    comes with that rooting (`Tree.rooting`), read off its sequence.
     """
     if n < 1:
         raise ValueError("order must be at least 1")

@@ -14,12 +14,9 @@ class GraphError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotAForest(GraphError):
-    """Edge set contains a cycle, a self-loop, or a repeated edge."""
-
-
 class NotATree(GraphError):
-    """Vertex/edge data does not describe a single connected acyclic graph."""
+    """Vertex/edge data does not describe a tree: no vertex, a cycle, a
+    self-loop, a repeated edge, or an edge count other than n - 1."""
 
 
 class BadVertexIndex(GraphError):

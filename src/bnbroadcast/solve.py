@@ -100,8 +100,8 @@ smallest tree with a negative margin has no vertex of degree 2.  No code
 assumes the lemma (tests/test_solve.py checks it), nor question 1.
 
 The DPs, the bounds, the witnesses and the closed formulas read distances
-only from BFS balls (`Forest.ball`, or `trees._bfs` from a vertex known to
-be valid), from the tree's centre rooting (`Forest.rooting`) and from the
+only from BFS balls (`Tree.ball`, or `trees._bfs` from a vertex known to
+be valid), from the tree's centre rooting (`Tree.rooting`) and from the
 structural profile, so none of them builds the O(n^2) distance matrix;
 bn_number_enum and _max_weight_dfs (bn_number, bn_number_restricted) and
 their definitional scan read it, and serve only as oracles.
@@ -126,7 +126,7 @@ from .errors import (
     NoBranchVertices,
     ShapeMismatch,
 )
-from .trees import Forest, Shape, Tree, _bfs, classify_shape
+from .trees import Shape, Tree, _bfs, classify_shape
 
 
 class _SolveLimits(NamedTuple):
@@ -205,8 +205,8 @@ def _max_independent_set(adj, vertices) -> tuple:
     return len(chosen), frozenset(chosen)
 
 
-def independence_number(g: Forest) -> tuple:
-    """Maximum independent set size of a forest, with one witness set: the
+def independence_number(g: Tree) -> tuple:
+    """Maximum independent set size of a tree, with one witness set: the
     lexicographically least maximum independent set."""
     return _max_independent_set(g.adjacency, range(g.n))
 

@@ -1,9 +1,9 @@
-"""Immutable tree and forest structures plus the structural decomposition.
+"""The immutable tree plus its structural decomposition.
 
-Vertices are dense integers 0..n-1.  A Forest is any simple acyclic graph;
-a Tree is a connected Forest with n >= 1.  Both are immutable after
-construction and cache derived data (adjacency, distance matrix,
-eccentricities) on first use, so they are cheap to pass around.
+Vertices are dense integers 0..n-1.  A Tree is a connected acyclic graph
+with n >= 1.  It is immutable after construction and caches derived data
+(rooting, eccentricities, profile, distance matrix) on first use, so it is
+cheap to pass around.
 
 The decomposition vocabulary used throughout the package:
 
@@ -19,33 +19,32 @@ The decomposition vocabulary used throughout the package:
   its induced forest is read on the tree's own adjacency, never copied.
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
-Construction, components and the structural profile take near-linear
-time.  Construction checks the edges one by one (`_check_edges`), takes
-each vertex's sorted neighbours straight from the sorted edges, and tells
-n - 1 edges that make a tree by one connectivity sweep (`_connected`); a
-union-find (`_check_acyclic`) runs only for other edge counts or to name
-the edge that closes a cycle.  Every host has one rooting
-(`Forest.rooting`: BFS order, parents, child lists and eccentricities,
-each component at its least-index centre); the eccentricities, a tree's
-diameter, the solvers' rooted DPs and the broadcast predicates' sweeps
-all read it.  A corpus tree is made with its rooting, read off its level
-sequence with its edges and adjacency (`Tree._from_rooting`, which
-checks nothing); any other host roots itself on first use by three BFS
-passes per component (`_centre_rooting`).  A Tree's profile
+Construction and the structural profile take near-linear time.
+Construction checks the edges one by one (`_check_edges`) and their count,
+takes each vertex's sorted neighbours straight from the sorted edges, and
+tells that n - 1 edges make a tree by one connectivity sweep
+(`_connected`); a union-find (`_check_acyclic`) runs only to name the edge
+that closes a cycle.  Every tree has one rooting (`Tree.rooting`: BFS
+order, parents, child lists and eccentricities, at its least-index
+centre); the eccentricities, the diameter, the solvers' rooted DPs and the
+broadcast predicates' sweeps all read it.  A corpus tree is made with its
+rooting, read off its level sequence with its edges and adjacency
+(`Tree._from_rooting`, which checks nothing); any other tree roots itself
+on first use by three BFS passes (`_centre_rooting`).  A Tree's profile
 (TreeProfile) computes its degrees, leaves, branch, branch0 and branch1
 when it is made, by one endpath walk per leaf, and each other field on
 first read; it keeps the tree's order and adjacency, not the tree, so
 that a tree holds no reference cycle and is freed as soon as its last
 reference goes.  Every vertex set of the profile, the interior included,
 is in the tree's own numbering: the package makes no relabelled copy of
-a tree or of a subgraph.  `Forest.ball` returns the vertices within a
+a tree or of a subgraph.  `Tree.ball` returns the vertices within a
 radius of one vertex with their distances, by a BFS that stops at the
 radius (`_bfs`), so it costs the size of the ball, not the order of the
-forest; the witnesses, the closed formulas and the broadcast predicates
+tree; the witnesses, the closed formulas and the broadcast predicates
 (these only to name a violation, or in `analyze`) read distances only
 this way or from the rooting, and the package's own loops call `_bfs`
-directly on vertices they know to be valid.  `Forest.distance` and
-`Forest.distances` answer pairwise queries from an n x n matrix of one BFS
+directly on vertices they know to be valid.  `Tree.distance` and
+`Tree.distances` answer pairwise queries from an n x n matrix of one BFS
 row per vertex (O(n^2) time and space), built on the first pairwise read:
 only the oracle solvers and the tests make one.
 """
@@ -56,7 +55,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import BadVertexIndex, NotAForest, NotATree
+from .errors import BadVertexIndex, NotATree
 
 
 def _bfs(adj, src, radius=None):
@@ -82,12 +81,12 @@ def _bfs(adj, src, radius=None):
 
 
 class Rooting(NamedTuple):
-    """Each component of a host rooted at its least-index centre; read-only.
+    """A tree rooted at its least-index centre; read-only.
 
-    order lists the components in order of least vertex, each in BFS order
-    from its root (as `_bfs(adj, root)` inserts them); parent[v] is -1 at a
-    root, kids[v] lists v's children in adjacency order, and ecc holds the
-    eccentricities, each measured inside its component.
+    order lists the vertices in BFS order from the root (as
+    `_bfs(adj, root)` inserts them); parent[v] is -1 at the root, kids[v]
+    lists v's children in adjacency order, and ecc holds the
+    eccentricities.
     """
 
     order: list
@@ -97,8 +96,8 @@ class Rooting(NamedTuple):
 
 
 def _tree_bfs(adj, src, parent):
-    """The vertices of src's component in BFS order, writing each one's
-    parent into `parent` (-1 at src); in a forest no visited set is needed."""
+    """The vertices of the tree in BFS order from src, writing each one's
+    parent into `parent` (-1 at src); in a tree no visited set is needed."""
     parent[src] = -1
     order = [src]
     for u in order:
@@ -111,17 +110,17 @@ def _tree_bfs(adj, src, parent):
 
 
 def _centre_rooting(adj, src, parent, kids, ecc):
-    """Root the component of src at its least-index centre, in three BFS
-    passes; returns its vertices in BFS order from that centre.
+    """Root the tree of adjacency adj at its least-index centre, in three
+    BFS passes; returns its vertices in BFS order from that centre.
 
     A BFS from src ends at a, and one from a ends at b, so a and b end a
     longest path, of length D.  Its middle vertices, D // 2 and (D + 1) // 2
     steps from b, are the centres, and R = (D + 1) // 2 is their
     eccentricity.  The third BFS, from the least-index centre, writes
-    parent[v], kids[v] and ecc[v] for every vertex v of the component, with
+    parent[v], kids[v] and ecc[v] for every vertex v, with
     ecc(v) = depth(v) + R - 1 on the other centre's side of a bicentral
     tree and depth(v) + R everywhere else.  The three lists are indexed by
-    vertex and only the component's entries are written.
+    vertex.
     """
     a = _tree_bfs(adj, src, parent)[-1]
     v = _tree_bfs(adj, a, parent)[-1]
@@ -178,13 +177,13 @@ def _connected(adj):
 
 
 def _check_acyclic(n, edges):
-    """Raise NotAForest naming the first edge, in the given order, that
+    """Raise NotATree naming the first edge, in the given order, that
     closes a cycle; a union-find over the vertices 0..n-1."""
     parent = list(range(n))
     for u, v in edges:
         ru, rv = _root(parent, u), _root(parent, v)
         if ru == rv:
-            raise NotAForest(f"edge ({u}, {v}) closes a cycle")
+            raise NotATree(f"edge ({u}, {v}) closes a cycle")
         parent[ru] = rv
 
 
@@ -195,28 +194,32 @@ def _check_edges(n, edges):
         try:
             u, v = e
         except (TypeError, ValueError):
-            raise NotAForest(f"edge {e!r} is not a pair") from None
+            raise NotATree(f"edge {e!r} is not a pair") from None
         if not (type(u) is int and type(v) is int):  # refuses a bool too
             raise BadVertexIndex(f"edge {e!r} has non-integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
             raise BadVertexIndex(f"edge {e!r} out of range for order {n}")
         if u == v:
-            raise NotAForest(f"self-loop at vertex {u}")
+            raise NotATree(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise NotAForest(f"repeated edge {key}")
+            raise NotATree(f"repeated edge {key}")
         seen.add(key)
     return tuple(sorted(seen))
 
 
-class Forest:
-    """Simple acyclic graph on 0..n-1, immutable after construction."""
+class Tree:
+    """Connected acyclic graph on 0..n-1 with n >= 1, immutable after
+    construction."""
 
     def __init__(self, n: int, edges: Iterable = ()):
-        if n < 0:
-            raise NotAForest("order must be nonnegative")
-        self._n = n
+        if n < 1:
+            raise NotATree("a tree has at least one vertex")
         keys = _check_edges(n, edges)
+        # counted before the O(n) lists are built, so a huge order named by
+        # a few edges costs nothing
+        if len(keys) != n - 1:
+            raise NotATree(f"order {n} needs {n - 1} edges, got {len(keys)}")
         adj = [[] for _ in range(n)]
         # in sorted edge order every vertex meets its lesser neighbours
         # first, in increasing order, then its greater ones
@@ -225,10 +228,24 @@ class Forest:
             adj[v].append(u)
         adj = tuple(map(tuple, adj))
         # n - 1 edges are acyclic exactly when they connect the n vertices
-        if len(keys) != n - 1 or not _connected(adj):
+        if not _connected(adj):
             _check_acyclic(n, keys)
+        self._n = n
         self._edges = keys
         self._adj = adj
+
+    @classmethod
+    def _from_rooting(cls, edges, adj, rooting) -> "Tree":
+        """The tree with these sorted edges, this sorted adjacency and this
+        rooting at its least-index centre, none of them checked: the caller
+        builds all three together (`corpus.enumerate_trees` does, from a
+        level sequence) and they must be what `Tree(n, edges)` makes."""
+        tree = cls.__new__(cls)
+        tree._n = len(adj)
+        tree._edges = edges
+        tree._adj = adj
+        tree.rooting = rooting
+        return tree
 
     @property
     def n(self) -> int:
@@ -255,20 +272,9 @@ class Forest:
         if not (type(v) is int and 0 <= v < self._n):
             raise BadVertexIndex(f"vertex {v!r} out of range for order {self._n}")
 
-    @cached_property
-    def components(self) -> tuple:
-        """Vertex sets of the connected components, each sorted, ordered by minimum."""
-        parent = list(range(self._n))
-        for u, v in self._edges:
-            parent[_root(parent, u)] = _root(parent, v)
-        comps = {}
-        for v in range(self._n):
-            comps.setdefault(_root(parent, v), []).append(v)
-        return tuple(tuple(c) for c in comps.values())
-
     def ball(self, v: int, radius: Optional[int] = None) -> dict:
-        """Distance from v of every vertex within `radius` of v (all of v's
-        component when radius is None), in BFS order; O(size of the ball)."""
+        """Distance from v of every vertex within `radius` of v (every
+        vertex when radius is None), in BFS order; O(size of the ball)."""
         self._check_vertex(v)
         if radius is not None and radius < 0:
             raise ValueError(f"radius {radius} is negative")
@@ -276,9 +282,10 @@ class Forest:
 
     @cached_property
     def distances(self) -> tuple:
-        """Full distance matrix; -1 marks vertex pairs in different components."""
-        rows = (_bfs(self._adj, s) for s in range(self._n))
-        return tuple(tuple(r.get(v, -1) for v in range(self._n)) for r in rows)
+        """Full distance matrix, one BFS row per vertex."""
+        n = self._n
+        return tuple(tuple(map(_bfs(self._adj, s).__getitem__, range(n)))
+                     for s in range(n))
 
     def distance(self, u: int, v: int) -> int:
         self._check_vertex(u)
@@ -287,60 +294,21 @@ class Forest:
 
     @cached_property
     def rooting(self) -> Rooting:
-        """Every component rooted by `_centre_rooting` into one set of lists,
-        so many small ones cost their total size; a corpus tree is made
-        with it."""
+        """The tree rooted at its least-index centre by `_centre_rooting`;
+        a corpus tree is made with it."""
         n = self._n
-        parent, kids, ecc = [-1] * n, [None] * n, [-1] * n
-        order = []
-        for s in range(n):
-            if ecc[s] < 0:
-                order += _centre_rooting(self._adj, s, parent, kids, ecc)
+        parent, kids, ecc = [-1] * n, [None] * n, [0] * n
+        order = _centre_rooting(self._adj, 0, parent, kids, ecc)
         return Rooting(order, parent, kids, tuple(ecc))
 
     @cached_property
     def eccentricities(self) -> tuple:
-        """Per-vertex eccentricity inside the vertex's component."""
+        """Per-vertex eccentricity, read off the rooting."""
         return self.rooting.ecc
 
     def eccentricity(self, v: int) -> int:
         self._check_vertex(v)
         return self.eccentricities[v]
-
-    def __repr__(self):
-        return f"{type(self).__name__}(n={self._n}, edges={list(self._edges)!r})"
-
-
-class Tree(Forest):
-    """Connected forest with n >= 1."""
-
-    def __init__(self, n: int, edges: Iterable = ()):
-        if n < 1:
-            raise NotATree("a tree has at least one vertex")
-        # counted before the O(n) lists are built, so a huge order named by
-        # a few edges costs nothing; acyclic with n - 1 edges, hence connected
-        edges = tuple(edges)
-        try:
-            if len(edges) != n - 1:
-                # a loop or a repeated edge is named before the count
-                _check_edges(n, edges)
-                raise NotATree(f"order {n} needs {n - 1} edges, got {len(edges)}")
-            super().__init__(n, edges)
-        except NotAForest as exc:
-            raise NotATree(str(exc)) from None
-
-    @classmethod
-    def _from_rooting(cls, edges, adj, rooting) -> "Tree":
-        """The tree with these sorted edges, this sorted adjacency and this
-        rooting at its least-index centre, none of them checked: the caller
-        builds all three together (`corpus.enumerate_trees` does, from a
-        level sequence) and they must be what `Tree(n, edges)` makes."""
-        tree = cls.__new__(cls)
-        tree._n = len(adj)
-        tree._edges = edges
-        tree._adj = adj
-        tree.rooting = rooting
-        return tree
 
     @cached_property
     def diameter(self) -> int:
@@ -351,6 +319,15 @@ class Tree(Forest):
     @cached_property
     def profile(self) -> "TreeProfile":
         return TreeProfile(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self._n}, edges={list(self._edges)!r})"
+
+
+# perfbench/tracing.py wraps trees:Forest.__init__, Forest.distances and
+# Forest.eccentricities by name; ROADMAP item 1a renames those targets to
+# Tree.* and deletes this line.
+Forest = Tree
 
 
 class Shape(Enum):

@@ -21,9 +21,9 @@ tree_profile is the structural profile computed eagerly, every field at
 once, by its own endpath walk; the package's TreeProfile computes most of
 its fields on first read.
 parse_edge_list is the package's former edge-list parser, which checked
-each line as it read it; forest_parts is the former Forest construction,
-`trees._check_edges` followed by a union-find over the sorted edges and a
-sort of every adjacency list.
+each line as it read it; tree_parts is the former Tree construction,
+`trees._check_edges` and the edge count followed by a union-find over the
+sorted edges and a sort of every adjacency list.
 The enumeration internal used is the rooted successor
 (`corpus._successor`, counted against A000081 on its own), with a
 level-sequence decoder of its own (seq_to_parents): the centroid generator
@@ -34,10 +34,11 @@ these and the shipped code is the point of the tests that use them.
 """
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from bnbroadcast import (Broadcast, Forest, LeafDistances, NotAForest, ParseError,
+from bnbroadcast import (Broadcast, LeafDistances, NotATree, ParseError,
                          SolveResult, Tree)
 from bnbroadcast.broadcasts import BnViolation, BroadcastAnalysis, overlap_scan
 from bnbroadcast.corpus import _successor
@@ -105,26 +106,29 @@ def parse_edge_list(text: str) -> Tree:
     return Tree(n, edges)
 
 
-def forest_parts(n, edges):
-    """(edges, adjacency) of Forest(n, edges), or the NotAForest (or
-    BadVertexIndex) it raises: the edges checked one by one, then joined by
-    a union-find in sorted order, which names the first edge that closes a
-    cycle."""
-    if n < 0:
-        raise NotAForest("order must be nonnegative")
+def _uf_root(parent, x):
+    """Union-find root of x, without path compression."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def tree_parts(n, edges):
+    """(edges, adjacency) of Tree(n, edges), or the NotATree (or
+    BadVertexIndex) it raises: the edges checked one by one and counted,
+    then joined by a union-find in sorted order, which names the first edge
+    that closes a cycle."""
+    if n < 1:
+        raise NotATree("a tree has at least one vertex")
     edges = _check_edges(n, edges)
+    if len(edges) != n - 1:
+        raise NotATree(f"order {n} needs {n - 1} edges, got {len(edges)}")
     adj = [[] for _ in range(n)]
     parent = list(range(n))
-
-    def root(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        ru, rv = root(u), root(v)
+        ru, rv = _uf_root(parent, u), _uf_root(parent, v)
         if ru == rv:
-            raise NotAForest(f"edge ({u}, {v}) closes a cycle")
+            raise NotATree(f"edge ({u}, {v}) closes a cycle")
         parent[ru] = rv
         adj[u].append(v)
         adj[v].append(u)
@@ -385,10 +389,12 @@ def maximal_by_components(f, a):
     with two or more broadcasters, by the component criterion:
     once the edges that no ball covers are deleted, every component keeps
     two broadcasters.  `a` is the broadcast's analysis."""
-    covered = [e for e, xs in a.covered_by.items() if xs]
-    remaining = Forest(f.host.n, covered)
-    bs = set(a.v_plus)
-    return all(len(bs.intersection(comp)) >= 2 for comp in remaining.components)
+    parent = list(range(f.host.n))
+    for (u, v), xs in a.covered_by.items():
+        if xs:
+            parent[_uf_root(parent, u)] = _uf_root(parent, v)
+    per_root = Counter(_uf_root(parent, v) for v in a.v_plus)
+    return all(per_root[_uf_root(parent, v)] >= 2 for v in range(f.host.n))
 
 
 def maximality_certificate(a):

@@ -10,12 +10,12 @@ import oracles
 from bnbroadcast import (
     BadVertexIndex,
     Broadcast,
-    Forest,
     InvalidBroadcast,
     NegativeStrength,
     NotBnIndependent,
     ParseError,
     StrengthExceedsEccentricity,
+    Tree,
     analyze,
     bn_violation,
     build_family,
@@ -152,7 +152,7 @@ class TestBnIndependence:
 
     def test_certificate_skips_vertex_on_both_boundaries(self):
         # leaf 0 lies on both boundaries, so the scan's first vertex is 1
-        star = Forest(4, [(0, 3), (1, 3), (2, 3)])
+        star = Tree(4, [(0, 3), (1, 3), (2, 3)])
         v = bn_violation(Broadcast(star, (0, 2, 2, 0)))
         assert v == (1, 2, 1, (1, 3))
 
@@ -160,12 +160,6 @@ class TestBnIndependence:
         lower, f = lower_bound_witness(t26)
         assert lower == 20 and f.weight == 20
         assert is_bn_independent(f)
-
-    def test_forest_components_do_not_hear(self):
-        g = Forest(5, [(0, 1), (2, 3), (3, 4)])
-        f = Broadcast(g, (1, 0, 1, 0, 0))
-        assert is_bn_independent(f)
-        assert not is_dominating(f)  # vertex 4 hears nobody
 
 
 class TestHearingIndependence:

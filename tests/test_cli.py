@@ -591,6 +591,23 @@ class TestInputs:
         code, _, err = run(["analyze"])
         assert code == 2 and err == "error: no input given (positional or --g6)\n"
 
+    @pytest.mark.parametrize("g6", ["BW", ""], ids=["graph6", "empty"])
+    def test_input_and_g6_together(self, run, g6):
+        code, out, err = run(["analyze", "path:5", "--g6", g6])
+        assert (code, out) == (2, "")
+        assert err == "error: give INPUT or --g6, not both\n"
+
+    def test_empty_g6_is_read_as_graph6(self, run):
+        code, out, err = run(["analyze", "--g6", ""])
+        assert (code, out, err) == (2, "", "error: empty graph6 string\n")
+
+    @pytest.mark.parametrize("command", ["verify", "export-dot"])
+    def test_input_and_broadcast_both_from_stdin(self, run, command):
+        code, out, err = run([command, "-", "--broadcast", "-"],
+                             stdin_text="0 1\n1 2\n")
+        assert (code, out) == (2, "")
+        assert err == "error: INPUT and --broadcast cannot both read stdin\n"
+
     def test_family_option_is_gone(self, run):
         # the positional INPUT takes a family spec
         assert run(["analyze", "--family", "path:3"])[0] == 2
@@ -622,7 +639,7 @@ class TestLargeInputs:
         def refuse(tree):
             raise AssertionError(f"distance matrix built for order {tree.n}")
 
-        monkeypatch.setattr(trees.Forest, "distances", property(refuse))
+        monkeypatch.setattr(trees.Tree, "distances", property(refuse))
 
     def test_analyze_large_spider(self, run, no_matrix):
         d = run_json(run, ["analyze", "spider:1000,1000,1000"])
@@ -685,17 +702,17 @@ class TestLargeInputs:
 
     @pytest.fixture
     def ball_sizes(self, monkeypatch):
-        """The order of every ball `Forest.ball` returns, the only BFS the
+        """The order of every ball `Tree.ball` returns, the only BFS the
         broadcast predicates run."""
         sizes = []
-        ball = trees.Forest.ball
+        ball = trees.Tree.ball
 
         def counted(self, v, radius=None):
             found = ball(self, v, radius)
             sizes.append(len(found))
             return found
 
-        monkeypatch.setattr(trees.Forest, "ball", counted)
+        monkeypatch.setattr(trees.Tree, "ball", counted)
         assert not hasattr(broadcasts, "_bfs")
         return sizes
 
@@ -781,22 +798,16 @@ class TestLargeInputs:
         assert r["formula"] == {"name": "two_branch", "value": 2004}
         assert (r["lower"], r["upper"]) == (2004, 2008)
 
-    def test_one_edge_naming_a_huge_order(self, run, monkeypatch, tmp_path):
+    def test_one_edge_naming_a_huge_order(self, tmp_path):
         # the edge names vertex 10^9, so the order is 10^9 + 1; the edge
-        # count must reject it before any per-vertex list is built
-        forest_init = trees.Forest.__init__
-
-        def bounded(self, n, *rest, **kw):
-            if n > 10**6:
-                raise AssertionError(f"per-vertex lists built for order {n}")
-            forest_init(self, n, *rest, **kw)
-
-        monkeypatch.setattr(trees.Forest, "__init__", bounded)
+        # count must reject it before any per-vertex list is built, which
+        # could not fit in the child's 512 MiB
         p = tmp_path / "huge.txt"
         p.write_text("0 1000000000\n")
-        code, out, err = run(["analyze", str(p)])
+        code, out, err = fresh_process(["analyze", str(p)],
+                                       preexec_fn=cap_address_space, timeout=10)
         assert code == 2 and out == ""
-        assert err.startswith("error:")
+        assert err == "error: order 1000000001 needs 1000000000 edges, got 1\n"
 
 
 HUGE = 10**20
@@ -838,7 +849,7 @@ class TestHugeFamilySpecs:
 
 
 class TestOwnLoopsReadAdjacency:
-    """The package's own loops read `Forest.adjacency`; the validating
+    """The package's own loops read `Tree.adjacency`; the validating
     `neighbors` and `degree` are for callers."""
 
     @pytest.fixture
@@ -846,8 +857,8 @@ class TestOwnLoopsReadAdjacency:
         def refuse(self, v):
             raise AssertionError(f"validating accessor called on vertex {v}")
 
-        monkeypatch.setattr(trees.Forest, "neighbors", refuse)
-        monkeypatch.setattr(trees.Forest, "degree", refuse)
+        monkeypatch.setattr(trees.Tree, "neighbors", refuse)
+        monkeypatch.setattr(trees.Tree, "degree", refuse)
 
     def test_every_subcommand(self, run, no_accessors, tmp_path):
         good = tmp_path / "good.txt"
@@ -869,15 +880,15 @@ class TestOwnLoopsReadAdjacency:
 
     @pytest.fixture
     def checked_vertices(self, monkeypatch):
-        """The vertices `Forest._check_vertex` is called on."""
+        """The vertices `Tree._check_vertex` is called on."""
         calls = []
-        check_vertex = trees.Forest._check_vertex
+        check_vertex = trees.Tree._check_vertex
 
         def counted(self, v):
             calls.append(v)
             return check_vertex(self, v)
 
-        monkeypatch.setattr(trees.Forest, "_check_vertex", counted)
+        monkeypatch.setattr(trees.Tree, "_check_vertex", counted)
         return calls
 
     def test_question1_scan_validates_no_vertex(self, run, checked_vertices):
@@ -911,13 +922,13 @@ class TestOwnLoopsReadAdjacency:
         edges = tmp_path / "t200.txt"
         edges.write_text("".join(f"{rnd.randrange(v)} {v}\n" for v in range(1, 200)))
         calls = []
-        forest_init = trees.Forest.__init__
+        tree_init = trees.Tree.__init__
 
         def counted(self, n, *args, **kwargs):
             calls.append(n)
-            return forest_init(self, n, *args, **kwargs)
+            return tree_init(self, n, *args, **kwargs)
 
-        monkeypatch.setattr(trees.Forest, "__init__", counted)
+        monkeypatch.setattr(trees.Tree, "__init__", counted)
         for source, n in ((D14, 14), (str(edges), 200)):
             calls.clear()
             code, out, err = run(argv + [source, "--json"])

@@ -1,4 +1,5 @@
-"""Randomized invariants over trees, forests, and broadcasts."""
+"""Randomized invariants over trees and broadcasts, and over the forests
+that the independence DP reads."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,6 @@ import oracles
 from bnbroadcast import (
     Broadcast,
     BudgetExceeded,
-    Forest,
     SolveLimits,
     Tree,
     analyze,
@@ -39,14 +39,16 @@ def trees(draw, min_n=1, max_n=9):
 
 
 @st.composite
-def forests(draw, max_n=9):
+def forest_edges(draw, max_n=9):
+    """(n, edges) of a forest on 0..n-1: each vertex joins an earlier one
+    or none."""
     n = draw(st.integers(0, max_n))
     edges = []
     for v in range(1, n):
         p = draw(st.integers(-1, v - 1))
         if p >= 0:
             edges.append((p, v))
-    return Forest(n, edges)
+    return n, edges
 
 
 @st.composite
@@ -57,15 +59,15 @@ def broadcasts(draw, min_n=1, max_n=8):
 
 
 @st.composite
-def forest_broadcasts(draw, max_n=12):
+def sparse_broadcasts(draw, max_n=12):
     # about half the vertices silent, so independent broadcasts turn up
     # next to overlapping ones
-    g = draw(forests(max_n))
+    t = draw(trees(max_n=max_n))
     s = [
-        draw(st.one_of(st.just(0), st.integers(0, g.eccentricities[v])))
-        for v in range(g.n)
+        draw(st.one_of(st.just(0), st.integers(0, t.eccentricities[v])))
+        for v in range(t.n)
     ]
-    return Broadcast(g, s)
+    return Broadcast(t, s)
 
 
 class TestProfileInvariants:
@@ -136,15 +138,14 @@ class TestProfileInvariants:
 
 
 class TestGeometryInvariants:
-    @given(st.one_of(forests(), trees(max_n=30)))
+    @given(trees(max_n=30))
     def test_eccentricities_match_distance_rows(self, g):
         rows = oracles.distance_rows(g.n, g.edges)
         assert [list(r) for r in g.distances] == rows
         assert list(g.eccentricities) == [max(r) for r in rows]
 
-    @given(st.one_of(forests(), trees(max_n=30)), st.data())
+    @given(trees(max_n=30), st.data())
     def test_balls_match_distance_rows(self, g, data):
-        assume(g.n)
         v = data.draw(st.integers(0, g.n - 1))
         r = data.draw(st.integers(0, g.n))
         row = oracles.distance_rows(g.n, g.edges)[v]
@@ -153,67 +154,43 @@ class TestGeometryInvariants:
         assert list(ball.values()) == sorted(ball.values())  # BFS order
 
 
-def assert_forest_rooting(g):
-    """`Forest.rooting` against the distance matrix: one block of `order`
-    per component, in order of least vertex, each in BFS order from the
-    component's least-index centre."""
-    order, parent, kids, ecc = g.rooting
-    rows = oracles.distance_rows(g.n, g.edges)
-    adj = g.adjacency
-    assert sorted(order) == list(range(g.n))
-    roots, least, i = [], [], 0
-    while i < g.n:
-        root = order[i]
-        comp = [w for w, d in enumerate(rows[root]) if d >= 0]
-        assert order[i:i + len(comp)] == list(g.ball(root)), g.edges
-        ecc_in = {v: max(rows[v][w] for w in comp) for v in comp}
-        assert all(ecc[v] == ecc_in[v] for v in comp), g.edges
-        radius = min(ecc_in.values())
-        assert root == min(v for v in comp if ecc_in[v] == radius), g.edges
-        roots.append(root)
-        least.append(comp[0])
-        i += len(comp)
-    assert least == sorted(least)
-    assert [v for v in range(g.n) if parent[v] == -1] == sorted(roots)
-    for v in range(g.n):
-        assert kids[v] == [w for w in adj[v] if w != parent[v]], (g.edges, v)
-        assert all(parent[w] == v for w in kids[v]), (g.edges, v)
-    assert g.eccentricities == ecc
-
-
 class TestForestRooting:
-    @given(forests(max_n=14))
-    def test_matches_distance_rows(self, g):
-        assert_forest_rooting(g)
+    """`Tree.rooting` on drawn trees against Floyd-Warshall rows: `order`
+    is BFS order from the least-index centre."""
 
-    def test_isolated_vertices_and_paths(self):
-        # the path 3 - 7 - 4 - 9 is rooted at its lesser centre 4, and
-        # 5 - 8 - 6 at 8, between lone vertices 0, 1, 2
-        g = Forest(10, [(3, 7), (7, 4), (4, 9), (5, 8), (8, 6)])
-        assert_forest_rooting(g)
-        order, parent, kids, ecc = g.rooting
-        assert order == [0, 1, 2, 4, 7, 9, 3, 8, 5, 6]
-        assert parent == [-1, -1, -1, 7, -1, 8, 8, 4, -1, 4]
-        assert kids[4] == [7, 9] and kids[7] == [3] and kids[0] == []
-        assert ecc == (0, 0, 0, 3, 2, 2, 2, 2, 1, 3)
+    @given(trees(max_n=14))
+    def test_matches_distance_rows(self, t):
+        order, parent, kids, ecc = t.rooting
+        want = tuple(map(max, oracles.distance_rows(t.n, t.edges)))
+        assert ecc == want == t.eccentricities, t.edges
+        root = order[0]
+        assert root == min(v for v in range(t.n) if want[v] == min(want)), t.edges
+        assert order == list(t.ball(root)), t.edges
+        assert [v for v in range(t.n) if parent[v] == -1] == [root]
+        adj = t.adjacency
+        for v in range(t.n):
+            assert kids[v] == [w for w in adj[v] if w != parent[v]], (t.edges, v)
+            assert all(parent[w] == v for w in kids[v]), (t.edges, v)
 
 
 class TestIndependenceInvariants:
-    @given(forests())
-    def test_matches_brute_force(self, g):
-        alpha, ws = independence_number(g)
-        assert alpha == oracles.brute_independence(g.n, g.edges)
+    @given(forest_edges())
+    def test_matches_brute_force(self, case):
+        # the DP runs on the interior's induced forest, so forests it gets
+        n, edges = case
+        alpha, ws = _max_independent_set(oracles._adjacency(n, edges), range(n))
+        assert alpha == oracles.brute_independence(n, edges)
         assert len(ws) == alpha
-        assert not any(u in ws and v in ws for u, v in g.edges)
+        assert not any(u in ws and v in ws for u, v in edges)
 
-    @given(forests(max_n=14), st.randoms(use_true_random=False))
-    def test_witness_is_lex_least(self, g, rnd):
-        perm = list(range(g.n))
+    @given(forest_edges(max_n=14), st.randoms(use_true_random=False))
+    def test_witness_is_lex_least(self, case, rnd):
+        n, edges = case
+        perm = list(range(n))
         rnd.shuffle(perm)
-        h = Forest(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-        assert independence_number(h) == oracles.lex_least_independent_set(
-            h.n, h.edges
-        )
+        edges = [(perm[u], perm[v]) for u, v in edges]
+        assert _max_independent_set(oracles._adjacency(n, edges), range(n)) == \
+            oracles.lex_least_independent_set(n, edges)
 
     @staticmethod
     def assert_interior_set_is_lex_least(t):
@@ -304,10 +281,11 @@ class TestBroadcastInvariants:
 
 class TestPredicatesMatchMatrix:
     """The ball-based predicates against definitions over a Floyd-Warshall
-    distance matrix, on forests (several components) and trees."""
+    distance matrix, on trees with about half their vertices silent and
+    on trees with any strengths."""
 
     @settings(max_examples=300)
-    @given(st.one_of(forest_broadcasts(), broadcasts(max_n=12)))
+    @given(st.one_of(sparse_broadcasts(), broadcasts(max_n=12)))
     def test_predicates_match_matrix_oracles(self, f):
         g, s = f.host, f.strengths
         dist = oracles.distance_rows(g.n, g.edges)

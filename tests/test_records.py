@@ -12,7 +12,6 @@ from bnbroadcast import (
     BroadcastAnalysis,
     CaterpillarSpec,
     DoubleSpiderSpec,
-    Forest,
     InvalidBroadcast,
     LeafDistances,
     NegativeStrength,
@@ -21,6 +20,7 @@ from bnbroadcast import (
     SolveResult,
     SpiderSpec,
     StrengthExceedsEccentricity,
+    Tree,
     analyze,
     build_family,
     compute_bounds,
@@ -61,7 +61,7 @@ each_record = pytest.mark.parametrize(
 def plain(x):
     """x with every graph replaced by its order and edges, since graphs
     compare by identity and a pickle round trip makes a new one."""
-    if isinstance(x, Forest):
+    if isinstance(x, Tree):
         return ("graph", x.n, x.edges)
     if isinstance(x, tuple):
         return type(x).__name__, tuple(plain(y) for y in x)

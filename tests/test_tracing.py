@@ -2,7 +2,8 @@
 
 perfbench/tracing.py names its targets by string ("trees:Forest.distances",
 "solve:bn_number*", ...), so renaming one of them breaks every traced
-benchmark run.  This runs two commands under the tracer in a fresh
+benchmark run.  Its "trees:Forest.*" targets resolve through the alias
+`trees.Forest = Tree`, which the package keeps for them alone.  This runs two commands under the tracer in a fresh
 interpreter and checks that the layers it expects recorded spans.
 
 The benchmark's q1_scan check also reads its per-order values off the

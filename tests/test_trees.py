@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from bnbroadcast import (
     BadVertexIndex,
-    Forest,
     GraphError,
-    NotAForest,
     NotATree,
     Shape,
     Tree,
@@ -100,8 +98,6 @@ class TestConstruction:
         # a bool is an int to isinstance, and would be written as true
         with pytest.raises(BadVertexIndex, match="has non-integer endpoints"):
             Tree(2, [edge])
-        with pytest.raises(BadVertexIndex, match="has non-integer endpoints"):
-            Forest(3, [edge])
 
     def test_bool_vertex_rejected(self):
         t = Tree(3, [(0, 1), (1, 2)])
@@ -110,13 +106,8 @@ class TestConstruction:
                 query(True)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(NotAForest):
-            Forest(2, [(1, 1)])
-
-    def test_forest_components(self):
-        f = Forest(5, [(3, 4), (0, 1)])
-        assert f.components == ((0, 1), (2,), (3, 4))
-        assert f.distance(0, 3) == -1
+        with pytest.raises(NotATree, match="self-loop at vertex 1"):
+            Tree(2, [(1, 1)])
 
     def test_single_vertex(self):
         t = Tree(1)
@@ -172,37 +163,30 @@ def built(make, n, edges):
 
 
 class TestConstructionAgainstOracle:
-    """Forest and Tree join their edges by one connectivity sweep, and run
-    a union-find only to name the edge that closes a cycle; the edges, the
-    adjacency and every error are those of oracles.forest_parts, the
-    former construction."""
+    """Tree joins its edges by one connectivity sweep, and runs a
+    union-find only to name the edge that closes a cycle; the edges, the
+    adjacency and every error are those of oracles.tree_parts, the former
+    construction.  test_forest draws edge lists of any count, forests
+    among them; test_tree_with_n_minus_1_edges keeps the count."""
 
     @settings(max_examples=400)
     @given(edge_lists())
     def test_forest(self, case):
         n, edges = case
-        assert built(Forest, n, edges) == built(oracles.forest_parts, n, edges)
+        assert built(Tree, n, edges) == built(oracles.tree_parts, n, edges)
 
     @settings(max_examples=400)
     @given(edge_lists(keep_count=True))
     def test_tree_with_n_minus_1_edges(self, case):
         n, edges = case
-        want = built(oracles.forest_parts, n, edges)
-        if want[0] is NotAForest:
-            want = (NotATree, want[1])
-        assert built(Tree, n, edges) == want
+        assert built(Tree, n, edges) == built(oracles.tree_parts, n, edges)
 
     def test_a_cycle_beside_a_lone_vertex(self):
         # n - 1 edges that do not connect: the union-find names the cycle
         edges = [(3, 4), (1, 2), (0, 1), (0, 2)]
         with pytest.raises(NotATree, match=r"^edge \(1, 2\) closes a cycle$"):
             Tree(5, edges)
-        assert built(Forest, 5, edges) == built(oracles.forest_parts, 5, edges)
-
-    def test_components_of_a_tree(self, trees_up_to):
-        for _, t in trees_up_to(1, 10):
-            assert t.components == Forest(t.n, t.edges).components
-            assert t.components == (tuple(range(t.n)),)
+        assert built(Tree, 5, edges) == built(oracles.tree_parts, 5, edges)
 
 
 class TestDistances:
@@ -225,15 +209,15 @@ class TestDistances:
         assert d14.distance(0, 1) == 5
 
     def test_ball(self):
-        f = Forest(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
-        assert f.ball(1, 0) == {1: 0}
-        assert f.ball(1, 1) == {1: 0, 0: 1, 2: 1}
-        assert list(f.ball(0).items()) == [(0, 0), (1, 1), (2, 2), (3, 3)]
-        assert f.ball(5) == {5: 0, 4: 1}
+        t = path(6)
+        assert t.ball(1, 0) == {1: 0}
+        assert t.ball(1, 1) == {1: 0, 0: 1, 2: 1}
+        assert list(t.ball(0).items()) == [(v, v) for v in range(6)]
+        assert t.ball(5, 2) == {5: 0, 4: 1, 3: 2}
         with pytest.raises(ValueError):
-            f.ball(0, -1)
+            t.ball(0, -1)
         with pytest.raises(BadVertexIndex):
-            f.ball(6, 1)
+            t.ball(6, 1)
 
 
 class TestProfile:
@@ -334,15 +318,6 @@ class TestRooting:
         t = Tree(6, [(3, 0), (0, 1), (1, 2), (2, 4), (4, 5)])
         assert t.rooting.order[0] == 1
         assert t.eccentricities == (4, 3, 3, 5, 4, 5)
-
-    def test_forest_of_many_components_is_linear(self):
-        # an n-sized list per component would write 8 * 10^8 cells here
-        n = 40_000
-        f = Forest(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
-        t0 = time.perf_counter()
-        ecc = f.eccentricities
-        assert time.perf_counter() - t0 < 1.0
-        assert ecc == (1,) * n
 
     def test_long_path_needs_no_recursion(self):
         n = 200_000
