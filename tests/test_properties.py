@@ -176,7 +176,8 @@ class TestForestRooting:
 class TestIndependenceInvariants:
     @given(forest_edges())
     def test_matches_brute_force(self, case):
-        # the DP runs on the interior's induced forest, so forests it gets
+        # the DP also runs on the forest the interior induces, so it is
+        # checked on forests
         n, edges = case
         alpha, ws = _max_independent_set(oracles._adjacency(n, edges), range(n))
         assert alpha == oracles.brute_independence(n, edges)
