@@ -27,13 +27,13 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 from collections import Counter
 from contextlib import nullcontext
 from functools import cache, partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .broadcasts import (
@@ -102,17 +102,21 @@ def _load_tree(args):
     if args.g6 is not None:
         if source is not None:
             raise BadSpec("give INPUT or --g6, not both")
+        if args.format is not None:
+            raise BadSpec("--format applies to a file INPUT only")
         return parse_graph6(args.g6), {"kind": "graph6", "value": args.g6}
     if source is None:
         raise BadSpec("no input given (positional or --g6)")
     if source == "-" == getattr(args, "broadcast", None):
         raise BadSpec("INPUT and --broadcast cannot both read stdin")
     if looks_like_family(source):
+        if args.format is not None:
+            raise BadSpec("--format applies to a file INPUT only")
         spec = parse_family_spec(source)
         return build_family(spec), {"kind": "family", "value": source}
     text = _read_text(source)
     kind = "stdin" if source == "-" else "file"
-    desc = {"kind": kind, "value": source, "format": args.format}
+    desc = {"kind": kind, "value": source, "format": args.format or "edgelist"}
     if args.format == "graph6":
         return parse_graph6(text), desc
     return parse_edge_list(text), desc
@@ -297,8 +301,10 @@ def _report_dict(report):
 
 
 def cmd_bounds(args):
-    tree, desc = _load_tree(args)
     limits = _parse_limits(args.limits)
+    if limits is not None and not args.exact:
+        raise BadSpec("--limits applies to --exact only")
+    tree, desc = _load_tree(args)
     t0 = time.perf_counter()
     report = compute_bounds(tree, limits, exact=args.exact)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -413,8 +419,8 @@ def _over_budget(rec, nodes):
 def _check_tree(tree, check, limits, classes):
     """One check on one tree: the search record, without its id.
 
-    `classes` is the scan's class table, which every bn_number_dp call of
-    the scan shares (see its docstring), or None for solves of their own."""
+    `classes` is the shard's class table, which every bn_number_dp call of
+    the shard shares (see its docstring), or None for solves of their own."""
     rec = {"n": tree.n, "status": "solved", "violation": None}
 
     if check in ("question1", "sandwich") and not tree.profile.branch:
@@ -477,39 +483,32 @@ def _check_tree(tree, check, limits, classes):
     return rec
 
 
-# a pool worker's class table, set by _start_worker; thread-local, so a
-# pool of threads gives each thread its own
-_worker = threading.local()
+def _scan_shard(n, check, limits, start=0, step=1):
+    """Shard `start` of `step` of order n: the trees at positions start,
+    start + step, ... of enumerate_trees(n), each checked by _check_tree
+    with a class table of the shard's own.
 
-
-def _start_worker():
-    """Pool initializer: the worker's class table lives as long as the pool."""
-    _worker.classes = _ClassTable()
-
-
-def _search_one(tree, check, limits, classes=None):
-    """Evaluate one check on one tree; returns a picklable record.
-
-    `classes` is the scan's class table; in a pool worker it is the
-    worker's own.  Only the records that get printed (budget exceeded or
-    violation) carry the tree's graph6 id.
+    Returns the counts (trees, each status, violations), the question1
+    margins, and the records to print as (position, record) pairs in
+    position order.  Only these records carry the tree's graph6 id.
     """
-    if classes is None:
-        classes = getattr(_worker, "classes", None)
-    rec = _check_tree(tree, check, limits, classes)
-    if rec["status"] == "budget_exceeded" or rec["violation"] is not None:
-        rec["id"] = emit_graph6(tree)
-    return rec
-
-
-def _pool_map(pool, fn, trees):
-    """pool.map over a stream of trees in batches of 1024.
-
-    Executor.map submits its whole input at once; batching keeps the trees
-    held by the pool bounded however large an order is.
-    """
-    while chunk := list(islice(trees, 1024)):
-        yield from pool.map(fn, chunk, chunksize=8)
+    classes = _ClassTable()
+    counts, margins, printed = Counter(), Counter(), []
+    for pos, tree in islice(enumerate(enumerate_trees(n)), start, None, step):
+        rec = _check_tree(tree, check, limits, classes)
+        status = rec["status"]
+        counts["trees"] += 1
+        counts[status] += 1
+        if status == "budget_exceeded" or rec["violation"] is not None:
+            rec["id"] = emit_graph6(tree)
+            if status == "budget_exceeded":
+                printed.append((pos, {"type": "budget_exceeded", **rec}))
+            if rec["violation"] is not None:
+                counts["violations"] += 1
+                printed.append((pos, {"type": "violation", "check": check, **rec}))
+        if check == "question1" and status == "solved":
+            margins[str(rec["conjectured"] - rec["exact"])] += 1
+    return counts, margins, printed
 
 
 def _usable_cpus():
@@ -538,12 +537,12 @@ def cmd_search(args):
         raise BadSpec("need 1 <= min-n <= max-n")
     if args.jobs < 1:
         raise BadSpec("--jobs must be at least 1")
-    work = partial(_search_one, check=args.check,
-                   limits=_parse_limits(args.limits))
+    limits = _parse_limits(args.limits)
 
     t0 = time.perf_counter()
     keys = ("trees", "solved", "budget_exceeded", "not_applicable", "violations")
     totals = dict.fromkeys(keys, 0)
+    # shard s of J takes every J-th tree of an order from position s, so
     # the records do not depend on --jobs; the pool starts every worker at
     # once, so it gets no more of them than there are CPUs to run them
     jobs = min(args.jobs, _usable_cpus())
@@ -551,26 +550,22 @@ def cmd_search(args):
         # imported here: the process pool's modules would add about a third
         # to the start-up of every other command
         from concurrent.futures import ProcessPoolExecutor
-        context = ProcessPoolExecutor(jobs, initializer=_start_worker)
+        context = ProcessPoolExecutor(jobs)
     else:
-        # one class table for the whole scan; it goes when the scan ends
-        work = partial(work, classes=_ClassTable())
         context = nullcontext()
     with context as pool:
-        mapper = partial(_pool_map, pool) if pool else map
+        mapper = pool.map if pool else map
         for n in range(args.min_n, args.max_n + 1):
-            order = {"type": "order", "n": n, **dict.fromkeys(keys, 0)}
-            margins = Counter()
-            for rec in mapper(work, enumerate_trees(n)):
-                order["trees"] += 1
-                order[rec["status"]] += 1
-                if rec["status"] == "budget_exceeded":
-                    _print_record({"type": "budget_exceeded", **rec})
-                if rec["violation"] is not None:
-                    order["violations"] += 1
-                    _print_record({"type": "violation", "check": args.check, **rec})
-                if args.check == "question1" and rec["status"] == "solved":
-                    margins[str(rec["conjectured"] - rec["exact"])] += 1
+            counts, margins, printed = Counter(), Counter(), []
+            scan = partial(_scan_shard, n, args.check, limits, step=jobs)
+            for c, m, p in mapper(scan, range(jobs)):
+                counts += c
+                margins += m
+                printed += p
+            # an order's records print when it ends, in enumeration order
+            for _, rec in sorted(printed, key=itemgetter(0)):
+                _print_record(rec)
+            order = {"type": "order", "n": n, **{k: counts[k] for k in keys}}
             if args.check == "question1":
                 order["margins"] = dict(margins)
             _print_record(order)
@@ -620,7 +615,7 @@ def _add_input_args(sub, json_option=True):
                      "path ('-' for stdin)")
     sub.add_argument("--g6", help="graph6 string")
     sub.add_argument("--format", choices=("edgelist", "graph6"),
-                     default="edgelist", help="file format (default edgelist)")
+                     help="format of a file INPUT (default edgelist)")
     if json_option:
         sub.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -650,7 +645,7 @@ def build_parser():
     _add_input_args(s)
     s.add_argument("--exact", action="store_true", help="run the exact solver")
     s.add_argument("--limits", metavar="nodes=N",
-                   help="solver budget: at most N solver states")
+                   help="budget of --exact: at most N solver states")
     s.set_defaults(func=cmd_bounds)
 
     s = subs.add_parser("witness", help="constructive lower-bound broadcast")
@@ -670,8 +665,8 @@ def build_parser():
     s.add_argument("--limits", metavar="nodes=N",
                    help="per-tree solver budget: at most N solver states")
     s.add_argument("--jobs", type=int, default=1,
-                   help="worker processes across trees, at most the usable "
-                   "CPUs (default 1)")
+                   help="worker processes, each checking every N-th tree of "
+                   "an order; at most the usable CPUs (default 1)")
     s.set_defaults(func=cmd_search)
 
     s = subs.add_parser("export-dot", help="Graphviz DOT rendering")

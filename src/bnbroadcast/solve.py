@@ -22,12 +22,13 @@ counts its states as `nodes`:
   halves of a path.  A first pass assigns the classes and spends the
   node budget vertex by vertex, so an exhausted budget stops before any
   table is filled; a second fills each new class once, children first.
-  The corpus search owns one table of classes per scan (per worker process
-  under --jobs) and hands it to every solve, so a class is filled once per
-  scan; a failed solve leaves the table as it found it.  A standalone
-  solve makes its own table and drops a class's lists when the last class
-  that reads them is filled.  `nodes` counts every state, stored, shared
-  or not, so it, the value and the witness do not depend on the table.
+  Each shard of the corpus search (one order, or its every J-th tree
+  under --jobs J) owns one table of classes and hands it to every solve,
+  so a class is filled once per shard; a failed solve leaves the table as
+  it found it.  A standalone solve makes its own table and drops a
+  class's lists when the last class that reads them is filled.  `nodes`
+  counts every state, stored, shared or not, so it, the value and the
+  witness do not depend on the table.
 
 * hearing_number computes the hearing-independence number (no broadcaster
   in another's ball; the balls may overlap) over Pareto sets of (nearest
@@ -491,13 +492,14 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
     with its full table and each child's ball capped at ecc(c) - 1.
 
     `classes`, private to the corpus search, is a _ClassTable that the
-    caller owns and hands to every solve of one scan, so a class is filled
-    once per scan, not once per tree.  The solve adds the classes it is the
-    first to meet and keeps them; its root's class, and every class of a
-    solve that raises, leave the table again, so an interned class always
-    has its tables.  Without it a solve makes its own table and drops a
-    class's out and inn lists once the last class that reads them is
-    filled, so a long path holds a few heights' lists at a time.
+    caller owns and hands to every solve of one shard of an order, so a
+    class is filled once per shard, not once per tree.  The solve adds the
+    classes it is the first to meet and keeps them; its root's class, and
+    every class of a solve that raises, leave the table again, so an
+    interned class always has its tables.  Without it a solve makes its
+    own table and drops a class's out and inn lists once the last class
+    that reads them is filled, so a long path holds a few heights' lists
+    at a time.
 
     Pass 1 walks the vertices in post-order: it assigns each its class,
     interning the classes the table lacks, whose height and first deepest

@@ -25,6 +25,7 @@ from bnbroadcast import (
     build_family,
     cli,
     conjectured_upper_bound,
+    emit_graph6,
     enumerate_trees,
     parse_family_spec,
     parse_graph6,
@@ -32,7 +33,7 @@ from bnbroadcast import (
     trees,
 )
 from bnbroadcast import cli
-from bnbroadcast.cli import _dumps, _pool_map, build_parser, main
+from bnbroadcast.cli import _dumps, build_parser, main
 
 D14 = "dspider:2,2/5/2,2"
 
@@ -129,6 +130,11 @@ class TestBounds:
     def test_bad_limits(self, run):
         code, _, err = run(["bounds", D14, "--limits", "nodes=lots"])
         assert code == 2 and "error" in err
+
+    def test_limits_without_exact(self, run):
+        # no solver runs without --exact, so a budget would go unused
+        code, out, err = run(["bounds", "spider:1,1,1", "--limits", "nodes=5"])
+        assert (code, out, err) == (2, "", "error: --limits applies to --exact only\n")
 
     @pytest.mark.parametrize("argv", [
         ["bounds", D14, "--limits", "nodes=lots"],
@@ -431,13 +437,12 @@ class TestSearch:
             assert summary[key] == sum(r[key] for r in orders)
 
     def test_jobs_match_serial(self, run):
-        # each worker's class table sees its own sequence of trees
-        for argv in (["--max-n", "6"],
-                     ["--check", "question1", "--max-n", "10"],
-                     ["--check", "question1", "--max-n", "10", "--limits", "nodes=60"],
-                     ["--check", "characterization", "--max-n", "10"],
-                     ["--check", "characterization", "--max-n", "10",
-                      "--limits", "nodes=60"]):
+        # each shard's class table sees its own share of the trees
+        argvs = [["--max-n", "6"]]
+        for check in cli.ALL_CHECKS:
+            argvs.append(["--check", check, "--max-n", "10"])
+            argvs.append(["--check", check, "--max-n", "10", "--limits", "nodes=60"])
+        for argv in argvs:
             _, out1, _ = run(["search", *argv, "--jobs", "1"])
             _, out2, _ = run(["search", *argv, "--jobs", "2"])
             s1, r1 = self.summary_of(out1)
@@ -481,10 +486,24 @@ class TestSearch:
         recs[-1].pop("elapsed_ms")
         assert recs == case["records"]
 
-    def test_pool_map_keeps_order_across_batches(self):
-        with ThreadPoolExecutor(2) as pool:
-            out = list(_pool_map(pool, abs, iter(range(-2500, 0))))
-        assert out == list(range(2500, 0, -1))
+    def test_three_shards_merge_in_enumeration_order(self, run, monkeypatch):
+        # threads stand in for the pool's processes; at 20 states every
+        # shard of order 9 prints budget records, which must interleave
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            ThreadPoolExecutor)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        limits = SolveLimits(max_nodes=20)
+        for start in range(3):
+            printed = cli._scan_shard(9, "question1", limits, start, 3)[2]
+            assert printed
+            assert all(pos % 3 == start for pos, _ in printed)
+        for argv in (["--max-n", "9", "--limits", "nodes=20"],
+                     ["--check", "chain", "--max-n", "9", "--limits", "nodes=60"],
+                     ["--check", "sandwich", "--max-n", "9"]):
+            _, out1, _ = run(["search", *argv, "--jobs", "1"])
+            code, out3, _ = run(["search", *argv, "--jobs", "3"])
+            assert code == 0
+            assert self.summary_of(out3)[1] == self.summary_of(out1)[1], argv
 
     def test_budget_records(self, run):
         code, out, _ = run(
@@ -560,7 +579,16 @@ class TestInputs:
         p = tmp_path / "t.g6"
         p.write_text("Bg")
         d = run_json(run, ["analyze", str(p), "--format", "graph6"])
-        assert d["n"] == 3
+        assert d["n"] == 3 and d["input"]["format"] == "graph6"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "path:3", "--format", "graph6"],
+        ["analyze", "--g6", "A_", "--format", "edgelist"],
+    ], ids=["family", "g6"])
+    def test_format_without_a_file(self, run, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --format applies to a file INPUT only\n"
 
     def test_missing_file(self, run):
         assert run(["analyze", "/no/such/file"])[0] == 2
@@ -614,14 +642,16 @@ class TestInputs:
 
     def test_search_record_id_beyond_order_62(self, run):
         # search at order 63 would scan an astronomically large corpus, so
-        # the record comes from the worker function directly
+        # the record and its id come from the functions a shard calls
         path63 = build_family(parse_family_spec("path:63"))
-        rec = cli._search_one(path63, "characterization", SolveLimits(max_nodes=1))
+        rec = cli._check_tree(path63, "characterization",
+                              SolveLimits(max_nodes=1), None)
         assert rec["status"] == "budget_exceeded"
         assert rec["nodes"] > 1 and "reason" not in rec
-        assert rec["id"].startswith("~??~")
-        assert parse_graph6(rec["id"]).edges == path63.edges
-        code, out, err = run(["analyze", "--g6", rec["id"], "--json"])
+        g6 = emit_graph6(path63)
+        assert g6.startswith("~??~")
+        assert parse_graph6(g6).edges == path63.edges
+        code, out, err = run(["analyze", "--g6", g6, "--json"])
         assert code == 0, err
         assert json.loads(out)["n"] == 63
 
@@ -1065,6 +1095,23 @@ class TestTopLevel:
         flags = [line for line in proc.stdout.splitlines()
                  if line in ("True", "False")]
         assert flags == ["False", str(cli._usable_cpus() > 1)]
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_a_parallel_search_pickles_no_tree(self, run):
+        # each worker builds its own trees; only shard results cross over
+        script = ("from bnbroadcast import cli, trees\n"
+                  "def refuse(self, protocol):\n"
+                  "    raise AssertionError('a tree was pickled')\n"
+                  "trees.Tree.__reduce_ex__ = refuse\n"
+                  "raise SystemExit(cli.main(['search', '--max-n', '9', '--jobs', '2']))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _, serial, _ = run(["search", "--max-n", "9", "--jobs", "1"])
+        recs, want = jsonl(proc.stdout), jsonl(serial)
+        recs[-1].pop("elapsed_ms")
+        want[-1].pop("elapsed_ms")
+        assert recs == want
 
 
 def modules_added(argv, environ=None):
