@@ -59,7 +59,6 @@ from .errors import (
 )
 from .solve import (
     BoundsReport,
-    SolveLimits,
     SolveResult,
     bn_number,
     bn_number_dp,

@@ -11,9 +11,9 @@ kind prefix, otherwise it names a file ('-' for stdin, which a --broadcast
 file may not read as well).  All structured output is deterministic:
 identical inputs and limits give byte-identical JSON apart from the timing
 fields.  `--json` prints the text of
-`json.dumps(data, indent=2, sort_keys=True)`, written by `_dumps`.  The only solver budget, --limits nodes=N,
-counts solver states, never time, so a budget stops at the same state on
-every machine.
+`json.dumps(data, indent=2, sort_keys=True)`, written by `_dumps`.  The
+only solver budget, --limits nodes=N, counts solver states, never time, so
+a budget stops at the same state on every machine.
 
 Exit codes: 0 success or recorded finding, 1 invalid broadcast, 2 parse or
 usage error, 3 internal inconsistency (an implementation-bug signal, never
@@ -63,7 +63,6 @@ from .errors import (
     ParseError,
 )
 from .solve import (
-    SolveLimits,
     _ClassTable,
     _SandwichEscape,
     _max_independent_set,
@@ -214,16 +213,18 @@ def _scalar(v):
 
 
 def _parse_limits(text):
-    """`--limits nodes=N` as SolveLimits, None without the option."""
+    """The N of `--limits nodes=N`, the solvers' max_nodes; None without
+    the option."""
     if text is None:
         return None
-    key, eq, val = text.partition("=")
+    key, _, val = text.partition("=")
     try:
-        if key != "nodes" or not eq:
-            raise ValueError
-        return SolveLimits(max_nodes=int(val))
+        max_nodes = int(val)
     except ValueError:
-        raise BadSpec(f"bad --limits {text!r} (want nodes=N with N >= 1)") from None
+        max_nodes = 0
+    if key != "nodes" or max_nodes < 1:
+        raise BadSpec(f"bad --limits {text!r} (want nodes=N with N >= 1)")
+    return max_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +302,12 @@ def _report_dict(report):
 
 
 def cmd_bounds(args):
-    limits = _parse_limits(args.limits)
-    if limits is not None and not args.exact:
+    max_nodes = _parse_limits(args.limits)
+    if max_nodes is not None and not args.exact:
         raise BadSpec("--limits applies to --exact only")
     tree, desc = _load_tree(args)
     t0 = time.perf_counter()
-    report = compute_bounds(tree, limits, exact=args.exact)
+    report = compute_bounds(tree, max_nodes, exact=args.exact)
     elapsed = (time.perf_counter() - t0) * 1000.0
     data = {
         "schema": SCHEMA,
@@ -416,7 +417,7 @@ def _over_budget(rec, nodes):
     return rec
 
 
-def _check_tree(tree, check, limits, classes):
+def _check_tree(tree, check, max_nodes, classes):
     """One check on one tree: the search record, without its id.
 
     `classes` is the shard's class table, which every bn_number_dp call of
@@ -434,7 +435,7 @@ def _check_tree(tree, check, limits, classes):
         # compute_bounds checks the sandwich and the closed formulas; an
         # escape from the sandwich is recorded, a formula mismatch raises
         try:
-            report = compute_bounds(tree, limits, exact=True)
+            report = compute_bounds(tree, max_nodes, exact=True)
         except _SandwichEscape as exc:
             report = exc.report
             rec["violation"] = {"lower": report.lower, "exact": report.exact,
@@ -446,7 +447,7 @@ def _check_tree(tree, check, limits, classes):
         return rec
 
     try:
-        res = bn_number_dp(tree, limits, classes=classes)
+        res = bn_number_dp(tree, max_nodes, classes=classes)
     except BudgetExceeded as exc:
         return _over_budget(rec, exc.nodes)
     rec["nodes"] = res.nodes
@@ -470,7 +471,7 @@ def _check_tree(tree, check, limits, classes):
     elif check == "chain":
         alpha, _ = independence_number(tree)
         try:
-            hres = hearing_number(tree, limits)
+            hres = hearing_number(tree, max_nodes)
         except BudgetExceeded as exc:
             return _over_budget(rec, exc.nodes)
         rec["alpha"], rec["hearing"] = alpha, hres.value
@@ -483,7 +484,7 @@ def _check_tree(tree, check, limits, classes):
     return rec
 
 
-def _scan_shard(n, check, limits, start=0, step=1):
+def _scan_shard(n, check, max_nodes, start=0, step=1):
     """Shard `start` of `step` of order n: the trees at positions start,
     start + step, ... of enumerate_trees(n), each checked by _check_tree
     with a class table of the shard's own.
@@ -495,7 +496,7 @@ def _scan_shard(n, check, limits, start=0, step=1):
     classes = _ClassTable()
     counts, margins, printed = Counter(), Counter(), []
     for pos, tree in islice(enumerate(enumerate_trees(n)), start, None, step):
-        rec = _check_tree(tree, check, limits, classes)
+        rec = _check_tree(tree, check, max_nodes, classes)
         status = rec["status"]
         counts["trees"] += 1
         counts[status] += 1
@@ -537,7 +538,7 @@ def cmd_search(args):
         raise BadSpec("need 1 <= min-n <= max-n")
     if args.jobs < 1:
         raise BadSpec("--jobs must be at least 1")
-    limits = _parse_limits(args.limits)
+    max_nodes = _parse_limits(args.limits)
 
     t0 = time.perf_counter()
     keys = ("trees", "solved", "budget_exceeded", "not_applicable", "violations")
@@ -557,7 +558,7 @@ def cmd_search(args):
         mapper = pool.map if pool else map
         for n in range(args.min_n, args.max_n + 1):
             counts, margins, printed = Counter(), Counter(), []
-            scan = partial(_scan_shard, n, args.check, limits, step=jobs)
+            scan = partial(_scan_shard, n, args.check, max_nodes, step=jobs)
             for c, m, p in mapper(scan, range(jobs)):
                 counts += c
                 margins += m

@@ -262,13 +262,8 @@ def build_family(spec: FamilySpec) -> Tree:
             raise BadSpec("bridge length must be an integer >= 1")
         n = _check_order(2 + sum(legs1) + sum(legs2) + spec.bridge - 1)
         edges = []
-        nxt = 2
-        cur = 0
-        for _ in range(spec.bridge - 1):
-            edges.append((cur, nxt))
-            cur = nxt
-            nxt += 1
-        edges.append((cur, 1))
+        nxt = _grow_leg(edges, 0, spec.bridge - 1, 2)
+        edges.append((nxt - 1 if spec.bridge > 1 else 0, 1))
         for l in legs1:
             nxt = _grow_leg(edges, 0, l, nxt)
         for l in legs2:
@@ -348,6 +343,8 @@ def parse_family_spec(text: str) -> FamilySpec:
         key, eq, val = piece.partition("=")
         if not eq or key not in ("leafcounts", "spacing"):
             raise BadSpec(f"bad caterpillar field: {piece!r}")
+        if key in fields:
+            raise BadSpec(f"caterpillar field {key} given twice")
         fields[key] = _ints(val, key)
     if "leafcounts" not in fields:
         raise BadSpec("caterpillar spec needs leafcounts=...")

@@ -3,8 +3,8 @@
 Class names mirror the failure they signal rather than carrying an Error
 suffix; they are part of the public API and are matched by callers (the CLI
 maps them to exit codes).  BudgetExceeded is not a failure: a solver raises
-it when it counts more nodes than its SolveLimits allow, and the CLI records
-it as a `budget_exceeded` outcome.
+it when it counts more nodes than its max_nodes cap, and the CLI records it
+as a `budget_exceeded` outcome.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class UnsupportedLongForm(ParseError):
 class BudgetExceeded(GraphError):
     """A solver ran out of its node budget.
 
-    Carries the nodes counted when it stopped, which exceed the cap.  No
-    clock is read, so identical inputs and limits stop at the same node.
+    Carries the nodes counted when it stopped, which exceed max_nodes.  No
+    clock is read, so identical inputs and caps stop at the same node.
     """
 
     def __init__(self, nodes):

@@ -40,10 +40,13 @@ counts its states as `nodes`:
   branch01 vertices, both on the tree's own adjacency.
 
 Every exact solver, DP or oracle, returns SolveResult(value, witness,
-nodes), or raises BudgetExceeded(nodes) when it counts more nodes than its
-SolveLimits allow; no solver reports a partial optimum.  The node count is
-the only budget and no solver reads a clock, so a solve and its outcome
-depend only on the tree and the limits.
+nodes), or raises BudgetExceeded(nodes) as soon as its count passes its
+`max_nodes` cap (None: no cap); no solver reports a partial optimum.  Each
+keeps the count in a local and compares it with the cap where it counts:
+per vertex in the two DPs, per visit in _max_weight_dfs, per strength
+vector in bn_number_enum.  A cap below 1 stops a solve at its first count.
+The node count is the only budget and no solver reads a clock, so a solve
+and its outcome depend only on the tree and the cap.
 
 The other solvers are slower, independent routes that the tests compare
 the boundary-independence DP against:
@@ -130,27 +133,6 @@ from .errors import (
 from .trees import Shape, Tree, _bfs, classify_shape
 
 
-class _SolveLimits(NamedTuple):
-    max_nodes: Optional[int] = None
-
-
-class SolveLimits(_SolveLimits):
-    """The exact solvers' budget: at most max_nodes nodes (each solver's
-    states), None meaning unlimited."""
-
-    __slots__ = ()
-
-    def __new__(cls, max_nodes=None):
-        if max_nodes is not None and max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
-        return tuple.__new__(cls, (max_nodes,))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: validate there too
-        return cls(*iterable)
-
-
 class SolveResult(NamedTuple):
     value: int
     witness: Broadcast
@@ -212,43 +194,30 @@ def independence_number(g: Tree) -> tuple:
     return _max_independent_set(g.adjacency, range(g.n))
 
 
-class _Budget:
-    """A solver's node counter and its cap from SolveLimits."""
-
-    __slots__ = ("nodes", "max_nodes")
-
-    def __init__(self, limits):
-        self.nodes = 0
-        self.max_nodes = limits.max_nodes if limits else None
-
-    def spend(self, count=1):
-        """Count `count` nodes; past the cap, raise BudgetExceeded."""
-        self.nodes += count
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExceeded(self.nodes)
-
-
-def bn_number_enum(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
+def bn_number_enum(tree: Tree, max_nodes: Optional[int] = None) -> SolveResult:
     """Ground-truth oracle: enumerate every broadcast, filter, take the max.
 
     Feasible up to seven or so vertices.
     """
     dist = tree.distances
-    budget = _Budget(limits)
+    nodes = 0
+    cap = math.inf if max_nodes is None else max_nodes
     best = 0
     best_arr = (0,) * tree.n
     for arr in itertools.product(*(range(e + 1) for e in tree.eccentricities)):
-        budget.spend()
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded(nodes)
         if overlap_scan(arr, dist) is not None:
             continue
         w = sum(arr)
         if w > best:
             best = w
             best_arr = arr
-    return SolveResult(value=best, witness=Broadcast(tree, best_arr), nodes=budget.nodes)
+    return SolveResult(value=best, witness=Broadcast(tree, best_arr), nodes=nodes)
 
 
-def _max_weight_dfs(tree, caps, limits):
+def _max_weight_dfs(tree, caps, max_nodes):
     """Branch-and-bound engine of the two boundary-independence oracles.
 
     caps bounds the strength domain per vertex.  Two broadcasters are
@@ -276,15 +245,18 @@ def _max_weight_dfs(tree, caps, limits):
     for k in range(n - 1, -1, -1):
         suffix[k] = suffix[k + 1] + caps[order[k]]
 
-    budget = _Budget(limits)
+    nodes = 0
+    cap = math.inf if max_nodes is None else max_nodes
     best = 0
     best_arr = [0] * n
     cur = [0] * n
     assigned = []  # (vertex, strength) for broadcasters in the prefix
 
     def visit(k, weight, edges_used):
-        nonlocal best, best_arr
-        budget.spend()
+        nonlocal nodes, best, best_arr
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded(nodes)
         if k == n:
             if weight > best:
                 # the pair rule is exact on trees and filters these early
@@ -296,18 +268,18 @@ def _max_weight_dfs(tree, caps, limits):
                 best_arr = cur[:]
             return
         v = order[k]
-        cap = caps[v]
-        if cap > 0:
+        top = caps[v]
+        if top > 0:
             dv = dist[v]
             for u, su in assigned:
                 limit = dv[u] - su
-                if limit < cap:
-                    cap = limit
-                    if cap <= 0:
+                if limit < top:
+                    top = limit
+                    if top <= 0:
                         break
-        if cap > 0:
+        if top > 0:
             bev = ball_edges[v]
-            for s in range(cap, 0, -1):
+            for s in range(top, 0, -1):
                 ce = bev[s]
                 if edges_used + ce > edge_total:
                     continue
@@ -325,10 +297,10 @@ def _max_weight_dfs(tree, caps, limits):
         visit(k + 1, weight, edges_used)
 
     visit(0, 0, 0)
-    return SolveResult(value=best, witness=Broadcast(tree, best_arr), nodes=budget.nodes)
+    return SolveResult(value=best, witness=Broadcast(tree, best_arr), nodes=nodes)
 
 
-def bn_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
+def bn_number(tree: Tree, max_nodes: Optional[int] = None) -> SolveResult:
     """Exact maximum boundary-independent broadcast weight (pruned search).
 
     A recursive oracle for small trees: the search recurses once per
@@ -336,14 +308,14 @@ def bn_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
     thousand vertices.  bn_number_dp is the solver for every tree size.
     """
     caps = list(tree.eccentricities)
-    return _max_weight_dfs(tree, caps, limits)
+    return _max_weight_dfs(tree, caps, max_nodes)
 
 
-def bn_number_restricted(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
+def bn_number_restricted(tree: Tree, max_nodes: Optional[int] = None) -> SolveResult:
     """Exact value under the loss-free restriction: non-leaf strengths <= 1."""
     leaves = tree.profile.leaves
     caps = [e if v in leaves else min(e, 1) for v, e in enumerate(tree.eccentricities)]
-    return _max_weight_dfs(tree, caps, limits)
+    return _max_weight_dfs(tree, caps, max_nodes)
 
 
 def _fill(children, h, top, caps, rest):
@@ -423,7 +395,7 @@ class _ClassTable:
             del column[size:]
 
 
-def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
+def bn_number_dp(tree: Tree, max_nodes: Optional[int] = None,
                  classes: Optional[_ClassTable] = None) -> SolveResult:
     """Exact maximum boundary-independent broadcast weight by a tree DP.
 
@@ -508,24 +480,23 @@ def bn_number_dp(tree: Tree, limits: Optional[SolveLimits] = None,
     each class.  `nodes` counts every state, len(out[v]) + ecc(v) per
     vertex, whether stored, shared or in a closed-form tail, so where a
     budget stops, like the value and the witness, depends neither on how
-    much is stored nor on the sharing.  The count is a local, compared
-    with limits.max_nodes after each vertex: the first vertex that takes
-    it past the cap raises BudgetExceeded(nodes), before any table is
+    much is stored nor on the sharing.  The first vertex that takes it
+    past max_nodes raises BudgetExceeded(nodes), before any table is
     filled.  Pass 2 fills the new classes in id order, children first,
     with _fill, each up to its K(v), which a scan of out[D] from
     max(H<, H>, K(D) - 1, 0) finds.
 
     An optimal broadcast is read back top-down from the root in BFS order,
-    mapping the class's pick positions to each vertex's children.  The witness is
-    checked by bn_violation, linear on an independent broadcast, before it
-    is returned.
+    mapping the class's pick positions to each vertex's children.  The
+    witness is checked by bn_violation, linear on an independent
+    broadcast, before it is returned.
     """
     n = tree.n
     order, _, kids, ecc = tree.rooting
     root = order[0]
 
     nodes = 0
-    cap = (limits and limits.max_nodes) or math.inf  # max_nodes is None or >= 1
+    cap = math.inf if max_nodes is None else max_nodes
     shared = classes is not None
     table = classes if shared else _ClassTable()
     ids, members, heights, deeps = table.ids, table.members, table.heights, table.deeps
@@ -671,7 +642,7 @@ def _pareto(cands):
     return kept
 
 
-def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveResult:
+def hearing_number(tree: Tree, max_nodes: Optional[int] = None) -> SolveResult:
     """Exact maximum hearing-independent broadcast weight by a tree DP.
 
     Hearing independence asks that no broadcaster lies in another's ball;
@@ -695,14 +666,15 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
 
     The states are filled in one iterative post-order and an optimal
     broadcast is read back top-down; `nodes` counts the states kept.  The
-    witness is checked by hearing_violation before it is returned.  Running
-    out of budget raises BudgetExceeded with the states counted so far.
+    witness is checked by hearing_violation before it is returned.  A count
+    past max_nodes raises BudgetExceeded with the states counted so far.
     """
     n = tree.n
     order, _, kids, ecc = tree.rooting
     root = order[0]
 
-    budget = _Budget(limits)
+    nodes = 0
+    cap = math.inf if max_nodes is None else max_nodes
     # states[v]: (D, R) -> (weight, link); a silent v links the children's
     # states it merged as (last child's key, (previous child's key, ...))
     states = [None] * n
@@ -736,7 +708,9 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
                 w += q[at[i]][1]
             acc[(0, s)] = (w, None)
         states[v] = _pareto(acc)
-        budget.spend(len(states[v]))
+        nodes += len(states[v])
+        if nodes > cap:
+            raise BudgetExceeded(nodes)
 
     value, key = max((w, k) for k, (w, _) in states[root].items())
     strengths = [0] * n
@@ -758,7 +732,7 @@ def hearing_number(tree: Tree, limits: Optional[SolveLimits] = None) -> SolveRes
         raise InternalInconsistency(
             f"hearing DP witness {strengths} does not realise the value {value}"
         )
-    return SolveResult(value=value, witness=witness, nodes=budget.nodes)
+    return SolveResult(value=value, witness=witness, nodes=nodes)
 
 
 def lower_bound_witness(tree: Tree) -> tuple:
@@ -900,7 +874,7 @@ class _SandwichEscape(InternalInconsistency):
         self.report = report
 
 
-def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
+def compute_bounds(tree: Tree, max_nodes: Optional[int] = None,
                    exact: bool = False) -> BoundsReport:
     """Bounds, applicable formula, and optionally the exact value of one tree.
 
@@ -937,7 +911,7 @@ def compute_bounds(tree: Tree, limits: Optional[SolveLimits] = None,
     status = "not_run"
     if exact:
         try:
-            res = bn_number_dp(tree, limits)
+            res = bn_number_dp(tree, max_nodes)
         except BudgetExceeded as exc:
             nodes, status = exc.nodes, "budget_exceeded"
         else:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from bnbroadcast import (
-    SolveLimits,
     Tree,
     bn_number,
     build_family,
@@ -70,10 +69,10 @@ class SolveCache:
     def __init__(self):
         self.values = {}
 
-    def exact(self, tree, limits: SolveLimits = None) -> int:
+    def exact(self, tree, max_nodes: int = None) -> int:
         key = emit_graph6(tree)
         if key not in self.values:
-            self.values[key] = bn_number(tree, limits).value
+            self.values[key] = bn_number(tree, max_nodes).value
         return self.values[key]
 
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from bnbroadcast import (
     BadSpec,
-    SolveLimits,
     bn_number_restricted,
     broadcasts,
     build_family,
@@ -492,9 +491,8 @@ class TestSearch:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             ThreadPoolExecutor)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        limits = SolveLimits(max_nodes=20)
         for start in range(3):
-            printed = cli._scan_shard(9, "question1", limits, start, 3)[2]
+            printed = cli._scan_shard(9, "question1", 20, start, 3)[2]
             assert printed
             assert all(pos % 3 == start for pos, _ in printed)
         for argv in (["--max-n", "9", "--limits", "nodes=20"],
@@ -607,6 +605,16 @@ class TestInputs:
         code, _, err = run(["analyze", "path:x"])
         assert code == 2 and err == "error: bad path order: 'x'\n"
 
+    @pytest.mark.parametrize("spec, field", [
+        ("cat:leafcounts=1,1;leafcounts=2,2,2", "leafcounts"),
+        ("cat:leafcounts=1,1,1;spacing=2,2;spacing=3,3", "spacing"),
+    ], ids=["leafcounts", "spacing"])
+    def test_repeated_caterpillar_field(self, run, spec, field):
+        # the last value used to win, silently
+        code, out, err = run(["analyze", spec])
+        assert (code, out) == (2, "")
+        assert err == f"error: caterpillar field {field} given twice\n"
+
     def test_bad_g6(self, run):
         assert run(["analyze", "--g6", "B"])[0] == 2
 
@@ -644,8 +652,7 @@ class TestInputs:
         # search at order 63 would scan an astronomically large corpus, so
         # the record and its id come from the functions a shard calls
         path63 = build_family(parse_family_spec("path:63"))
-        rec = cli._check_tree(path63, "characterization",
-                              SolveLimits(max_nodes=1), None)
+        rec = cli._check_tree(path63, "characterization", 1, None)
         assert rec["status"] == "budget_exceeded"
         assert rec["nodes"] > 1 and "reason" not in rec
         g6 = emit_graph6(path63)

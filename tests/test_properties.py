@@ -8,7 +8,6 @@ import oracles
 from bnbroadcast import (
     Broadcast,
     BudgetExceeded,
-    SolveLimits,
     Tree,
     analyze,
     bn_number,
@@ -339,7 +338,7 @@ class TestDpInvariants:
         assert res.witness.weight == res.value
         assert is_bn_independent(res.witness)
         try:
-            ref = bn_number(t, SolveLimits(max_nodes=30_000))
+            ref = bn_number(t, 30_000)
         except BudgetExceeded:
             assume(False)
         assert res.value == ref.value

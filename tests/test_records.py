@@ -1,6 +1,6 @@
 """The result and spec records are named tuples: their fields, defaults,
 keyword construction, immutability and pickling, and the checks that the
-two validating records, Broadcast and SolveLimits, run on construction."""
+one validating record, Broadcast, runs on construction."""
 
 import pickle
 
@@ -16,7 +16,6 @@ from bnbroadcast import (
     LeafDistances,
     NegativeStrength,
     PathSpec,
-    SolveLimits,
     SolveResult,
     SpiderSpec,
     StrengthExceedsEccentricity,
@@ -33,7 +32,6 @@ D14 = build_family(parse_family_spec("dspider:2,2/5/2,2"))
 
 # each record class, its field names in order, and one value per field
 RECORDS = [
-    (SolveLimits, ("max_nodes",), (5,)),
     (SolveResult, ("value", "witness", "nodes"), (1, CENTRE, 7)),
     (BoundsReport,
      ("n", "branch_count", "branch01_count", "deg2_internal_count",
@@ -78,23 +76,14 @@ def test_record_contract(cls, names, values):
         setattr(rec, names[0], values[0])
     with pytest.raises(AttributeError):
         rec.extra = 1
-    # a --jobs pool pickles the limits and the solve results
+    # a record survives pickling, which a caller's own process pool needs
+    # (a --jobs pool pickles only shard arguments and shard results)
     back = pickle.loads(pickle.dumps(rec))
     assert type(back) is cls and plain(back) == plain(rec)
 
 
 def test_defaults():
-    assert SolveLimits().max_nodes is None
     assert CaterpillarSpec((1,)).spacing is None
-
-
-@pytest.mark.parametrize("bad", [0, -1])
-def test_limits_must_be_positive(bad):
-    with pytest.raises(ValueError) as exc:
-        SolveLimits(max_nodes=bad)
-    assert str(exc.value) == "max_nodes must be positive"
-    with pytest.raises(ValueError):
-        SolveLimits(5)._replace(max_nodes=bad)
 
 
 @pytest.mark.parametrize("strengths, error, message", [
@@ -121,7 +110,6 @@ def test_broadcast_value():
 
 
 def test_plain_record_reprs():
-    assert repr(SolveLimits()) == "SolveLimits(max_nodes=None)"
     assert repr(PathSpec(4)) == "PathSpec(n=4)"
     assert repr(CaterpillarSpec((1,))) == "CaterpillarSpec(leaf_counts=(1,), spacing=None)"
     assert repr(LeafDistances(2, 4, 2)) == "LeafDistances(farthest=2, total=4, loss=2)"
@@ -131,5 +119,4 @@ def test_records_are_tuples():
     # they iterate and compare like the tuple of their fields, and
     # _replace takes the place of dataclasses.replace
     assert PathSpec(4) == (4,) and list(LeafDistances(2, 4, 2)) == [2, 4, 2]
-    assert SolveLimits(5)._replace(max_nodes=6) == SolveLimits(6)
     assert CaterpillarSpec((1,))._replace(spacing=()) == CaterpillarSpec((1,), ())

@@ -19,7 +19,6 @@ from bnbroadcast import (
     InternalInconsistency,
     NoBranchVertices,
     ShapeMismatch,
-    SolveLimits,
     Tree,
     bn_number,
     bn_number_dp,
@@ -159,14 +158,10 @@ class TestPrunedSolver:
 
     def test_node_budget(self, d14):
         with pytest.raises(BudgetExceeded) as exc:
-            bn_number(d14, SolveLimits(max_nodes=50))
+            bn_number(d14, 50)
         e = exc.value
         assert e.nodes == 51
         assert not hasattr(e, "best_value") and not hasattr(e, "best_broadcast")
-
-    def test_limits_validation(self):
-        with pytest.raises(ValueError):
-            SolveLimits(max_nodes=0)
 
     def test_restricted_agrees(self):
         for n in range(1, 7):
@@ -271,7 +266,7 @@ class TestDpSolver:
                                  ("spider:200,200,200", 100000, 100003),
                                  ("path:800", 5, 800)):
             with pytest.raises(BudgetExceeded) as exc:
-                bn_number_dp(fam(spec), SolveLimits(max_nodes=cap))
+                bn_number_dp(fam(spec), cap)
             assert exc.value.nodes == nodes, spec
 
     def test_drops_tables_once_read(self):
@@ -296,7 +291,7 @@ class TestDpSolver:
 
     def test_node_budget(self, d14):
         with pytest.raises(BudgetExceeded) as exc:
-            bn_number_dp(d14, SolveLimits(max_nodes=50))
+            bn_number_dp(d14, 50)
         e = exc.value
         assert e.nodes > 50
         assert not hasattr(e, "best_value") and not hasattr(e, "best_broadcast")
@@ -304,15 +299,52 @@ class TestDpSolver:
     def test_budget_abort_builds_no_distance_matrix(self):
         t = fam("path:1100")
         with pytest.raises(BudgetExceeded) as exc:
-            bn_number_dp(t, SolveLimits(max_nodes=1))
+            bn_number_dp(t, 1)
         assert "distances" not in vars(t)
 
 
-def outcome(t, limits=None, classes=None):
+def first_vertex_states(t):
+    """The states a rooted DP counts first: those of the last vertex in BFS
+    order, a leaf (or the lone vertex) with 1 + ecc states."""
+    order, _, _, ecc = t.rooting
+    return 1 + ecc[order[-1]]
+
+
+# each solver, the largest order it is run on here, and its first count
+BUDGETED = [
+    (bn_number_dp, 8, first_vertex_states),
+    (hearing_number, 8, first_vertex_states),
+    (bn_number, 8, lambda t: 1),
+    (bn_number_restricted, 8, lambda t: 1),
+    (bn_number_enum, 6, lambda t: 1),
+]
+
+
+@pytest.mark.parametrize("solver, max_n, first", BUDGETED,
+                         ids=[s.__name__ for s, _, _ in BUDGETED])
+def test_max_nodes_stops_at_the_count_that_passes_it(solver, max_n, first):
+    # every solver counts into a local and raises as soon as it passes
+    # max_nodes, so a cap of exactly the nodes a solve takes changes
+    # nothing, one less stops at the last count, and a cap below 1 stops
+    # at the first
+    for n in range(1, max_n + 1):
+        for t in enumerate_trees(n):
+            r = solver(t)
+            assert solver(t, r.nodes) == r, t.edges
+            with pytest.raises(BudgetExceeded) as exc:
+                solver(t, r.nodes - 1)
+            assert exc.value.nodes == r.nodes, t.edges
+            for cap in (0, -1):
+                with pytest.raises(BudgetExceeded) as exc:
+                    solver(t, max_nodes=cap)
+                assert exc.value.nodes == first(t), (t.edges, cap)
+
+
+def outcome(t, max_nodes=None, classes=None):
     """(value, witness strengths, nodes) of bn_number_dp, or the nodes of
     its BudgetExceeded."""
     try:
-        res = bn_number_dp(t, limits, classes=classes)
+        res = bn_number_dp(t, max_nodes, classes=classes)
     except BudgetExceeded as exc:
         return ("budget", exc.nodes)
     return (res.value, res.witness.strengths, res.nodes)
@@ -366,10 +398,9 @@ class TestClassTable:
         for n in range(1, 10):
             for t in enumerate_trees(n):
                 for cap in (1, 10, 30, 60):
-                    limits = SolveLimits(max_nodes=cap)
                     before = snapshot(table)
-                    got = outcome(t, limits, table)
-                    assert got == outcome(t, limits), (t.edges, cap)
+                    got = outcome(t, cap, table)
+                    assert got == outcome(t, cap), (t.edges, cap)
                     if got[0] == "budget":
                         raised += 1
                         assert snapshot(table) == before
@@ -474,7 +505,7 @@ class TestHearingSolver:
     def test_budget(self):
         t = fam("path:30")
         with pytest.raises(BudgetExceeded) as exc:
-            hearing_number(t, SolveLimits(max_nodes=100))
+            hearing_number(t, 100)
         assert exc.value.nodes > 100
         assert not hasattr(exc.value, "best_value")
 
@@ -598,7 +629,7 @@ class TestComputeBounds:
         assert r.exact_status == "not_run"
 
     def test_budget_exceeded_flagged(self, d14):
-        r = compute_bounds(d14, SolveLimits(max_nodes=50), exact=True)
+        r = compute_bounds(d14, 50, exact=True)
         assert r.exact is None and r.exact_status == "budget_exceeded"
         assert r.witness_exact is None and r.nodes > 50
         assert not hasattr(r, "best_found")
