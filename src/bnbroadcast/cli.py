@@ -421,7 +421,8 @@ def _check_tree(tree, check, max_nodes, classes):
     """One check on one tree: the search record, without its id.
 
     `classes` is the shard's class table, which every bn_number_dp call of
-    the shard shares (see its docstring), or None for solves of their own."""
+    the shard shares, the sandwich check's inside compute_bounds included
+    (see bn_number_dp), or None for solves of their own."""
     rec = {"n": tree.n, "status": "solved", "violation": None}
 
     if check in ("question1", "sandwich") and not tree.profile.branch:
@@ -435,7 +436,7 @@ def _check_tree(tree, check, max_nodes, classes):
         # compute_bounds checks the sandwich and the closed formulas; an
         # escape from the sandwich is recorded, a formula mismatch raises
         try:
-            report = compute_bounds(tree, max_nodes, exact=True)
+            report = compute_bounds(tree, max_nodes, exact=True, classes=classes)
         except _SandwichEscape as exc:
             report = exc.report
             rec["violation"] = {"lower": report.lower, "exact": report.exact,

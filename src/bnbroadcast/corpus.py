@@ -15,11 +15,13 @@ is built from its sequence in one pass, with its edges, its adjacency and
 its rooting at the centre the sequence is rooted at (`_level_tree`), so no
 scanned tree is rooted again by BFS.
 
-Family builders use documented labelings: heads and spine vertices take the
-lowest indices, then bridge or spacing chains, then leaves, each group in
-declaration order.  This keeps golden outputs readable and stable.  A spec
-whose order exceeds 258047, the largest order graph6 holds, raises BadSpec
-before any of its tree is built.
+Every family spec is built by one labelling rule (`build_family`): the
+heads take indices 0..m-1 in order; the interiors of the paths joining
+head i to head i + 1 take the next ones, path by path; then, head by head,
+come the head's legs, in declaration order, and its pendant leaves.  This
+keeps golden outputs readable and stable.  A spec whose order exceeds
+258047, the largest order graph6 holds, raises BadSpec before any of its
+tree is built.
 
 Interchange formats are a plain "u v" edge list and graph6, whose order
 header is one byte below order 63 and four bytes ('~' and 18 bits) up to
@@ -201,108 +203,81 @@ class CaterpillarSpec(NamedTuple):
 FamilySpec = Union[PathSpec, SpiderSpec, DoubleSpiderSpec, CaterpillarSpec]
 
 
-def _grow_leg(edges, attach, length, nxt):
-    cur = attach
-    for _ in range(length):
-        edges.append((cur, nxt))
-        cur = nxt
-        nxt += 1
-    return nxt
+def _grow_leg(edges, head, length, nxt):
+    """Append a path from `head` through `length` new vertices nxt, nxt + 1,
+    ...; returns the next free index."""
+    for v in range(nxt, nxt + length):
+        edges.append((head, v))
+        head = v
+    return nxt + length
 
 
-def _check_order(n):
-    """n, or BadSpec when it is above the largest order graph6 holds, so
-    that every tree built from a spec has a graph6 id."""
+def _lengths(values, least, message, fewest=0, few=None):
+    """values as a tuple: BadSpec(few) if there are fewer than `fewest`, and
+    BadSpec(message) unless each is a plain int, not a bool, >= `least`."""
+    values = tuple(values)
+    if len(values) < fewest:
+        raise BadSpec(few)
+    if any(type(x) is not int or x < least for x in values):
+        raise BadSpec(message)
+    return values
+
+
+def _build(bridges, legs, leaves):
+    """The tree the labelling rule makes of bridge lengths, each head's leg
+    lengths and leaf counts; BadSpec if its order is above graph6's."""
+    m = len(legs)
+    # m heads and the m - 1 bridges' interiors, then the legs and leaves
+    n = 1 + sum(bridges) + sum(map(sum, legs)) + sum(leaves)
     if n > _G6_MAX_ORDER:
         raise BadSpec(f"order {n} exceeds {_G6_MAX_ORDER}, the largest "
                       "order a family spec may have")
-    return n
+    edges, nxt = [], m
+    for i, length in enumerate(bridges):
+        nxt = _grow_leg(edges, i, length - 1, nxt)
+        edges.append((nxt - 1 if length > 1 else i, i + 1))
+    for i, (lengths, count) in enumerate(zip(legs, leaves)):
+        for length in lengths:
+            nxt = _grow_leg(edges, i, length, nxt)
+        for v in range(nxt, nxt + count):
+            edges.append((i, v))
+        nxt += count
+    t = Tree(n, edges)
+    assert all(len(t.adjacency[i]) == (0 < i) + (i < m - 1) + len(ls) + c
+               for i, (ls, c) in enumerate(zip(legs, leaves)))
+    if __debug__ and m > 1:  # one BFS, which paths and spiders skip
+        d0 = t.ball(0)
+        assert all(d0[i + 1] - d0[i] == length for i, length in enumerate(bridges))
+    return t
 
 
 def build_family(spec: FamilySpec) -> Tree:
-    """Construct the labeled tree a family spec describes.
-
-    Labelings (asserted below): paths run 0..n-1 in order.  A spider's head
-    is 0 and legs take consecutive indices in declaration order.  A double
-    spider's heads are 0 and 1, then the bridge interior from head 0's side,
-    then head 0's legs, then head 1's.  A caterpillar's spine is 0..m-1 in
-    order, then the spacing chains, then the leaves grouped by spine vertex.
-    The order is worked out from the spec before anything is built, and one
-    above graph6's largest, 258,047, raises BadSpec.
-    """
+    """Construct the labeled tree a family spec describes, by the module's
+    labelling rule: a path is one head with one leg, so it runs 0..n-1; a
+    spider is one head with its legs; a double spider two heads joined by
+    its bridge; a caterpillar its spine vertices, joined by its spacing,
+    with their leaf counts.  Every field is a plain int, not a bool."""
     if isinstance(spec, PathSpec):
-        if spec.n < 1:
-            raise BadSpec("path needs at least one vertex")
-        n = _check_order(spec.n)
-        return Tree(n, [(i, i + 1) for i in range(n - 1)])
-
+        (n,) = _lengths((spec.n,), 1, "path needs at least one vertex")
+        return _build((), [(n - 1,) if n > 1 else ()], [0])
     if isinstance(spec, SpiderSpec):
-        legs = tuple(spec.legs)
-        if len(legs) < 3:
-            raise BadSpec("a spider needs at least 3 legs")
-        if any(not isinstance(l, int) or l < 1 for l in legs):
-            raise BadSpec("spider leg lengths must be integers >= 1")
-        n = _check_order(1 + sum(legs))
-        edges = []
-        nxt = 1
-        for l in legs:
-            nxt = _grow_leg(edges, 0, l, nxt)
-        t = Tree(n, edges)
-        assert len(t.adjacency[0]) == len(legs)
-        return t
-
+        legs = _lengths(spec.legs, 1, "spider leg lengths must be integers >= 1",
+                        3, "a spider needs at least 3 legs")
+        return _build((), [legs], [0])
     if isinstance(spec, DoubleSpiderSpec):
-        legs1, legs2 = tuple(spec.legs1), tuple(spec.legs2)
-        for legs in (legs1, legs2):
-            if len(legs) < 2:
-                raise BadSpec("each double-spider head needs at least 2 legs")
-            if any(not isinstance(l, int) or l < 1 for l in legs):
-                raise BadSpec("leg lengths must be integers >= 1")
-        if not isinstance(spec.bridge, int) or spec.bridge < 1:
-            raise BadSpec("bridge length must be an integer >= 1")
-        n = _check_order(2 + sum(legs1) + sum(legs2) + spec.bridge - 1)
-        edges = []
-        nxt = _grow_leg(edges, 0, spec.bridge - 1, 2)
-        edges.append((nxt - 1 if spec.bridge > 1 else 0, 1))
-        for l in legs1:
-            nxt = _grow_leg(edges, 0, l, nxt)
-        for l in legs2:
-            nxt = _grow_leg(edges, 1, l, nxt)
-        t = Tree(n, edges)
-        assert t.ball(0)[1] == spec.bridge
-        assert len(t.adjacency[0]) == len(legs1) + 1
-        assert len(t.adjacency[1]) == len(legs2) + 1
-        return t
-
+        heads = [_lengths(legs, 1, "leg lengths must be integers >= 1",
+                          2, "each double-spider head needs at least 2 legs")
+                 for legs in (spec.legs1, spec.legs2)]
+        bridge = _lengths((spec.bridge,), 1, "bridge length must be an integer >= 1")
+        return _build(bridge, heads, [0, 0])
     if isinstance(spec, CaterpillarSpec):
-        counts = tuple(spec.leaf_counts)
-        if not counts:
-            raise BadSpec("caterpillar needs at least one spine vertex")
-        if any(not isinstance(c, int) or c < 0 for c in counts):
-            raise BadSpec("leaf counts must be integers >= 0")
-        spacing = tuple(spec.spacing) if spec.spacing is not None else (1,) * (len(counts) - 1)
+        counts = _lengths(spec.leaf_counts, 0, "leaf counts must be integers >= 0",
+                          1, "caterpillar needs at least one spine vertex")
+        spacing = (1,) * (len(counts) - 1) if spec.spacing is None else tuple(spec.spacing)
         if len(spacing) != len(counts) - 1:
             raise BadSpec("need one spacing entry per consecutive spine pair")
-        if any(not isinstance(s, int) or s < 1 for s in spacing):
-            raise BadSpec("spacing entries must be integers >= 1")
-        m = len(counts)
-        n = _check_order(m + sum(spacing) - (m - 1) + sum(counts))
-        edges = []
-        nxt = m
-        for i, gap in enumerate(spacing):
-            nxt = _grow_leg(edges, i, gap - 1, nxt)
-            attach = nxt - 1 if gap > 1 else i
-            edges.append((attach, i + 1))
-        for i, c in enumerate(counts):
-            for _ in range(c):
-                edges.append((i, nxt))
-                nxt += 1
-        t = Tree(n, edges)
-        if __debug__:
-            d0 = t.ball(0)
-            assert all(d0[i + 1] - d0[i] == gap for i, gap in enumerate(spacing))
-        return t
-
+        spacing = _lengths(spacing, 1, "spacing entries must be integers >= 1")
+        return _build(spacing, [()] * len(counts), counts)
     raise BadSpec(f"unknown family spec {spec!r}")
 
 

@@ -875,7 +875,8 @@ class _SandwichEscape(InternalInconsistency):
 
 
 def compute_bounds(tree: Tree, max_nodes: Optional[int] = None,
-                   exact: bool = False) -> BoundsReport:
+                   exact: bool = False,
+                   classes: Optional[_ClassTable] = None) -> BoundsReport:
     """Bounds, applicable formula, and optionally the exact value of one tree.
 
     The formulas are tried in the order path/spider, two branch vertices,
@@ -885,7 +886,9 @@ def compute_bounds(tree: Tree, max_nodes: Optional[int] = None,
     [lower, upper] raises _SandwichEscape, an InternalInconsistency that
     carries the report, and a value other than the formula's raises
     InternalInconsistency.  When the exact solver runs out of budget the
-    report keeps the nodes it spent and no value or witness.
+    report keeps the nodes it spent and no value or witness.  `classes`,
+    private to the corpus search, is the shard's class table, handed to
+    bn_number_dp.
     """
     p = tree.profile
     interior_mis = _max_independent_set(tree.adjacency, p.interior)
@@ -911,7 +914,7 @@ def compute_bounds(tree: Tree, max_nodes: Optional[int] = None,
     status = "not_run"
     if exact:
         try:
-            res = bn_number_dp(tree, max_nodes)
+            res = bn_number_dp(tree, max_nodes, classes)
         except BudgetExceeded as exc:
             nodes, status = exc.nodes, "budget_exceeded"
         else:

@@ -213,6 +213,8 @@ class Tree:
     construction."""
 
     def __init__(self, n: int, edges: Iterable = ()):
+        if type(n) is not int:  # refuses a bool too
+            raise NotATree(f"order {n!r} is not an integer")
         if n < 1:
             raise NotATree("a tree has at least one vertex")
         keys = _check_edges(n, edges)

@@ -24,6 +24,8 @@ parse_edge_list is the package's former edge-list parser, which checked
 each line as it read it; tree_parts is the former Tree construction,
 `trees._check_edges` and the edge count followed by a union-find over the
 sorted edges and a sort of every adjacency list.
+family_edges labels a family spec's tree by the documented rule with a
+label counter and vertex walks, for comparison with corpus.build_family.
 The enumeration internal used is the rooted successor
 (`corpus._successor`, counted against A000081 on its own), with a
 level-sequence decoder of its own (seq_to_parents): the centroid generator
@@ -36,7 +38,7 @@ these and the shipped code is the point of the tests that use them.
 import bisect
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, count, product
 
 from bnbroadcast import (Broadcast, LeafDistances, NotATree, ParseError,
                          SolveResult, Tree)
@@ -698,3 +700,27 @@ def optima_properties(tree, optima) -> OptimaReport:
         low_strength_count=low_count,
         overdominated_by2_count=by2,
     )
+
+
+def family_edges(spec):
+    """Sorted edges of a family spec's tree, labelled by the documented rule
+    with a counter handing out labels: heads 0..m-1, then each joining
+    path's interior, then each head's legs and then its leaves.  A path is
+    one head with one leg, a spider one head with its legs, a double spider
+    two heads and one bridge, a caterpillar its spine heads with leaves."""
+    kind = type(spec).__name__
+    if kind == "PathSpec":
+        joins, heads = [], [([spec.n - 1], 0)]
+    elif kind == "SpiderSpec":
+        joins, heads = [], [(list(spec.legs), 0)]
+    elif kind == "DoubleSpiderSpec":
+        joins, heads = [spec.bridge], [(list(spec.legs1), 0), (list(spec.legs2), 0)]
+    else:
+        heads = [([], c) for c in spec.leaf_counts]
+        joins = [1] * (len(heads) - 1) if spec.spacing is None else list(spec.spacing)
+    label = count(len(heads))
+    walks = [[i, *(next(label) for _ in range(j - 1)), i + 1] for i, j in enumerate(joins)]
+    for i, (legs, leaves) in enumerate(heads):
+        walks += [[i, *(next(label) for _ in range(leg))] for leg in legs]
+        walks += [[i, next(label)] for _ in range(leaves)]
+    return tuple(sorted((min(e), max(e)) for w in walks for e in zip(w, w[1:])))

@@ -503,6 +503,21 @@ class TestSearch:
             assert code == 0
             assert self.summary_of(out3)[1] == self.summary_of(out1)[1], argv
 
+    def test_sandwich_shares_the_shards_class_table(self, monkeypatch):
+        # question1 and sandwich solve the same trees of a shard, so with
+        # one class table per shard they fill the same classes
+        fills = Counter()
+        fill = solve._fill
+
+        def counted(*args):
+            fills[check] += 1
+            return fill(*args)
+
+        monkeypatch.setattr(solve, "_fill", counted)
+        for check in ("question1", "sandwich"):
+            cli._scan_shard(10, check, None)
+        assert fills["sandwich"] == fills["question1"] > 0
+
     def test_budget_records(self, run):
         code, out, _ = run(
             ["search", "--min-n", "9", "--max-n", "9", "--limits", "nodes=20"]

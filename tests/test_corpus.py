@@ -136,9 +136,44 @@ class TestFamilies:
             CaterpillarSpec((-1, 2)),
             CaterpillarSpec((2, 2), spacing=(1, 1)),
             PathSpec(0),
+            # every field is a plain int: not a bool, not a float
+            PathSpec(True),
+            PathSpec(2.0),
+            SpiderSpec((True, 2, 2)),
+            SpiderSpec((2, 2, 2.0)),
+            DoubleSpiderSpec((1, 1), True, (1, 1)),
+            DoubleSpiderSpec((1, False), 1, (1, 1)),
+            CaterpillarSpec((True, False, 2)),
+            CaterpillarSpec((1, 1), spacing=(True,)),
         ):
             with pytest.raises(BadSpec):
                 build_family(spec)
+
+
+@st.composite
+def family_specs(draw):
+    lengths = st.integers(1, 4)
+    kind = draw(st.sampled_from(["path", "spider", "dspider", "cat"]))
+    if kind == "path":
+        return PathSpec(draw(st.integers(1, 30)))
+    if kind == "spider":
+        return SpiderSpec(tuple(draw(st.lists(lengths, min_size=3, max_size=6))))
+    if kind == "dspider":
+        legs = st.lists(lengths, min_size=2, max_size=4).map(tuple)
+        return DoubleSpiderSpec(draw(legs), draw(st.integers(1, 6)), draw(legs))
+    counts = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)))
+    spacing = draw(st.one_of(st.none(), st.lists(
+        lengths, min_size=len(counts) - 1, max_size=len(counts) - 1).map(tuple)))
+    return CaterpillarSpec(counts, spacing)
+
+
+class TestFamilyLabelling:
+    @given(family_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracle(self, spec):
+        t = build_family(spec)
+        assert t.edges == oracles.family_edges(spec)
+        assert t.n == len(t.edges) + 1
 
 
 class TestFamilyMiniLanguage:

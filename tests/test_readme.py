@@ -4,7 +4,8 @@ Every `bnbroadcast ...` line of README's `sh` blocks and every inline code
 span that starts with `bnbroadcast ` must parse with the real argument
 parser, and every inline code span that starts with `--` must name an
 option of some subcommand.  A removed or renamed option then fails here
-instead of lingering in the documentation.
+instead of lingering in the documentation.  Every spec of the family
+table builds, and the too-large example after it is refused.
 """
 
 import argparse
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from bnbroadcast import BadSpec, build_family, parse_family_spec
 from bnbroadcast.cli import build_parser
+from bnbroadcast.corpus import FAMILY_KINDS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8"
@@ -74,3 +77,24 @@ def test_command_line_parses(line):
 def test_inline_option_exists(span):
     option = span.split()[0].split("=")[0]
     assert option in subcommand_options(), f"README names unknown option {span!r}"
+
+
+def family_table():
+    """The specs in the first column of the table under "Family specs"."""
+    section = README.partition("### Family specs")[2].partition("\n#")[0]
+    return re.findall(r"^\| `([^`]+)` \|", section, re.M)
+
+
+def test_family_table_shows_every_kind():
+    assert {spec.partition(":")[0] for spec in family_table()} == set(FAMILY_KINDS)
+
+
+@pytest.mark.parametrize("spec", family_table())
+def test_family_table_spec_builds(spec):
+    build_family(parse_family_spec(spec))
+
+
+def test_too_large_example_is_refused():
+    (spec,) = re.findall(r"larger one, such as `([^`]+)`", " ".join(README.split()))
+    with pytest.raises(BadSpec, match=f"order {spec.partition(':')[2]} exceeds"):
+        build_family(parse_family_spec(spec))

@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(NotATree):
             Tree(3, [(0, 1)])
 
+    def test_order_must_be_a_plain_int(self):
+        for n, edges in ((True, []), (2.0, [(0, 1)]), ("3", [(0, 1), (1, 2)])):
+            with pytest.raises(NotATree, match=f"order {n!r} is not an integer"):
+                Tree(n, edges)
+
     def test_bad_edge_named_before_the_count(self):
         with pytest.raises(NotATree, match="self-loop at vertex 1"):
             Tree(3, [(0, 1), (1, 1), (1, 2)])
