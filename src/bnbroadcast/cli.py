@@ -235,7 +235,7 @@ def cmd_analyze(args):
     tree, desc = _load_tree(args)
     p = tree.profile
     inner = p.interior
-    alpha_int, _ = _max_independent_set(tree.adjacency, inner)
+    alpha_int, _ = _max_independent_set(tree, inner)
     data = {
         "schema": SCHEMA,
         "tool": _tool(),

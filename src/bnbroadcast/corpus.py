@@ -168,6 +168,8 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     the centre rooting (a preorder), so vertex 0 is a centre, and each tree
     comes with that rooting (`Tree.rooting`), read off its sequence.
     """
+    if type(n) is not int:  # refuses a bool too
+        raise ValueError(f"order {n!r} is not an integer")
     if n < 1:
         raise ValueError("order must be at least 1")
     for seq in _free_sequences(n):
@@ -214,8 +216,12 @@ def _grow_leg(edges, head, length, nxt):
 
 def _lengths(values, least, message, fewest=0, few=None):
     """values as a tuple: BadSpec(few) if there are fewer than `fewest`, and
-    BadSpec(message) unless each is a plain int, not a bool, >= `least`."""
-    values = tuple(values)
+    BadSpec(message) unless they are iterable and each is a plain int, not
+    a bool, >= `least`."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise BadSpec(message) from None
     if len(values) < fewest:
         raise BadSpec(few)
     if any(type(x) is not int or x < least for x in values):
@@ -273,10 +279,10 @@ def build_family(spec: FamilySpec) -> Tree:
     if isinstance(spec, CaterpillarSpec):
         counts = _lengths(spec.leaf_counts, 0, "leaf counts must be integers >= 0",
                           1, "caterpillar needs at least one spine vertex")
-        spacing = (1,) * (len(counts) - 1) if spec.spacing is None else tuple(spec.spacing)
+        spacing = ((1,) * (len(counts) - 1) if spec.spacing is None else
+                   _lengths(spec.spacing, 1, "spacing entries must be integers >= 1"))
         if len(spacing) != len(counts) - 1:
             raise BadSpec("need one spacing entry per consecutive spine pair")
-        spacing = _lengths(spacing, 1, "spacing entries must be integers >= 1")
         return _build(spacing, [()] * len(counts), counts)
     raise BadSpec(f"unknown family spec {spec!r}")
 

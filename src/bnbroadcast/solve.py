@@ -37,7 +37,9 @@ counts its states as `nodes`:
 * independence_number finds the lexicographically least maximum
   independent set with one weighted DP (_max_independent_set), which the
   lower bound also runs on the interior and conjectured_upper_bound on the
-  branch01 vertices, both on the tree's own adjacency.
+  branch01 vertices.  The DP walks the tree's own rooting: a vertex's
+  parent in the induced forest is its rooting parent, when that is in the
+  set.
 
 Every exact solver, DP or oracle, returns SolveResult(value, witness,
 nodes), or raises BudgetExceeded(nodes) as soon as its count passes its
@@ -139,59 +141,49 @@ class SolveResult(NamedTuple):
     nodes: int
 
 
-def _max_independent_set(adj, vertices) -> tuple:
-    """Lexicographically least maximum independent set of the forest induced
-    on `vertices`, as (size, frozenset); `adj[v]`, v's neighbours, is read
-    only for v in `vertices`.
+def _max_independent_set(tree, vertices) -> tuple:
+    """Lexicographically least maximum independent set of the forest the
+    tree induces on `vertices`, as (size, frozenset).
 
-    One weighted tree DP per component: the vertex of rank i among the k
-    vertices weighs 2^k + 2^(k-1-i).  The 2^k terms make every optimum a
-    maximum independent set, and the low bits, read as a binary number,
+    One weighted tree DP over the tree's rooting: a member's parent in the
+    forest is its rooting parent when that is a member, and each component
+    is rooted at its member nearest the centre.  The vertex of rank i among
+    the k members weighs 2^k + 2^(k-1-i).  The 2^k terms make every optimum
+    a maximum independent set, and the low bits, read as a binary number,
     rank the sets of equal size lexicographically, least sorted tuple
-    highest.  Distinct sets have distinct weights, so the optimum is unique
-    and the traceback never meets a tie.
+    highest.  Distinct sets have distinct weights, so the optimum is unique,
+    the rooting cannot change it, and the traceback never meets a tie.
     """
     rank = {v: i for i, v in enumerate(sorted(vertices))}
     k = len(rank)
     top = 1 << k
-    parent = {}
-    chosen = []
-    for r in rank:
-        if r in parent:
+    order, parent, _, _ = tree.rooting
+    # per member, the sums of its children's best weights without them and
+    # at all, kept only until it reads them; `better`: taking it beats not
+    excl = {}
+    best = {}
+    better = {}
+    for u in reversed(order):
+        if u not in rank:
             continue
-        order = [r]
-        parent[r] = None
-        for u in order:
-            for w in adj[u]:
-                if w in rank and w not in parent:
-                    parent[w] = u
-                    order.append(w)
-        # per vertex: the best weight without it and the best at all, kept
-        # only until its parent reads them; `better`: taking it beats not
-        excl = {}
-        best = {}
-        better = {}
-        for u in reversed(order):
-            i = top | (1 << (k - 1 - rank[u]))
-            e = 0
-            for w in adj[u]:
-                if w in rank and w != parent[u]:
-                    i += excl.pop(w)
-                    e += best.pop(w)
-            better[u] = i > e
-            excl[u], best[u] = e, max(i, e)
-        taken = set()
-        for u in order:
-            if better[u] and parent[u] not in taken:
-                taken.add(u)
-        chosen.extend(taken)
-    return len(chosen), frozenset(chosen)
+        i = (top | (1 << (k - 1 - rank[u]))) + excl.pop(u, 0)
+        e = best.pop(u, 0)
+        better[u] = i > e
+        p = parent[u]
+        if p in rank:
+            excl[p] = excl.get(p, 0) + e
+            best[p] = best.get(p, 0) + max(i, e)
+    taken = set()
+    for u in order:
+        if u in rank and better[u] and parent[u] not in taken:
+            taken.add(u)
+    return len(taken), frozenset(taken)
 
 
 def independence_number(g: Tree) -> tuple:
     """Maximum independent set size of a tree, with one witness set: the
     lexicographically least maximum independent set."""
-    return _max_independent_set(g.adjacency, range(g.n))
+    return _max_independent_set(g, range(g.n))
 
 
 def bn_number_enum(tree: Tree, max_nodes: Optional[int] = None) -> SolveResult:
@@ -746,7 +738,7 @@ def lower_bound_witness(tree: Tree) -> tuple:
     p = tree.profile
     if not p.branch:
         raise NoBranchVertices("the lower bound needs a branch vertex")
-    return _lower_bound_witness(tree, _max_independent_set(tree.adjacency, p.interior))
+    return _lower_bound_witness(tree, _max_independent_set(tree, p.interior))
 
 
 def _lower_bound_witness(tree, interior_mis):
@@ -792,7 +784,7 @@ def conjectured_upper_bound(tree: Tree) -> int:
     p = tree.profile
     if not p.branch:
         raise NoBranchVertices("the conjectured bound needs a branch vertex")
-    alpha_r, _ = _max_independent_set(tree.adjacency, p.branch01)
+    alpha_r, _ = _max_independent_set(tree, p.branch01)
     return tree.n - len(p.branch) + alpha_r
 
 
@@ -891,7 +883,7 @@ def compute_bounds(tree: Tree, max_nodes: Optional[int] = None,
     bn_number_dp.
     """
     p = tree.profile
-    interior_mis = _max_independent_set(tree.adjacency, p.interior)
+    interior_mis = _max_independent_set(tree, p.interior)
 
     lower = upper = conjectured = witness_lower = None
     if p.branch:

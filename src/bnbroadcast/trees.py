@@ -16,7 +16,7 @@ The decomposition vocabulary used throughout the package:
 * leaf set of a branch vertex b: leaves joined to b by an endpath.  Branch
   vertices are split by leaf-set size into branch0 / branch1 / branch2plus.
 * interior: the vertices of branch0 + branch1 + internal degree-2 vertices;
-  its induced forest is read on the tree's own adjacency, never copied.
+  its induced forest is read off the tree's own rooting, never copied.
 * loss of a branch vertex: total leaf-set distance minus the largest one.
 
 Construction and the structural profile take near-linear time.
@@ -26,11 +26,12 @@ tells that n - 1 edges make a tree by one connectivity sweep
 (`_connected`); a union-find (`_check_acyclic`) runs only to name the edge
 that closes a cycle.  Every tree has one rooting (`Tree.rooting`: BFS
 order, parents, child lists and eccentricities, at its least-index
-centre); the eccentricities, the diameter, the solvers' rooted DPs and the
-broadcast predicates' sweeps all read it.  A corpus tree is made with its
-rooting, read off its level sequence with its edges and adjacency
-(`Tree._from_rooting`, which checks nothing); any other tree roots itself
-on first use by three BFS passes (`_centre_rooting`).  A Tree's profile
+centre); the eccentricities, the diameter, the solvers' rooted DPs, the
+independence DP on an induced forest and the broadcast predicates' sweeps
+all read it.  A corpus tree is made with its rooting, read off its level
+sequence with its edges and adjacency (`Tree._from_rooting`, which checks
+nothing); any other tree roots itself on first use by three BFS passes
+(`_centre_rooting`).  A Tree's profile
 (TreeProfile) computes its degrees, leaves, branch, branch0 and branch1
 when it is made, by one endpath walk per leaf, and each other field on
 first read; it keeps the tree's order and adjacency, not the tree, so
@@ -109,20 +110,21 @@ def _tree_bfs(adj, src, parent):
     return order
 
 
-def _centre_rooting(adj, src, parent, kids, ecc):
-    """Root the tree of adjacency adj at its least-index centre, in three
-    BFS passes; returns its vertices in BFS order from that centre.
+def _centre_rooting(adj):
+    """The tree of adjacency adj rooted at its least-index centre, by three
+    BFS passes.
 
-    A BFS from src ends at a, and one from a ends at b, so a and b end a
-    longest path, of length D.  Its middle vertices, D // 2 and (D + 1) // 2
-    steps from b, are the centres, and R = (D + 1) // 2 is their
-    eccentricity.  The third BFS, from the least-index centre, writes
-    parent[v], kids[v] and ecc[v] for every vertex v, with
-    ecc(v) = depth(v) + R - 1 on the other centre's side of a bicentral
-    tree and depth(v) + R everywhere else.  The three lists are indexed by
-    vertex.
+    A BFS from vertex 0 ends at a, and one from a ends at b, so a and b end
+    a longest path, of length D.  Its middle vertices, D // 2 and
+    (D + 1) // 2 steps from b, are the centres, and R = (D + 1) // 2 is
+    their eccentricity.  The third BFS, from the least-index centre c,
+    gives the order and the parents; one pass over that order fills the
+    child lists and sets ecc(v) = depth(v) + R - 1 on the other centre's
+    side of a bicentral tree and depth(v) + R everywhere else.
     """
-    a = _tree_bfs(adj, src, parent)[-1]
+    n = len(adj)
+    parent = [-1] * n
+    a = _tree_bfs(adj, 0, parent)[-1]
     v = _tree_bfs(adj, a, parent)[-1]
     path = [v]
     while parent[v] >= 0:
@@ -131,27 +133,14 @@ def _centre_rooting(adj, src, parent, kids, ecc):
     d = len(path) - 1
     r = (d + 1) // 2
     c, other = sorted((path[d // 2], path[r]))  # equal when d is even
-    parent[c] = -1
-    ecc[c] = r
-    kids[c] = ks = list(adj[c])
-    for w in ks:
-        parent[w] = c
-        ecc[w] = r + 1
-    ecc[other] = r
-    order = [c, *ks]
-    rest = iter(order)
-    next(rest)
-    for u in rest:
-        p = parent[u]
-        e = ecc[u] + 1
-        kids[u] = ks = []
-        for w in adj[u]:
-            if w != p:
-                parent[w] = u
-                ecc[w] = e
-                ks.append(w)
-        order += ks
-    return order
+    order = _tree_bfs(adj, c, parent)
+    kids = [[] for _ in range(n)]
+    ecc = [r] * n
+    for w in order[1:]:
+        p = parent[w]
+        kids[p].append(w)
+        ecc[w] = ecc[p] + (w != other)
+    return Rooting(order, parent, kids, tuple(ecc))
 
 
 def _root(parent, x):
@@ -278,8 +267,11 @@ class Tree:
         """Distance from v of every vertex within `radius` of v (every
         vertex when radius is None), in BFS order; O(size of the ball)."""
         self._check_vertex(v)
-        if radius is not None and radius < 0:
-            raise ValueError(f"radius {radius} is negative")
+        if radius is not None:
+            if type(radius) is not int:  # refuses a bool too
+                raise ValueError(f"radius {radius!r} is not an integer")
+            if radius < 0:
+                raise ValueError(f"radius {radius} is negative")
         return _bfs(self._adj, v, radius)
 
     @cached_property
@@ -298,10 +290,7 @@ class Tree:
     def rooting(self) -> Rooting:
         """The tree rooted at its least-index centre by `_centre_rooting`;
         a corpus tree is made with it."""
-        n = self._n
-        parent, kids, ecc = [-1] * n, [None] * n, [0] * n
-        order = _centre_rooting(self._adj, 0, parent, kids, ecc)
-        return Rooting(order, parent, kids, tuple(ecc))
+        return _centre_rooting(self._adj)
 
     @cached_property
     def eccentricities(self) -> tuple:

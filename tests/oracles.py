@@ -115,6 +115,18 @@ def _uf_root(parent, x):
     return x
 
 
+def hub_tree(n, edges):
+    """The tree of the forest (n, edges) and one hub vertex n, joined to
+    the least vertex of each component: it induces the forest on range(n)."""
+    parent = list(range(n))
+    for u, v in edges:
+        parent[_uf_root(parent, u)] = _uf_root(parent, v)
+    least = {}
+    for v in range(n):
+        least.setdefault(_uf_root(parent, v), v)
+    return Tree(n + 1, [*edges, *((v, n) for v in least.values())])
+
+
 def tree_parts(n, edges):
     """(edges, adjacency) of Tree(n, edges), or the NotATree (or
     BadVertexIndex) it raises: the edges checked one by one and counted,

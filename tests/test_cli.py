@@ -955,9 +955,9 @@ class TestOwnLoopsReadAdjacency:
         calls = []
         centre_rooting = trees._centre_rooting
 
-        def counted(*args):
-            calls.append(args[1])
-            return centre_rooting(*args)
+        def counted(adj):
+            calls.append(len(adj))
+            return centre_rooting(adj)
 
         monkeypatch.setattr(trees, "_centre_rooting", counted)
         code, out, err = run(["search", "--check", "question1", "--max-n", "10"])
@@ -965,27 +965,38 @@ class TestOwnLoopsReadAdjacency:
         assert jsonl(out)[-1]["solved"] > 0
         assert calls == []
 
-    @pytest.mark.parametrize("argv", (["analyze"], ["bounds", "--exact"], ["witness"]))
+    @pytest.mark.parametrize("argv", (["analyze"], ["bounds", "--exact"], ["witness"],
+                                      ["verify", "--broadcast", "f.txt"]))
     def test_per_tree_commands_build_only_the_input_tree(self, run, monkeypatch,
                                                          tmp_path, argv):
         # the interior and the formulas are read on the input tree's own
-        # numbering, so no relabelled copy of it is made
+        # numbering, so no relabelled copy of it is made; the solvers, the
+        # independence DP and the predicates all read its one rooting
+        monkeypatch.chdir(tmp_path)
         rnd = random.Random(200)
         edges = tmp_path / "t200.txt"
         edges.write_text("".join(f"{rnd.randrange(v)} {v}\n" for v in range(1, 200)))
-        calls = []
+        (tmp_path / "f.txt").write_text("0:1\n")
+        built, rooted = [], []
         tree_init = trees.Tree.__init__
+        centre_rooting = trees._centre_rooting
 
-        def counted(self, n, *args, **kwargs):
-            calls.append(n)
+        def counted_init(self, n, *args, **kwargs):
+            built.append(n)
             return tree_init(self, n, *args, **kwargs)
 
-        monkeypatch.setattr(trees.Tree, "__init__", counted)
+        def counted_rooting(adj):
+            rooted.append(len(adj))
+            return centre_rooting(adj)
+
+        monkeypatch.setattr(trees.Tree, "__init__", counted_init)
+        monkeypatch.setattr(trees, "_centre_rooting", counted_rooting)
         for source, n in ((D14, 14), (str(edges), 200)):
-            calls.clear()
-            code, out, err = run(argv + [source, "--json"])
+            built.clear()
+            rooted.clear()
+            code, out, err = run([argv[0], source, *argv[1:], "--json"])
             assert code == 0, err
-            assert calls == [n], source
+            assert built == rooted == [n], source
 
     def test_sandwich_scan_validates_no_vertex(self, run, checked_vertices):
         # the interior and the two-branch formula's distance read vertices

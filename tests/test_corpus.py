@@ -50,6 +50,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_trees(0))
 
+    @pytest.mark.parametrize("n", (2.5, "3", True, 3.0))
+    def test_rejects_an_order_not_an_int(self, n):
+        # True was read as order 1
+        with pytest.raises(ValueError, match="not an integer"):
+            list(enumerate_trees(n))
+
     def test_all_distinct_and_valid(self):
         for n in range(1, 9):
             seen = set()
@@ -145,6 +151,11 @@ class TestFamilies:
             DoubleSpiderSpec((1, False), 1, (1, 1)),
             CaterpillarSpec((True, False, 2)),
             CaterpillarSpec((1, 1), spacing=(True,)),
+            # every sequence field is iterable
+            SpiderSpec(5),
+            CaterpillarSpec(5),
+            CaterpillarSpec((1, 1), spacing=5),
+            DoubleSpiderSpec(None, 1, (1, 1)),
         ):
             with pytest.raises(BadSpec):
                 build_family(spec)

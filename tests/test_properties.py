@@ -176,9 +176,9 @@ class TestIndependenceInvariants:
     @given(forest_edges())
     def test_matches_brute_force(self, case):
         # the DP also runs on the forest the interior induces, so it is
-        # checked on forests
+        # checked on forests, each induced by a tree on one more vertex
         n, edges = case
-        alpha, ws = _max_independent_set(oracles._adjacency(n, edges), range(n))
+        alpha, ws = _max_independent_set(oracles.hub_tree(n, edges), range(n))
         assert alpha == oracles.brute_independence(n, edges)
         assert len(ws) == alpha
         assert not any(u in ws and v in ws for u, v in edges)
@@ -189,7 +189,7 @@ class TestIndependenceInvariants:
         perm = list(range(n))
         rnd.shuffle(perm)
         edges = [(perm[u], perm[v]) for u, v in edges]
-        assert _max_independent_set(oracles._adjacency(n, edges), range(n)) == \
+        assert _max_independent_set(oracles.hub_tree(n, edges), range(n)) == \
             oracles.lex_least_independent_set(n, edges)
 
     @staticmethod
@@ -198,7 +198,7 @@ class TestIndependenceInvariants:
         k, local = oracles.lex_least_independent_set(
             *oracles.induced_edges(inner, t.edges))
         want = (k, frozenset(inner[i] for i in local))
-        assert _max_independent_set(t.adjacency, t.profile.interior) == want, t.edges
+        assert _max_independent_set(t, t.profile.interior) == want, t.edges
 
     @given(trees(max_n=16))
     def test_interior_set_is_lex_least(self, t):

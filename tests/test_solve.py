@@ -88,11 +88,13 @@ def tail_starts(tables):
 
 class TestIndependence:
     def test_empty_forest(self):
-        assert solve._max_independent_set((), ()) == (0, frozenset())
+        assert solve._max_independent_set(Tree(1), ()) == (0, frozenset())
 
     def test_isolated_vertices(self):
+        # the three leaves of a star, its hub left out
         want = (3, frozenset({0, 1, 2}))
-        assert solve._max_independent_set(((),) * 3, range(3)) == want
+        star = Tree(4, [(0, 3), (1, 3), (2, 3)])
+        assert solve._max_independent_set(star, range(3)) == want
 
     def test_p2_prefers_low_index(self):
         t = fam("path:2")

@@ -224,6 +224,13 @@ class TestDistances:
         with pytest.raises(BadVertexIndex):
             t.ball(6, 1)
 
+    @pytest.mark.parametrize("radius", (2.5, True, "3", 2.0))
+    def test_ball_refuses_a_radius_not_an_int(self, radius):
+        # a float radius never equals a BFS level, so it reached the whole
+        # tree, and True was read as 1
+        with pytest.raises(ValueError, match="radius"):
+            path(9).ball(0, radius)
+
 
 class TestProfile:
     def test_sp123(self):
@@ -435,20 +442,20 @@ class TestRepresentations:
 
 
 class TestInducedSubgraph:
-    """Independent sets of an induced subgraph, read on the tree's own
-    adjacency."""
+    """Independent sets of an induced subgraph, read off the tree's own
+    rooting."""
 
     def test_empty(self, d14):
-        assert _max_independent_set(d14.adjacency, []) == (0, frozenset())
+        assert _max_independent_set(d14, []) == (0, frozenset())
 
     def test_full(self, d14):
-        assert _max_independent_set(d14.adjacency, range(14)) == independence_number(d14)
+        assert _max_independent_set(d14, range(14)) == independence_number(d14)
 
     def test_t18_branch01_independent(self, t18):
         b01 = t18.profile.branch01
         assert len(b01) == 2
         assert not any(u in b01 and v in b01 for u, v in t18.edges)
-        assert _max_independent_set(t18.adjacency, b01) == (2, b01)
+        assert _max_independent_set(t18, b01) == (2, b01)
 
 
 class TestClassify:
