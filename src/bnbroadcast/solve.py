@@ -158,14 +158,13 @@ def _max_independent_set(tree, vertices) -> tuple:
     k = len(rank)
     top = 1 << k
     order, parent, _, _ = tree.rooting
+    members = list(filter(rank.__contains__, order))  # in rooting order
     # per member, the sums of its children's best weights without them and
     # at all, kept only until it reads them; `better`: taking it beats not
     excl = {}
     best = {}
     better = {}
-    for u in reversed(order):
-        if u not in rank:
-            continue
+    for u in reversed(members):
         i = (top | (1 << (k - 1 - rank[u]))) + excl.pop(u, 0)
         e = best.pop(u, 0)
         better[u] = i > e
@@ -174,8 +173,8 @@ def _max_independent_set(tree, vertices) -> tuple:
             excl[p] = excl.get(p, 0) + e
             best[p] = best.get(p, 0) + max(i, e)
     taken = set()
-    for u in order:
-        if u in rank and better[u] and parent[u] not in taken:
+    for u in members:
+        if better[u] and parent[u] not in taken:
             taken.add(u)
     return len(taken), frozenset(taken)
 
