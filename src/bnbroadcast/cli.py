@@ -8,9 +8,10 @@ for violations of a chosen claim), export-dot (Graphviz rendering).
 A tree comes from the positional argument or from a --g6 string, not
 both.  The positional argument is a family spec when it starts with a known
 kind prefix, otherwise it names a file ('-' for stdin, which a --broadcast
-file may not read as well).  All structured output is deterministic:
-identical inputs and limits give byte-identical JSON apart from the timing
-fields.  `--json` prints the text of
+file may not read as well) of graph6 or, unless its text looks like graph6
+(`looks_like_graph6`), an edge list.  All structured output is
+deterministic: identical inputs and limits give byte-identical JSON apart
+from the timing fields.  `--json` prints the text of
 `json.dumps(data, indent=2, sort_keys=True)`, written by `_dumps`.  The
 only solver budget, --limits nodes=N, counts solver states, never time, so
 a budget stops at the same state on every machine.
@@ -49,6 +50,7 @@ from .corpus import (
     emit_graph6,
     enumerate_trees,
     looks_like_family,
+    looks_like_graph6,
     parse_edge_list,
     parse_family_spec,
     parse_graph6,
@@ -101,24 +103,19 @@ def _load_tree(args):
     if args.g6 is not None:
         if source is not None:
             raise BadSpec("give INPUT or --g6, not both")
-        if args.format is not None:
-            raise BadSpec("--format applies to a file INPUT only")
         return parse_graph6(args.g6), {"kind": "graph6", "value": args.g6}
     if source is None:
         raise BadSpec("no input given (positional or --g6)")
     if source == "-" == getattr(args, "broadcast", None):
         raise BadSpec("INPUT and --broadcast cannot both read stdin")
     if looks_like_family(source):
-        if args.format is not None:
-            raise BadSpec("--format applies to a file INPUT only")
         spec = parse_family_spec(source)
         return build_family(spec), {"kind": "family", "value": source}
     text = _read_text(source)
     kind = "stdin" if source == "-" else "file"
-    desc = {"kind": kind, "value": source, "format": args.format or "edgelist"}
-    if args.format == "graph6":
-        return parse_graph6(text), desc
-    return parse_edge_list(text), desc
+    if looks_like_graph6(text):
+        return parse_graph6(text), {"kind": kind, "value": source, "format": "graph6"}
+    return parse_edge_list(text), {"kind": kind, "value": source, "format": "edgelist"}
 
 
 def _broadcast_dict(f: Broadcast):
@@ -616,8 +613,6 @@ def _add_input_args(sub, json_option=True):
                      help="family spec (kind:..., e.g. dspider:2,2/5/2,2) or file "
                      "path ('-' for stdin)")
     sub.add_argument("--g6", help="graph6 string")
-    sub.add_argument("--format", choices=("edgelist", "graph6"),
-                     help="format of a file INPUT (default edgelist)")
     if json_option:
         sub.add_argument("--json", action="store_true", help="emit JSON")
 

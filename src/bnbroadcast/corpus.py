@@ -36,7 +36,7 @@ from math import isqrt
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import BadSpec, GraphError, NotATree, ParseError, UnsupportedLongForm
-from .trees import Rooting, Tree
+from .trees import Rooting, Tree, _cycle_edge
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +364,7 @@ def parse_edge_list(text: str) -> Tree:
 def _parse_edge_lines(text):
     """`parse_edge_list` one line at a time, checking each edge as it is
     read: slower, but its errors name the line at fault."""
-    edges = []
-    seen = set()
+    lines = {}  # each edge read -> its line, in reading order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -382,12 +381,16 @@ def _parse_edge_lines(text):
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", line=lineno)
         key = (min(u, v), max(u, v))
-        if key in seen:
+        if key in lines:
             raise ParseError(f"duplicate edge {key}", line=lineno)
-        seen.add(key)
-        edges.append(key)
-    n = 1 + max((max(e) for e in edges), default=0)
-    return Tree(n, edges)
+        lines[key] = lineno
+    n = 1 + max((max(e) for e in lines), default=0)
+    # as in Tree, a wrong count is named before a cycle
+    if len(lines) == n - 1:
+        cycle = _cycle_edge(n, lines)
+        if cycle is not None:
+            raise ParseError(f"edge {cycle} closes a cycle", line=lines[cycle])
+    return Tree(n, lines)
 
 
 def emit_edge_list(t: Tree) -> str:
@@ -399,8 +402,9 @@ def emit_edge_list(t: Tree) -> str:
 
 _G6_HEADER = ">>graph6<<"
 _G6_MAX_ORDER = 258047  # the largest order the 4-byte header holds
-# a 6-bit chunk c is printed as the byte c + 63
-_G6_CHUNK_TO_BYTE = bytes(range(63, 127)) + bytes(192)
+# a 6-bit chunk c is printed as the byte c + 63, so graph6 writes '?'..'~'
+_G6_BYTES = bytes(range(63, 127))
+_G6_CHUNK_TO_BYTE = _G6_BYTES + bytes(192)
 
 
 def _g6_order(n):
@@ -424,6 +428,15 @@ def emit_graph6(t: Tree) -> str:
         k = j * (j - 1) // 2 + i
         body[k // 6] |= 32 >> k % 6
     return header + body.translate(_G6_CHUNK_TO_BYTE).decode("ascii")
+
+
+def looks_like_graph6(text: str) -> bool:
+    """Whether text is graph6: it starts with the header, or is one word of
+    graph6's bytes '?'..'~', above the digits, '#', '-' and whitespace of
+    an edge list with an edge or a comment."""
+    s = text.strip()
+    # stripping stops at the first other byte, at once on an edge list
+    return s.startswith(_G6_HEADER) or (s != "" and not s.strip(_G6_BYTES.decode()))
 
 
 def parse_graph6(text: str) -> Tree:

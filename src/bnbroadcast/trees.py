@@ -1,9 +1,9 @@
 """The immutable tree plus its structural decomposition.
 
 Vertices are dense integers 0..n-1.  A Tree is a connected acyclic graph
-with n >= 1.  It is immutable after construction and caches derived data
-(rooting, eccentricities, profile, distance matrix) on first use, so it is
-cheap to pass around.
+with n >= 1.  It is immutable after construction, is made with its
+rooting, and caches other derived data (eccentricities, profile, distance
+matrix) on first use, so it is cheap to pass around.
 
 The decomposition vocabulary used throughout the package:
 
@@ -22,16 +22,15 @@ The decomposition vocabulary used throughout the package:
 Construction and the structural profile take near-linear time.
 Construction checks the edges one by one (`_check_edges`) and their count,
 takes each vertex's sorted neighbours straight from the sorted edges, and
-tells that n - 1 edges make a tree by one connectivity sweep
-(`_connected`); a union-find (`_check_acyclic`) runs only to name the edge
-that closes a cycle.  Every tree has one rooting (`Tree.rooting`: BFS
-order, parents, child lists and eccentricities, at its least-index
-centre); the eccentricities, the diameter, the solvers' rooted DPs, the
-independence DP on an induced forest and the broadcast predicates' sweeps
-all read it.  A corpus tree is made with its rooting, read off its level
-sequence with its edges and adjacency (`Tree._from_rooting`, which checks
-nothing); any other tree roots itself on first use by three BFS passes
-(`_centre_rooting`).  A Tree's profile
+roots itself by three BFS passes (`_centre_rooting`), whose first, from
+vertex 0, tells that n - 1 edges make a tree by reaching every vertex; a
+union-find (`_cycle_edge`) runs only to name the edge that closes a cycle.
+Every tree has one rooting (`Tree.rooting`: BFS order, parents, child
+lists and eccentricities, at its least-index centre); the eccentricities,
+the diameter, the solvers' rooted DPs, the independence DP on an induced
+forest and the broadcast predicates' sweeps all read it.  A corpus tree
+is made with its rooting, read off its level sequence with its edges and
+adjacency (`Tree._from_rooting`, which checks nothing).  A Tree's profile
 (TreeProfile) computes its degrees, leaves, branch, branch0 and branch1
 when it is made, by one endpath walk per leaf, and each other field on
 first read; it keeps the tree's order and adjacency, not the tree, so
@@ -111,21 +110,32 @@ def _tree_bfs(adj, src, parent):
 
 
 def _centre_rooting(adj):
-    """The tree of adjacency adj rooted at its least-index centre, by three
-    BFS passes.
+    """The graph of adjacency adj, with n - 1 edges, rooted at its
+    least-index centre by three BFS passes; None if it is not a tree.
 
-    A BFS from vertex 0 ends at a, and one from a ends at b, so a and b end
-    a longest path, of length D.  Its middle vertices, D // 2 and
-    (D + 1) // 2 steps from b, are the centres, and R = (D + 1) // 2 is
-    their eccentricity.  The third BFS, from the least-index centre c,
-    gives the order and the parents; one pass over that order fills the
-    child lists and sets ecc(v) = depth(v) + R - 1 on the other centre's
-    side of a bicentral tree and depth(v) + R everywhere else.
+    The first BFS, from vertex 0, marks what it reaches, so it stops on a
+    cycle too, and n - 1 edges make a tree exactly when it reaches all n.
+    It ends at a, and one from a ends at b, so a and b end a longest path,
+    of length D.  Its middle vertices, D // 2 and (D + 1) // 2 steps from
+    b, are the centres, and R = (D + 1) // 2 is their eccentricity.  The
+    third BFS, from the least-index centre c, gives the order and the
+    parents; one pass over that order fills the child lists and sets
+    ecc(v) = depth(v) + R - 1 on the other centre's side of a bicentral
+    tree and depth(v) + R everywhere else.
     """
     n = len(adj)
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    for u in reached:
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+    if len(reached) < n:
+        return None
     parent = [-1] * n
-    a = _tree_bfs(adj, 0, parent)[-1]
-    v = _tree_bfs(adj, a, parent)[-1]
+    v = _tree_bfs(adj, reached[-1], parent)[-1]
     path = [v]
     while parent[v] >= 0:
         v = parent[v]
@@ -151,28 +161,14 @@ def _root(parent, x):
     return x
 
 
-def _connected(adj):
-    """Whether the graph of adjacency `adj`, on at least one vertex, is
-    connected: one sweep from vertex 0."""
-    seen = [False] * len(adj)
-    seen[0] = True
-    reached = [0]
-    for u in reached:
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                reached.append(w)
-    return len(reached) == len(adj)
-
-
-def _check_acyclic(n, edges):
-    """Raise NotATree naming the first edge, in the given order, that
-    closes a cycle; a union-find over the vertices 0..n-1."""
+def _cycle_edge(n, edges):
+    """The first of the edges, in their order, that closes a cycle, or
+    None; a union-find over the vertices 0..n-1."""
     parent = list(range(n))
     for u, v in edges:
         ru, rv = _root(parent, u), _root(parent, v)
         if ru == rv:
-            raise NotATree(f"edge ({u}, {v}) closes a cycle")
+            return u, v
         parent[ru] = rv
 
 
@@ -218,12 +214,13 @@ class Tree:
             adj[u].append(v)
             adj[v].append(u)
         adj = tuple(map(tuple, adj))
-        # n - 1 edges are acyclic exactly when they connect the n vertices
-        if not _connected(adj):
-            _check_acyclic(n, keys)
+        rooting = _centre_rooting(adj)
+        if rooting is None:
+            raise NotATree(f"edge {_cycle_edge(n, keys)} closes a cycle")
         self._n = n
         self._edges = keys
         self._adj = adj
+        self.rooting = rooting
 
     @classmethod
     def _from_rooting(cls, edges, adj, rooting) -> "Tree":
@@ -287,12 +284,6 @@ class Tree:
         return self.distances[u][v]
 
     @cached_property
-    def rooting(self) -> Rooting:
-        """The tree rooted at its least-index centre by `_centre_rooting`;
-        a corpus tree is made with it."""
-        return _centre_rooting(self._adj)
-
-    @cached_property
     def eccentricities(self) -> tuple:
         """Per-vertex eccentricity, read off the rooting."""
         return self.rooting.ecc
@@ -301,7 +292,7 @@ class Tree:
         self._check_vertex(v)
         return self.eccentricities[v]
 
-    @cached_property
+    @property
     def diameter(self) -> int:
         # the last vertex in BFS order is a deepest one, an end of a longest path
         rooting = self.rooting

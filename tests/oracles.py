@@ -81,8 +81,10 @@ def _adjacency(n, edges):
 
 def parse_edge_list(text: str) -> Tree:
     """Lines "u v" of 0-based endpoints; '#' comments and blank lines are
-    ignored.  No edges at all means the one-vertex tree."""
-    edges = []
+    ignored.  No edges at all means the one-vertex tree.  With n - 1
+    edges, the first edge in reading order that closes a cycle is named
+    with its line; every other fault of the whole list is Tree's."""
+    edges, lines = [], []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,7 +106,15 @@ def parse_edge_list(text: str) -> Tree:
             raise ParseError(f"duplicate edge {key}", line=lineno)
         seen.add(key)
         edges.append(key)
+        lines.append(lineno)
     n = 1 + max((max(e) for e in edges), default=0)
+    if len(edges) == n - 1:
+        parent = list(range(n))
+        for (u, v), lineno in zip(edges, lines):
+            ru, rv = _uf_root(parent, u), _uf_root(parent, v)
+            if ru == rv:
+                raise ParseError(f"edge ({u}, {v}) closes a cycle", line=lineno)
+            parent[ru] = rv
     return Tree(n, edges)
 
 

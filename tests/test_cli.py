@@ -589,19 +589,56 @@ class TestInputs:
         assert d["input"]["kind"] == "file" and d["input"]["format"] == "edgelist"
 
     def test_graph6_file(self, run, tmp_path):
+        # the text, not an option, tells graph6 from an edge list
         p = tmp_path / "t.g6"
         p.write_text("Bg")
-        d = run_json(run, ["analyze", str(p), "--format", "graph6"])
+        d = run_json(run, ["analyze", str(p)])
         assert d["n"] == 3 and d["input"]["format"] == "graph6"
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "path:3", "--format", "graph6"],
-        ["analyze", "--g6", "A_", "--format", "edgelist"],
-    ], ids=["family", "g6"])
-    def test_format_without_a_file(self, run, argv):
-        code, out, err = run(argv)
+    @pytest.mark.parametrize("text", ["Bg", "Bg\n", ">>graph6<<Bg", ">>graph6<<Bg\n",
+                                      " Bg \r\n\n"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_graph6_is_told_by_its_text(self, run, tmp_path, source, text):
+        if source == "file":
+            p = tmp_path / "t.g6"
+            p.write_text(text)
+            argv, stdin_text = ["analyze", str(p)], None
+        else:
+            argv, stdin_text = ["analyze", "-"], text
+        d = run_json(run, argv, stdin_text)
+        assert (d["n"], d["edges"]) == (3, [[0, 1], [1, 2]])
+        assert d["input"] == {"kind": source, "value": argv[1], "format": "graph6"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("B\n", "graph6 body has 0 bytes, expected 1"),
+        (">>graph6<<", "empty graph6 string"),
+        (">>graph6<<0 1\n", "bad graph6 order byte '0'"),
+    ])
+    def test_malformed_graph6_file(self, run, tmp_path, text, message):
+        p = tmp_path / "t.g6"
+        p.write_text(text)
+        code, out, err = run(["analyze", str(p)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no edges\n", "  # a\n#b"])
+    def test_empty_and_comment_only_files_are_one_vertex(self, run, tmp_path, text):
+        p = tmp_path / "t.edges"
+        p.write_text(text)
+        d = run_json(run, ["analyze", str(p)])
+        assert (d["n"], d["edges"], d["input"]["format"]) == (1, [], "edgelist")
+
+    def test_format_option_is_gone(self, run, tmp_path):
+        p = tmp_path / "t.g6"
+        p.write_text("Bg")
+        code, out, err = run(["analyze", str(p), "--format", "graph6"])
         assert (code, out) == (2, "")
-        assert err == "error: --format applies to a file INPUT only\n"
+        assert err.endswith("error: unrecognized arguments: --format graph6\n")
+
+    def test_edge_list_cycle_names_its_line(self, run):
+        # read in order, the third line closes the cycle
+        code, out, err = run(["analyze", "-"], stdin_text="0 1\n1 2\n0 2\n3 4\n")
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: edge (0, 2) closes a cycle\n"
 
     def test_missing_file(self, run):
         assert run(["analyze", "/no/such/file"])[0] == 2

@@ -265,7 +265,7 @@ class TestEdgeList:
         assert parsed(parse_edge_list, text) == parsed(oracles.parse_edge_list, text)
 
     @pytest.mark.parametrize("text, line", [
-        ("0 1\n1 2\n2 0\n", None), ("0 1\n1 2\n2 0\n3 4\n", None),
+        ("0 1\n1 2\n2 0\n", None), ("0 1\n1 2\n2 0\n3 4\n", 3),
         ("0 1\n2 3\n", None), ("0 1\n\n0 -1\n", 3),
         ("0 1\r\n1 0\r\n", 2), ("0 1\n1\x0c2\n", 2), ("0 +1\n1 \u0662\n0 1_0\n", None),
     ])

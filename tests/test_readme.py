@@ -4,7 +4,9 @@ Every `bnbroadcast ...` line of README's `sh` blocks and every inline code
 span that starts with `bnbroadcast ` must parse with the real argument
 parser, and every inline code span that starts with `--` must name an
 option of some subcommand.  A removed or renamed option then fails here
-instead of lingering in the documentation.  Every spec of the family
+instead of lingering in the documentation; and every option of every
+subcommand, but argparse's own `--help`, must appear in such a line or
+span, so none goes undocumented.  Every spec of the family
 table builds, and the too-large example after it is refused.
 """
 
@@ -77,6 +79,18 @@ def test_command_line_parses(line):
 def test_inline_option_exists(span):
     option = span.split()[0].split("=")[0]
     assert option in subcommand_options(), f"README names unknown option {span!r}"
+
+
+def documented_words():
+    """The words of README's command lines and inline code spans, each cut
+    at its first '='."""
+    return {word.split("=")[0] for line in sh_lines() + inline_spans()
+            for word in line.split()}
+
+
+@pytest.mark.parametrize("option", sorted(subcommand_options() - {"-h", "--help"}))
+def test_option_is_documented(option):
+    assert option in documented_words(), f"README does not name {option}"
 
 
 def family_table():

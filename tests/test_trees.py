@@ -88,6 +88,22 @@ class TestConstruction:
         Tree(4, [(0, 1), (1, 2), (1, 3)])
         assert calls == [4]
 
+    def test_rooted_by_one_call(self, monkeypatch):
+        # the sweep that tells a tree from a forest is the rooting's first
+        # pass, and the rooting is kept
+        calls = []
+        centre_rooting = trees._centre_rooting
+
+        def counted(adj):
+            calls.append(len(adj))
+            return centre_rooting(adj)
+
+        monkeypatch.setattr(trees, "_centre_rooting", counted)
+        t = Tree(4, [(0, 1), (1, 2), (1, 3)])
+        assert calls == [4]
+        assert (t.rooting.order[0], t.eccentricities, t.diameter) == (1, (2, 1, 2, 2), 2)
+        assert calls == [4]
+
     def test_huge_order_with_few_edges_fails_at_once(self):
         t0 = time.perf_counter()
         with pytest.raises(NotATree, match="needs 999999999 edges, got 1"):
@@ -168,7 +184,7 @@ def built(make, n, edges):
 
 
 class TestConstructionAgainstOracle:
-    """Tree joins its edges by one connectivity sweep, and runs a
+    """Tree tells a tree by the first sweep of its rooting, and runs a
     union-find only to name the edge that closes a cycle; the edges, the
     adjacency and every error are those of oracles.tree_parts, the former
     construction.  test_forest draws edge lists of any count, forests
@@ -333,13 +349,14 @@ class TestRooting:
 
     def test_long_path_needs_no_recursion(self):
         n = 200_000
-        t = Tree(n, [(v, v + 1) for v in range(n - 1)])
+        edges = [(v, v + 1) for v in range(n - 1)]
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 30)
         try:
+            t = Tree(n, edges)
             order, parent, kids, ecc = t.rooting
         finally:
             sys.setrecursionlimit(limit)
