@@ -19,7 +19,6 @@ from .broadcasts import (
     bn_violation,
     format_broadcast,
     hearing_violation,
-    hears,
     is_bn_independent,
     is_dominating,
     is_hearing_independent,
@@ -33,7 +32,6 @@ from .corpus import (
     PathSpec,
     SpiderSpec,
     build_family,
-    emit_edge_list,
     emit_graph6,
     enumerate_trees,
     looks_like_family,

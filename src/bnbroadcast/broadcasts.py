@@ -14,9 +14,9 @@ for maximality are second formulations that the tests compare against.
 The verdicts sweep the host's rooting (`Tree.rooting`) and read no
 ball, so each is linear on any broadcast: bn_violation sweeps it up once,
 hearing_violation and `_maximality_certificate` up and down (`_reach`).
-Only a violation found reads balls, to name its pair.  hears and analyze
-(which no command calls) read the balls B(v, f(v)), each by a BFS that
-stops at the boundary (`Tree.ball`); a boundary-independent broadcast's
+Only a violation found reads balls, to name its pair.  analyze (which no
+command calls) reads the balls B(v, f(v)), each by a BFS that stops at
+the boundary (`Tree.ball`); a boundary-independent broadcast's
 balls share no edge, so together they hold at most n - 1 + b vertices
 for b broadcasters.  None builds the n x n distance matrix; overlap_scan,
 the definitional scan over one, stays for the oracle solvers.
@@ -80,14 +80,6 @@ class Broadcast(_Broadcast):
 
     def __repr__(self):
         return f"Broadcast({format_broadcast(self)!r}, weight={self.weight})"
-
-
-def hears(f: Broadcast, u: int, v: int) -> bool:
-    """Does u hear the broadcast from v?  False when v is silent or unreachable."""
-    f.host._check_vertex(u)
-    f.host._check_vertex(v)
-    s = f.strengths[v]
-    return s > 0 and u in f.host.ball(v, s)
 
 
 class BnViolation(NamedTuple):

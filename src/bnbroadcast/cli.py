@@ -251,7 +251,7 @@ def cmd_analyze(args):
         "branch1": sorted(p.branch1),
         "branch2plus": sorted(p.branch2plus),
         "branch01_count": len(p.branch01),
-        "leaf_sets": {str(b): sorted(p.leaf_sets[b]) for b in sorted(p.branch)},
+        "leaf_sets": {str(b): sorted(p.leaf_distances[b]) for b in sorted(p.branch)},
         "loss": {
             str(b): {
                 "farthest": p.loss_table[b].farthest,

@@ -23,10 +23,10 @@ keeps golden outputs readable and stable.  A spec whose order exceeds
 258047, the largest order graph6 holds, raises BadSpec before any of its
 tree is built.
 
-Interchange formats are a plain "u v" edge list and graph6, whose order
-header is one byte below order 63 and four bytes ('~' and 18 bits) up to
-order 258047; the eight-byte header of larger orders ('~~') raises
-UnsupportedLongForm.
+Interchange formats are a plain "u v" edge list, which is only read, and
+graph6, whose order header is one byte below order 63 and four bytes ('~'
+and 18 bits) up to order 258047; the eight-byte header of larger orders
+('~~') raises UnsupportedLongForm.
 """
 
 from __future__ import annotations
@@ -391,10 +391,6 @@ def _parse_edge_lines(text):
         if cycle is not None:
             raise ParseError(f"edge {cycle} closes a cycle", line=lines[cycle])
     return Tree(n, lines)
-
-
-def emit_edge_list(t: Tree) -> str:
-    return "".join(f"{u} {v}\n" for u, v in sorted(t.edges))
 
 
 # ---------------------------------------------------------------------------

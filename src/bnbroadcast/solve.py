@@ -26,9 +26,11 @@ counts its states as `nodes`:
   under --jobs J) owns one table of classes and hands it to every solve,
   so a class is filled once per shard; a failed solve leaves the table as
   it found it.  A standalone solve makes its own table and drops a
-  class's lists when the last class that reads them is filled.  `nodes`
-  counts every state, stored, shared or not, so it, the value and the
-  witness do not depend on the table.
+  class's lists when the last class that reads them is filled; when that
+  class reads it as its first deepest child, it takes the out list over
+  and extends it in place, so a path or a spider's leg is solved in O(n)
+  time.  `nodes` counts every state, stored, shared or not, so it, the
+  value and the witness do not depend on the table.
 
 * hearing_number computes the hearing-independence number (no broadcaster
   in another's ball; the balls may overlap) over Pareto sets of (nearest
@@ -314,18 +316,22 @@ def _fill(children, h, top, caps, rest):
     bn_number_dp, whose docstring defines the states.
 
     `children` yields each child's (out, inn, height) in adjacency order,
-    h is the vertex's height and `top` is how many inn and pick states to
-    store: K(v) below the root, ecc(v) at the root.  A child's inn list
-    shorter than a state asks for is read as its closed-form tail.
-    caps[i], when given, is child i's ecc(c) - 1, past which it passes no
-    ball up; below the root it is never under top, so callers there pass
-    None.  `rest` is out[v] past state top: below the root the first
-    deepest child's out[D][top:h - 1], since past K(v) the children's sum
-    is out[D] itself; at the root, whose sum is filled in full, [].
-    Returns (out, inn, pick, ends): pick[k] is the position of the child
-    that passes ball k up, -1 when v is the centre, and ends[i] is child
-    i's traceback state under g[v]: -1 (inn[c][0]) when a ball ending at v
-    covers its edge best, else 0.
+    its out list reversed (out[r] at index len - 1 - r), h is the vertex's
+    height and `top` is how many inn and pick states to store: K(v) below
+    the root, ecc(v) at the root.  A child's inn list shorter than a state
+    asks for is read as its closed-form tail.  caps[i], when given, is
+    child i's ecc(c) - 1, past which it passes no ball up; below the root
+    it is never under top, so callers there pass None.  `rest` is the list
+    the reversed out[v] is built on.  Below the root it is the first
+    deepest child D's reversed out list or a copy of its head: past K(v)
+    the children's sum is out[D] itself, so out[v] past state top is
+    out[D][top:h - 1], the list's first h - 1 - top entries, and _fill
+    cuts it to them once it has read every child.  At the root, whose sum
+    is filled in full, it is [].
+    Returns (out, inn, pick, ends), out reversed: pick[k] is the position
+    of the child that passes ball k up, -1 when v is the centre, and
+    ends[i] is child i's traceback state under g[v]: -1 (inn[c][0]) when a
+    ball ending at v covers its edge best, else 0.
     """
     S = [0] * top
     bonus = list(range(1, top + 1))
@@ -333,25 +339,33 @@ def _fill(children, h, top, caps, rest):
     ends = []
     g = 0
     for i, (oc, ic, hc) in enumerate(children):
-        li, lo = len(ic), len(oc)
-        # S[k]: the children under a ball that reaches v with k+1 to spare;
-        # only the first deepest child's out list can run past top
+        li = len(ic)
+        o0 = oc[-1]
         if top:
-            for k, x in enumerate(oc if lo <= top else oc[:top]):
+            # out[c][:top] in one reversed slice; S[k]: the children under
+            # a ball that reaches v with k+1 to spare
+            oc = oc[:~top:-1]
+            lo = len(oc)
+            for k, x in enumerate(oc):
                 S[k] += x
-        # bonus[k]: the ball's own radius, from v as centre or passed up
-        m = top if caps is None or caps[i] > top else caps[i]
-        for k in range(m):
-            t = ((ic[k + 1] if k + 1 < li else k + 2 + hc)
-                 - (oc[k] if k < lo else 0))
-            if t > bonus[k] or (t == bonus[k] and up[k] < 0):
-                bonus[k] = t
-                up[k] = i
+            # bonus[k]: the ball's own radius, from v as centre or passed up
+            m = top if caps is None or caps[i] > top else caps[i]
+            for k in range(m):
+                t = ((ic[k + 1] if k + 1 < li else k + 2 + hc)
+                     - (oc[k] if k < lo else 0))
+                if t > bonus[k] or (t == bonus[k] and up[k] < 0):
+                    bonus[k] = t
+                    up[k] = i
         i0 = ic[0] if li else 1 + hc
-        ends.append(-1 if i0 >= oc[0] else 0)
-        g += max(oc[0], i0)
-    out = [g] + S[: h - 1] + rest if h else [g]
-    return out, [s + b for s, b in zip(S, bonus)], up, ends
+        ends.append(-1 if i0 >= o0 else 0)
+        g += max(o0, i0)
+    if top < h:  # below the root
+        del rest[h - 1 - top:]
+        rest += reversed(S)
+    elif h > 1:  # the root, where top = h
+        rest = S[h - 2::-1]
+    rest.append(g)
+    return rest, [s + b for s, b in zip(S, bonus)], up, ends
 
 
 class _ClassTable:
@@ -362,6 +376,8 @@ class _ClassTable:
     subtrees' height, the tail's pick (its first deepest child), its
     (out, inn, height) tables and _fill's pick and ends lists.  Only `ids`
     interns, and a class is in it exactly when its tables are filled.
+    Out lists are stored reversed, out[r] at index len - 1 - r, so that a
+    parent's list extends its first deepest child's at the end.
     """
 
     __slots__ = ("ids", "members", "heights", "deeps", "tabs", "picks", "ends")
@@ -461,8 +477,12 @@ def bn_number_dp(tree: Tree, max_nodes: Optional[int] = None,
     every class of a solve that raises, leave the table again, so an
     interned class always has its tables.  Without it a solve makes its
     own table and drops a class's out and inn lists once the last class
-    that reads them is filled, so a long path holds a few heights' lists
-    at a time.
+    that reads them is filled.  Out lists are stored reversed, and when
+    that last class reads the out list as its first deepest child's, it
+    takes the list over: _fill cuts it to out[D][K(v):] and appends S and
+    g in place, in O(K(v)) time.  So a standalone long path holds one out
+    list, and each vertex of a path or a spider's leg, where K is 0, is
+    filled in O(1) time; a shared table's lists are copied.
 
     Pass 1 walks the vertices in post-order: it assigns each its class,
     interning the classes the table lacks, whose height and first deepest
@@ -538,18 +558,23 @@ def bn_number_dp(tree: Tree, max_nodes: Optional[int] = None,
         if nodes > cap:
             raise BudgetExceeded(nodes)
 
-        # pass 2: a class's tables are (out, inn, height), pick and ends
+        # pass 2: a class's tables are (reversed out, inn, height), pick
+        # and ends
         for k in range(base, rc + 1):
             key, h = members[k], heights[k]
             if k < rc:
                 # top = K(v), from the first deepest child's tables
-                out_d, inn_d, _ = tabs[key[deeps[k]]]
+                j = key[deeps[k]]
+                out_d, inn_d, _ = tabs[j]
                 top, thr = tails[k - base]
                 if top < len(inn_d) - 1:
                     top = len(inn_d) - 1
-                while top < h - 1 and out_d[top] > thr:
+                while top < h - 1 and out_d[~top] > thr:
                     top += 1
-                caps, rest = None, out_d[top : h - 1]
+                # the last reader of a standalone solve's class takes its
+                # out list over; a shared table's lists are copied
+                own = not shared and last[j] == k
+                caps, rest = None, (out_d if own else out_d[: h - 1 - top])
             else:
                 # the root's children pass no ball past their ecc - 1
                 top, caps, rest = ecc[root], [ecc[c] - 1 for c in kids[root]], []
@@ -566,7 +591,7 @@ def bn_number_dp(tree: Tree, max_nodes: Optional[int] = None,
         # traceback: state r >= 0 is out[v][r], state -(k+1) is inn[v][k];
         # ties go to the larger ball, which keeps the broadcasters few
         rout, rinn, _ = tabs[rc]
-        value = rout[0]
+        value = rout[-1]
         state = 0
         for k in range(ecc[root] - 1, -1, -1):
             if rinn[k] > value or (rinn[k] == value and state == 0):
@@ -745,13 +770,14 @@ def _lower_bound_witness(tree, interior_mis):
     p = tree.profile
     alpha_int, x = interior_mis
 
+    dists = p.leaf_distances
     strengths = [0] * tree.n
     for b in p.branch2plus | (p.branch1 - x):
-        for l in p.leaf_sets[b]:
-            strengths[l] = p.leaf_distance[l]
+        for l, d in dists[b].items():
+            strengths[l] = d
     for b in p.branch1 & x:
-        (l,) = p.leaf_sets[b]
-        strengths[l] = p.leaf_distance[l] + 1
+        ((l, d),) = dists[b].items()
+        strengths[l] = d + 1
     for v in x & (p.branch0 | p.deg2_internal):
         strengths[v] = 1
 

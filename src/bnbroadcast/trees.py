@@ -43,10 +43,10 @@ radius (`_bfs`), so it costs the size of the ball, not the order of the
 tree; the witnesses, the closed formulas and the broadcast predicates
 (these only to name a violation, or in `analyze`) read distances only
 this way or from the rooting, and the package's own loops call `_bfs`
-directly on vertices they know to be valid.  `Tree.distance` and
-`Tree.distances` answer pairwise queries from an n x n matrix of one BFS
-row per vertex (O(n^2) time and space), built on the first pairwise read:
-only the oracle solvers and the tests make one.
+directly on vertices they know to be valid.  `Tree.distances` answers
+pairwise queries from an n x n matrix of one BFS row per vertex (O(n^2)
+time and space), built on its first read: only the oracle solvers and the
+tests make one.
 """
 
 from __future__ import annotations
@@ -248,14 +248,6 @@ class Tree:
         """Every vertex's sorted neighbours, indexed by vertex."""
         return self._adj
 
-    def neighbors(self, v: int) -> tuple:
-        self._check_vertex(v)
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._adj[v])
-
     def _check_vertex(self, v):
         if not (type(v) is int and 0 <= v < self._n):
             raise BadVertexIndex(f"vertex {v!r} out of range for order {self._n}")
@@ -278,19 +270,10 @@ class Tree:
         return tuple(tuple(map(_bfs(self._adj, s).__getitem__, range(n)))
                      for s in range(n))
 
-    def distance(self, u: int, v: int) -> int:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self.distances[u][v]
-
     @cached_property
     def eccentricities(self) -> tuple:
         """Per-vertex eccentricity, read off the rooting."""
         return self.rooting.ecc
-
-    def eccentricity(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.eccentricities[v]
 
     @property
     def diameter(self) -> int:
@@ -333,9 +316,9 @@ class TreeProfile:
     Made from the tree, it computes at once only what a corpus scan reads:
     the degrees, leaves, branch, branch0 and branch1, from one endpath walk
     per leaf.  Every other field is computed on first read from that walk
-    and cached.  leaf_sets maps each branch vertex to the leaves its
-    endpaths reach, leaf_distance each of those leaves to its distance from
-    that branch vertex, and loss_table each branch vertex to its leaf set's
+    and cached.  leaf_distances maps each branch vertex to {leaf: distance}
+    over the leaves its endpaths reach, in increasing leaf order (its leaf
+    set is the keys), and loss_table each branch vertex to its leaf set's
     distance statistics.  interior is the vertex set branch01 union the
     internal degree-2 vertices, in the tree's own numbering.
     """
@@ -385,21 +368,12 @@ class TreeProfile:
         return frozenset(v for v in range(self._n) if deg[v] == 2) - self.deg2_external
 
     @cached_property
-    def _leaf_dists(self) -> dict:
-        """Per branch vertex: each leaf of its endpaths -> its distance."""
+    def leaf_distances(self) -> dict:
         dists = {b: {} for b in self.branch}
         for l, end, chain in self._walks:
             if end in dists:
                 dists[end][l] = len(chain) + 1
         return dists
-
-    @cached_property
-    def leaf_sets(self) -> dict:
-        return {b: frozenset(s) for b, s in self._leaf_dists.items()}
-
-    @cached_property
-    def leaf_distance(self) -> dict:
-        return {l: d for s in self._leaf_dists.values() for l, d in s.items()}
 
     @cached_property
     def branch2plus(self) -> frozenset:
@@ -409,7 +383,7 @@ class TreeProfile:
     def loss_table(self) -> dict:
         table = {}
         for b in self.branch:
-            ds = sorted(self._leaf_dists[b].values())
+            ds = sorted(self.leaf_distances[b].values())
             farthest = ds[-1] if ds else 0
             total = sum(ds)
             table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)

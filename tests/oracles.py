@@ -465,7 +465,7 @@ def bn_certificate(f, dist):
     u, v, w = hit
 
     def toward(c):
-        return next(x for x in f.host.neighbors(w) if dist[c][x] == dist[c][w] - 1)
+        return next(x for x in f.host.adjacency[w] if dist[c][x] == dist[c][w] - 1)
 
     inside_u = dist[u][w] < f.strengths[u]
     inside_v = dist[v][w] < f.strengths[v]
@@ -521,8 +521,8 @@ def tree_profile(tree):
     stems = frozenset(w for v in leaves if deg[v] == 1 for w in adj[v])
     branch = frozenset(v for v in range(n) if deg[v] >= 3)
 
-    # leaf_sets[b] maps each leaf of b's endpaths to its distance from b
-    leaf_sets = {b: {} for b in branch}
+    # leaf_distances[b] maps each leaf of b's endpaths to its distance from b
+    leaf_distances = {b: {} for b in branch}
     external = set()
     for l in sorted(leaves):
         if deg[l] == 0:
@@ -535,17 +535,17 @@ def tree_profile(tree):
             prev, cur = cur, (b if a == prev else a)
         external.update(chain)
         if cur in branch:
-            leaf_sets[cur][l] = len(chain) + 1
+            leaf_distances[cur][l] = len(chain) + 1
     deg2_external = frozenset(external)
     deg2_internal = frozenset(v for v in range(n) if deg[v] == 2) - deg2_external
 
-    branch0 = frozenset(b for b in branch if not leaf_sets[b])
-    branch1 = frozenset(b for b in branch if len(leaf_sets[b]) == 1)
+    branch0 = frozenset(b for b in branch if not leaf_distances[b])
+    branch1 = frozenset(b for b in branch if len(leaf_distances[b]) == 1)
     branch2plus = branch - branch0 - branch1
 
     loss_table = {}
     for b in branch:
-        ds = sorted(leaf_sets[b].values())
+        ds = sorted(leaf_distances[b].values())
         farthest = ds[-1] if ds else 0
         total = sum(ds)
         loss_table[b] = LeafDistances(farthest=farthest, total=total, loss=total - farthest)
@@ -557,8 +557,7 @@ def tree_profile(tree):
         "branch": branch,
         "deg2_external": deg2_external,
         "deg2_internal": deg2_internal,
-        "leaf_sets": {b: frozenset(s) for b, s in leaf_sets.items()},
-        "leaf_distance": {l: d for s in leaf_sets.values() for l, d in s.items()},
+        "leaf_distances": leaf_distances,
         "branch0": branch0,
         "branch1": branch1,
         "branch2plus": branch2plus,
@@ -569,8 +568,8 @@ def tree_profile(tree):
 
 
 PROFILE_FIELDS = ("leaves", "stems", "branch", "deg2_external", "deg2_internal",
-                  "leaf_sets", "leaf_distance", "branch0", "branch1",
-                  "branch2plus", "branch01", "loss_table", "interior")
+                  "leaf_distances", "branch0", "branch1", "branch2plus",
+                  "branch01", "loss_table", "interior")
 
 
 def profile_mismatches(tree, names=PROFILE_FIELDS):
@@ -594,7 +593,8 @@ def bn_dp_tables(tree):
     ecc = tree.eccentricities
     root = min(range(n), key=ecc.__getitem__)
     depth = tree.ball(root)
-    kids = [[c for c in tree.neighbors(v) if depth[c] > depth[v]] for v in range(n)]
+    adj = tree.adjacency
+    kids = [[c for c in adj[v] if depth[c] > depth[v]] for v in range(n)]
     height = [0] * n
     out = [None] * n
     inn = [None] * n

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from bnbroadcast import (
-    BadVertexIndex,
     Broadcast,
     InvalidBroadcast,
     NegativeStrength,
@@ -22,7 +21,6 @@ from bnbroadcast import (
     enumerate_trees,
     format_broadcast,
     hearing_violation,
-    hears,
     is_bn_independent,
     is_dominating,
     is_hearing_independent,
@@ -65,30 +63,9 @@ class TestConstruction:
         assert f.weight == 3
         assert is_bn_independent(f) and is_hearing_independent(f)
 
-    def test_hears(self):
-        f = Broadcast(path(4), (2, 0, 0, 0))
-        assert hears(f, 2, 0) and not hears(f, 3, 0)
-        assert not hears(f, 0, 1)  # silent vertex
-
-    @pytest.mark.parametrize("u", [-1, 4, 99])
-    def test_hears_rejects_a_listener_out_of_range(self, u):
-        # whether the broadcaster is silent (1) or not (0)
-        f = Broadcast(path(4), (1, 0, 0, 0))
-        for v in (0, 1):
-            with pytest.raises(BadVertexIndex):
-                hears(f, u, v)
-
     def test_bool_strength_rejected(self):
         with pytest.raises(InvalidBroadcast, match="vertex 0 is not an integer"):
             Broadcast(path(3), (True, 0, 0))
-
-    @pytest.mark.parametrize("v", [-1, 4])
-    def test_hears_rejects_a_broadcaster_out_of_range(self, v):
-        # -1 would read the silent last vertex's strength through Python's
-        # negative indexing and answer False
-        f = Broadcast(path(4), (1, 0, 0, 0))
-        with pytest.raises(BadVertexIndex):
-            hears(f, 0, v)
 
 
 class TestAnalyze:

@@ -19,7 +19,6 @@ from bnbroadcast import (
     Tree,
     UnsupportedLongForm,
     build_family,
-    emit_edge_list,
     emit_graph6,
     enumerate_trees,
     looks_like_family,
@@ -104,9 +103,9 @@ class TestFamilies:
     def test_spider_layout(self):
         t = build_family(SpiderSpec((2, 1, 3)))
         assert t.n == 7
-        assert t.degree(0) == 3
+        assert len(t.adjacency[0]) == 3
         assert t.profile.branch == frozenset({0})
-        assert len(t.profile.leaf_sets[0]) == 3
+        assert len(t.profile.leaf_distances[0]) == 3
 
     def test_double_spider_layout(self):
         t = build_family(DoubleSpiderSpec((2, 2), 5, (2, 2)))
@@ -123,7 +122,7 @@ class TestFamilies:
         t = build_family(CaterpillarSpec((2, 1, 2)))
         assert t.n == 8
         # spine first, then leaves; the one-leaf middle vertex still branches
-        assert all(t.degree(v) >= 3 for v in range(3))
+        assert all(len(t.adjacency[v]) >= 3 for v in range(3))
         assert t.profile.branch == frozenset({0, 1, 2})
 
     def test_caterpillar_spacing(self):
@@ -253,8 +252,7 @@ class TestEdgeList:
 
     def test_round_trip(self):
         for t in enumerate_trees(7):
-            text = emit_edge_list(t)
-            assert text.endswith("\n")
+            text = "".join(f"{u} {v}\n" for u, v in t.edges)
             back = parse_edge_list(text)
             assert (back.n, back.edges) == (t.n, t.edges)
 

@@ -197,9 +197,15 @@ class TestDpSolver:
                 assert_matches_full_table(t)
 
     def test_matches_full_table_on_long_specs(self):
-        # a spine with a leaf per vertex stores inn states below K(v) > 0
-        for spec in LONG_SPECS + ("path:401", spine(300)):
-            assert_matches_full_table(fam(spec))
+        # a spine with a leaf per vertex stores inn states below K(v) > 0;
+        # a standalone solve extends each chain's out lists in place, where
+        # a shared table copies them
+        for spec in LONG_SPECS + ("path:401", spine(300), "spider:300,200,100",
+                                  "dspider:3,3/400/3,3", "dspider:2,5/300/4,1",
+                                  "dspider:40,1/300/2,60"):
+            t = fam(spec)
+            assert_matches_full_table(t)
+            assert outcome(t, classes=solve._ClassTable()) == outcome(t), spec
         # K(v) keeps _fill's tie rule, where the deepest child's tail ball
         # must beat every earlier sibling and lose to no later one: at
         # vertex 1 the deepest child 8 follows the leaf 6, which wins state
@@ -208,6 +214,33 @@ class TestDpSolver:
         for edges in ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 6), (1, 8), (4, 7), (5, 8)],
                       [(0, 1), (0, 3), (1, 4), (2, 7), (4, 6), (4, 7), (5, 6), (6, 8)]):
             assert_matches_full_table(Tree(9, edges))
+
+    def test_standalone_solve_extends_out_lists_in_place(self, monkeypatch):
+        # below the root a standalone solve hands _fill its first deepest
+        # child's own out list, which it reads last on a path; the root
+        # and a shared table's classes build new lists
+        taken = []
+        fill = solve._fill
+
+        def watched(children, h, top, caps, rest):
+            children = list(children)
+            taken.append(any(rest is out for out, _, _ in children))
+            return fill(children, h, top, caps, rest)
+
+        monkeypatch.setattr(solve, "_fill", watched)
+        t = fam("path:1001")
+        bn_number_dp(t)
+        assert len(taken) == 500 and all(taken[:-1]) and not taken[-1]
+        taken.clear()
+        bn_number_dp(t, classes=solve._ClassTable())
+        assert len(taken) == 500 and not any(taken)
+
+    @pytest.mark.slow
+    def test_long_path(self):
+        # 4.1e9 states counted, but each class's fill is O(1): its out list
+        # is its child's, extended in place
+        res = bn_number_dp(fam("path:64000"))
+        assert (res.value, res.nodes) == (63999, 4_095_936_003)
 
     def test_matches_full_table_where_classes_repeat(self):
         # equal rooted subtrees share one table; here they sit in different

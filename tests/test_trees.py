@@ -49,7 +49,7 @@ class TestConstruction:
 
     def test_p3_adjacency_sorted(self):
         t = Tree(3, [(2, 1), (1, 0)])
-        assert t.neighbors(1) == (0, 2)
+        assert t.adjacency[1] == (0, 2)
 
     def test_cycle_rejected(self):
         with pytest.raises(NotATree):
@@ -122,9 +122,8 @@ class TestConstruction:
 
     def test_bool_vertex_rejected(self):
         t = Tree(3, [(0, 1), (1, 2)])
-        for query in (t.neighbors, t.degree, t.eccentricity, t.ball):
-            with pytest.raises(BadVertexIndex, match="vertex True out of range"):
-                query(True)
+        with pytest.raises(BadVertexIndex, match="vertex True out of range"):
+            t.ball(True)
 
     def test_self_loop_rejected(self):
         with pytest.raises(NotATree, match="self-loop at vertex 1"):
@@ -132,7 +131,7 @@ class TestConstruction:
 
     def test_single_vertex(self):
         t = Tree(1)
-        assert t.eccentricity(0) == 0 and t.diameter == 0
+        assert t.eccentricities[0] == 0 and t.diameter == 0
 
 
 @st.composite
@@ -213,21 +212,21 @@ class TestConstructionAgainstOracle:
 class TestDistances:
     def test_p4(self):
         t = path(4)
-        assert t.distance(0, 3) == 3
-        assert all(t.distance(v, v) == 0 for v in range(4))
-        assert t.eccentricity(0) == 3 and t.eccentricity(1) == 2
+        assert t.distances[0][3] == 3
+        assert all(t.distances[v][v] == 0 for v in range(4))
+        assert t.eccentricities[0] == 3 and t.eccentricities[1] == 2
         assert t.diameter == 3
 
     def test_star(self):
         t = spider(1, 1, 1)
-        assert t.eccentricity(0) == 1 and t.diameter == 2
+        assert t.eccentricities[0] == 1 and t.diameter == 2
 
     def test_sp222(self):
         t = spider(2, 2, 2)
-        assert t.eccentricity(0) == 2 and t.diameter == 4
+        assert t.eccentricities[0] == 2 and t.diameter == 4
 
     def test_d14_heads(self, d14):
-        assert d14.distance(0, 1) == 5
+        assert d14.distances[0][1] == 5
 
     def test_ball(self):
         t = path(6)
@@ -253,10 +252,9 @@ class TestProfile:
         t = spider(1, 2, 3)
         p = t.profile
         assert p.branch == {0}
-        assert p.leaf_sets[0] == {1, 3, 6}
+        assert p.leaf_distances == {0: {1: 1, 3: 2, 6: 3}}
         lt = p.loss_table[0]
         assert (lt.farthest, lt.total, lt.loss) == (3, 6, 3)
-        assert p.leaf_distance == {1: 1, 3: 2, 6: 3}
         assert not p.branch01 and not p.deg2_internal
 
     def test_p6_path_convention(self):
@@ -306,9 +304,9 @@ class TestProfile:
     def test_large_spider_builds_no_distance_matrix(self):
         t = spider(1000, 1000, 1000)
         p = t.profile
-        assert p.leaf_sets[0] == {1000, 2000, 3000}
+        assert p.leaf_distances[0] == {1000: 1000, 2000: 1000, 3000: 1000}
         assert p.loss_table[0].farthest == 1000 and p.loss_table[0].loss == 2000
-        assert t.eccentricity(0) == 1000 and t.diameter == 2000
+        assert t.eccentricities[0] == 1000 and t.diameter == 2000
         assert "distances" not in vars(t)
 
 
@@ -427,9 +425,9 @@ class TestLazyProfile:
     def test_fields_are_computed_on_first_read(self, d14):
         t = Tree(d14.n, d14.edges)
         p = t.profile
-        assert "leaf_sets" not in vars(p) and "interior" not in vars(p)
-        assert p.leaf_sets is p.leaf_sets
-        assert "leaf_sets" in vars(p)
+        assert "leaf_distances" not in vars(p) and "interior" not in vars(p)
+        assert p.leaf_distances is p.leaf_distances
+        assert "leaf_distances" in vars(p)
 
 
 class TestRepresentations:
@@ -438,7 +436,7 @@ class TestRepresentations:
 
     def test_subtree_b0_is_k1(self, t26):
         p = t26.profile
-        assert p.leaf_sets[0] == frozenset() and p.loss_table[0].total == 0
+        assert p.leaf_distances[0] == {} and p.loss_table[0].total == 0
 
     def test_subtree_spider_head_is_whole(self):
         t = spider(1, 2, 3)
@@ -447,7 +445,7 @@ class TestRepresentations:
     def test_subtree_d14_head(self, d14):
         p = d14.profile
         assert p.loss_table[0].total == 4
-        assert 1 not in p.leaf_sets[0]
+        assert 1 not in p.leaf_distances[0]
 
     def test_interior_d14(self, d14):
         inner = d14.profile.interior
