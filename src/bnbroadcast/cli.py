@@ -11,7 +11,9 @@ kind prefix, otherwise it names a file ('-' for stdin, which a --broadcast
 file may not read as well) of graph6 or, unless its text looks like graph6
 (`looks_like_graph6`), an edge list.  All structured output is
 deterministic: identical inputs and limits give byte-identical JSON apart
-from the timing fields.  `--json` prints the text of
+from the timing fields.  Every per-tree output is the envelope (schema,
+tool, input) followed by the command's fields (`_emit`), and a record's
+object lists its fields in order.  `--json` prints the text of
 `json.dumps(data, indent=2, sort_keys=True)`, written by `_dumps`.  The
 only solver budget, --limits nodes=N, counts solver states, never time, so
 a budget stops at the same state on every machine.
@@ -78,13 +80,10 @@ from .solve import (
 from .trees import Shape, classify_shape
 
 SCHEMA = 4
+TOOL = {"name": "bnbroadcast", "version": __version__}
 
 PROVEN_CHECKS = ("sandwich", "characterization", "chain")
 ALL_CHECKS = ("question1",) + PROVEN_CHECKS
-
-
-def _tool():
-    return {"name": "bnbroadcast", "version": __version__}
 
 
 def _read_text(path):
@@ -120,19 +119,23 @@ def _load_tree(args):
 
 def _broadcast_dict(f: Broadcast):
     return {
-        "strengths": list(f.strengths),
+        "strengths": f.strengths,
         "weight": f.weight,
-        "broadcasters": list(f.broadcasters),
+        "broadcasters": f.broadcasters,
         "text": format_broadcast(f),
     }
 
 
-def _emit(data, args):
-    if getattr(args, "json", False):
+def _emit(args, desc, **fields):
+    """Print the envelope (schema, tool, input) followed by `fields`, as
+    JSON under --json and as indented lines otherwise; returns exit code 0."""
+    data = {"schema": SCHEMA, "tool": TOOL, "input": desc, **fields}
+    if args.json:
         print(_dumps(data))
     else:
         for line in _human_lines(data):
             print(line)
+    return 0
 
 
 _INF = float("inf")
@@ -233,68 +236,45 @@ def cmd_analyze(args):
     p = tree.profile
     inner = p.interior
     alpha_int, _ = _max_independent_set(tree, inner)
-    data = {
-        "schema": SCHEMA,
-        "tool": _tool(),
-        "input": desc,
-        "n": tree.n,
-        "edges": [list(e) for e in tree.edges],
-        "shapes": sorted(s.value for s in classify_shape(tree)),
-        "leaves": sorted(p.leaves),
-        "stems": sorted(p.stems),
-        "branch": sorted(p.branch),
-        "branch_count": len(p.branch),
-        "deg2_external": sorted(p.deg2_external),
-        "deg2_internal": sorted(p.deg2_internal),
-        "deg2_internal_count": len(p.deg2_internal),
-        "branch0": sorted(p.branch0),
-        "branch1": sorted(p.branch1),
-        "branch2plus": sorted(p.branch2plus),
-        "branch01_count": len(p.branch01),
-        "leaf_sets": {str(b): sorted(p.leaf_distances[b]) for b in sorted(p.branch)},
-        "loss": {
-            str(b): {
-                "farthest": p.loss_table[b].farthest,
-                "total": p.loss_table[b].total,
-                "loss": p.loss_table[b].loss,
-            }
-            for b in sorted(p.branch)
-        },
-        "interior": {
+    branch = sorted(p.branch)
+    return _emit(
+        args, desc,
+        n=tree.n,
+        edges=tree.edges,
+        shapes=sorted(s.value for s in classify_shape(tree)),
+        leaves=sorted(p.leaves),
+        stems=sorted(p.stems),
+        branch=branch,
+        branch_count=len(branch),
+        deg2_external=sorted(p.deg2_external),
+        deg2_internal=sorted(p.deg2_internal),
+        deg2_internal_count=len(p.deg2_internal),
+        branch0=sorted(p.branch0),
+        branch1=sorted(p.branch1),
+        branch2plus=sorted(p.branch2plus),
+        branch01_count=len(p.branch01),
+        leaf_sets={str(b): sorted(p.leaf_distances[b]) for b in branch},
+        loss={str(b): p.loss_table[b]._asdict() for b in branch},
+        interior={
             "order": len(inner),
             "vertices": sorted(inner),
-            "edges": [[u, v] for u, v in tree.edges if u in inner and v in inner],
+            "edges": [e for e in tree.edges if e[0] in inner and e[1] in inner],
             "independence": alpha_int,
         },
-    }
-    _emit(data, args)
-    return 0
+    )
 
 
 def _report_dict(report):
-    out = {
-        "n": report.n,
-        "branch_count": report.branch_count,
-        "branch01_count": report.branch01_count,
-        "deg2_internal_count": report.deg2_internal_count,
-        "interior_independence": report.interior_independence,
-        "lower": report.lower,
-        "upper": report.upper,
-        "conjectured": report.conjectured,
-        "formula": None,
-        "exact": report.exact,
-        "exact_status": report.exact_status,
-        "nodes": report.nodes,
-        "witness_lower": None,
-        "witness_exact": None,
-        "conjecture_ok": report.conjecture_ok,
-    }
-    if report.formula_name is not None:
-        out["formula"] = {"name": report.formula_name, "value": report.formula_value}
-    if report.witness_lower is not None:
-        out["witness_lower"] = _broadcast_dict(report.witness_lower)
-    if report.witness_exact is not None:
-        out["witness_exact"] = _broadcast_dict(report.witness_exact)
+    """The report's fields in order, each broadcast by _broadcast_dict;
+    `formula` ({name, value} or null) stands for formula_name and
+    formula_value."""
+    out = {}
+    for key, value in report._asdict().items():
+        if key == "formula_name":
+            out["formula"] = None if value is None else {
+                "name": value, "value": report.formula_value}
+        elif key != "formula_value":
+            out[key] = _broadcast_dict(value) if isinstance(value, Broadcast) else value
     return out
 
 
@@ -306,30 +286,15 @@ def cmd_bounds(args):
     t0 = time.perf_counter()
     report = compute_bounds(tree, max_nodes, exact=args.exact)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    data = {
-        "schema": SCHEMA,
-        "tool": _tool(),
-        "input": desc,
-        "report": _report_dict(report),
-        "timings": {"total_ms": round(elapsed, 3)},
-    }
-    _emit(data, args)
-    return 0
+    return _emit(args, desc, report=_report_dict(report),
+                 timings={"total_ms": round(elapsed, 3)})
 
 
 def cmd_witness(args):
     tree, desc = _load_tree(args)
     weight, f = lower_bound_witness(tree)
-    data = {
-        "schema": SCHEMA,
-        "tool": _tool(),
-        "input": desc,
-        "weight": weight,
-        "bn_independent": True,
-        "broadcast": _broadcast_dict(f),
-    }
-    _emit(data, args)
-    return 0
+    return _emit(args, desc, weight=weight, bn_independent=True,
+                 broadcast=_broadcast_dict(f))
 
 
 def cmd_verify(args):
@@ -344,31 +309,19 @@ def cmd_verify(args):
         maximal = cert is None
         if cert is not None:
             maximal_cert = {"kind": cert[0], "vertex": cert[1]}
-
-    data = {
-        "schema": SCHEMA,
-        "tool": _tool(),
-        "input": desc,
-        "broadcast": _broadcast_dict(f),
-        "valid": True,
-        "dominating": not undominated,
-        "undominated": sorted(undominated),
-        "bn_independent": bn_ok,
-        "bn_violation": None
-        if bn_ok
-        else {
-            "u": violation.u,
-            "v": violation.v,
-            "vertex": violation.vertex,
-            "edge": list(violation.edge),
-        },
-        "hearing_independent": hearing is None,
-        "hearing_violation": None if hearing is None else list(hearing),
-        "maximal_bn": maximal,
-        "maximal_certificate": maximal_cert,
-    }
-    _emit(data, args)
-    return 0
+    return _emit(
+        args, desc,
+        broadcast=_broadcast_dict(f),
+        valid=True,
+        dominating=not undominated,
+        undominated=sorted(undominated),
+        bn_independent=bn_ok,
+        bn_violation=None if bn_ok else violation._asdict(),
+        hearing_independent=hearing is None,
+        hearing_violation=hearing,
+        maximal_bn=maximal,
+        maximal_certificate=maximal_cert,
+    )
 
 
 def dot_source(tree, f=None):
@@ -578,7 +531,7 @@ def cmd_search(args):
     summary = {
         "type": "summary",
         "schema": SCHEMA,
-        "tool": _tool(),
+        "tool": TOOL,
         "check": args.check,
         "min_n": args.min_n,
         "max_n": args.max_n,

@@ -837,9 +837,9 @@ def _empty_or_independent(tree, vertices):
 
 
 def caterpillar_value(tree: Tree) -> int:
-    """Closed value n - #branch + #branch01 for caterpillars whose branch
-    vertices are consecutive (no internal degree-2 vertex) and whose
-    branch01 set is empty or independent."""
+    """Closed value for caterpillars whose branch vertices are consecutive
+    (no internal degree-2 vertex) and whose branch01 set is empty or
+    independent: the upper bound n - #branch + #branch01 is attained."""
     p = tree.profile
     shapes = classify_shape(tree)
     if (
@@ -849,7 +849,7 @@ def caterpillar_value(tree: Tree) -> int:
         or not _empty_or_independent(tree, p.branch01)
     ):
         raise ShapeMismatch("caterpillar formula preconditions not met")
-    return tree.n - len(p.branch) + len(p.branch01)
+    return upper_bound(tree)
 
 
 class BoundsReport(NamedTuple):

@@ -27,7 +27,7 @@ vertex 0, tells that n - 1 edges make a tree by reaching every vertex; a
 union-find (`_cycle_edge`) runs only to name the edge that closes a cycle.
 Every tree has one rooting (`Tree.rooting`: BFS order, parents, child
 lists and eccentricities, at its least-index centre); the eccentricities,
-the diameter, the solvers' rooted DPs, the independence DP on an induced
+the solvers' rooted DPs, the independence DP on an induced
 forest and the broadcast predicates' sweeps all read it.  A corpus tree
 is made with its rooting, read off its level sequence with its edges and
 adjacency (`Tree._from_rooting`, which checks nothing).  A Tree's profile
@@ -42,8 +42,9 @@ radius of one vertex with their distances, by a BFS that stops at the
 radius (`_bfs`), so it costs the size of the ball, not the order of the
 tree; the witnesses, the closed formulas and the broadcast predicates
 (these only to name a violation, or in `analyze`) read distances only
-this way or from the rooting, and the package's own loops call `_bfs`
-directly on vertices they know to be valid.  `Tree.distances` answers
+from the rooting or from balls: `bn_violation` and `hearing_violation`
+read `host.ball`, and only the two-branch formula calls `_bfs` directly,
+from a branch vertex it knows to be valid.  `Tree.distances` answers
 pairwise queries from an n x n matrix of one BFS row per vertex (O(n^2)
 time and space), built on its first read: only the oracle solvers and the
 tests make one.
@@ -274,12 +275,6 @@ class Tree:
     def eccentricities(self) -> tuple:
         """Per-vertex eccentricity, read off the rooting."""
         return self.rooting.ecc
-
-    @property
-    def diameter(self) -> int:
-        # the last vertex in BFS order is a deepest one, an end of a longest path
-        rooting = self.rooting
-        return rooting.ecc[rooting.order[-1]]
 
     @cached_property
     def profile(self) -> "TreeProfile":

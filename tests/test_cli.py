@@ -121,6 +121,42 @@ class TestBounds:
         assert "best_found" not in r and "flags" not in d
         assert r["witness_exact"] is None
 
+    def test_budget_exceeded_human_output(self, run):
+        # the report's keys follow BoundsReport's fields, with `formula`
+        # standing for formula_name and formula_value
+        code, out, err = run(["bounds", D14, "--exact", "--limits", "nodes=50"])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        report = lines[lines.index("report:") + 1:lines.index("timings:")]
+        assert report == [
+            "  n: 14",
+            "  branch_count: 2",
+            "  branch01_count: 0",
+            "  deg2_internal_count: 4",
+            "  interior_independence: 2",
+            "  lower: 10",
+            "  upper: 12",
+            "  conjectured: 12",
+            "  formula:",
+            "    name: two_branch",
+            "    value: 11",
+            "  exact: null",
+            "  exact_status: budget_exceeded",
+            "  nodes: 58",
+            "  witness_lower:",
+            "    strengths: [0, 0, 1, 0, 1, 0, 0, 2, 0, 2, 0, 2, 0, 2]",
+            "    weight: 10",
+            "    broadcasters: [2, 4, 7, 9, 11, 13]",
+            "    text: 2:1 4:1 7:2 9:2 11:2 13:2",
+            "  witness_exact: null",
+            "  conjecture_ok: null",
+        ]
+        keys = [line.split(":")[0].strip() for line in report
+                if not line.startswith("    ")]
+        fields = list(solve.BoundsReport._fields)
+        fields[fields.index("formula_name"):fields.index("formula_value") + 1] = ["formula"]
+        assert keys == fields
+
     def test_without_exact_flag(self, run):
         d = run_json(run, ["bounds", D14])
         assert d["report"]["exact_status"] == "not_run"
